@@ -1,37 +1,30 @@
-"""Verification v3 at suite scale: the symbolic fixpoint tier.
+"""Composition verification at suite scale: production path + oracle.
 
 Drives :func:`repro.controllers.verify_composition` over the same
 52-design population as ``bench_controller_synthesis`` (50-graph
 workload suite + two larger random graphs), plus -- at full suite size
--- the 200/500-node scale designs the explicit tier could never
-materialize, and persists the numbers to
+-- the 200/500-node scale designs, and persists the numbers to
 ``BENCH_verify_composition.json`` at the repo root:
 
-* ``symbolic`` -- the default tier: how many designs were *proved*
-  trace-equivalent to their minimized STG under every admissible
-  environment and every stream length (restart loop included), step
-  system sizes, determinized pair counts, per-design timings for the
-  five slowest proofs, and wall-clock.
-* ``explicit_crosscheck`` -- the retired default re-run as an oracle:
-  every suite design goes through ``strategy="exhaustive"`` (the
-  materialized bounded product) and its verdict must be identical to
-  the symbolic one.  Its wall-clock is the baseline the headline
-  speedup is measured against.
-* ``scale`` -- the designs beyond the explicit tier's reach: 200- and
-  500-node random task graphs proved by the unbounded symbolic tier
-  alone (tens of thousands of product states, > ``max_states``).
-* ``tiers`` -- per-tier design counts over everything verified.  A
-  design falling back to sampling is a regression: the symbolic tier
-  has no state bound, so coverage is gated at 1.0.
-* ``sampled_baseline`` -- the environment-sampling tier forced on
-  every suite design (the cost floor).
+* ``production`` -- the one production path (lazy step systems, pair
+  fixpoint, completion and schedule sanity): how many designs were
+  *proved* trace-equivalent to their minimized STG under every
+  admissible environment and every stream length (restart loop
+  included), step system sizes, determinized pair counts, per-design
+  timings for the five slowest proofs, and wall-clock.
+* ``oracle`` -- :func:`repro.controllers.verify.explicit_oracle` on
+  every suite design: the explicit weak-bisimulation verdict must agree
+  with the production one.  Its wall-clock includes the production
+  re-run the oracle compares against.
+* ``scale`` -- designs far beyond the oracle's reach, proved by the
+  production path alone (tens of thousands of product states).
 
-The functional gates always apply: every design equivalent under every
-strategy, symbolic and explicit verdicts identical, zero fallbacks.
-The timing gates -- the ``random_80_80`` symbolic proof at least 3x
-faster than the committed explicit baseline, and a >= 500-node design
-proved -- run only at full suite size, like the other benches
-(millisecond timings on shared CI runners are noise).
+The functional gates always apply: every suite design proved, the
+oracle agreeing on every one, every scale design proved.  At full
+suite size a >= 50 000-state scale proof is also required.  Timings
+are recorded, not gated: the ``random_80_80`` production and oracle
+times are measured in the same run, because wall-clock on a shared
+host drifts too far between runs to hold against a committed number.
 
 Runs under pytest-benchmark or standalone for CI smoke checks::
 
@@ -47,7 +40,7 @@ from pathlib import Path
 
 from bench_controller_synthesis import _suite_designs
 from repro.controllers import synthesize_system_controller, verify_composition
-from repro.controllers.verify import DEFAULT_MAX_PRODUCT_STATES
+from repro.controllers.verify import explicit_oracle
 from repro.estimate import CostModel
 from repro.graph import from_mapping
 from repro.platform import cool_board
@@ -60,33 +53,24 @@ RESULTS_PATH = Path(__file__).resolve().parents[1] / \
 
 DEFAULT_GRAPHS = 50
 SUITE_SEED = 7
-#: Beyond-``max_states`` designs the symbolic tier must prove alone;
-#: they join the run at full suite size only (the 500-node proof walks
-#: ~65k product states -- minutes, not CI-smoke material).
+#: Scale designs the production path proves alone; they join the run at
+#: full suite size only (the 500-node proof walks ~65k product states
+#: -- minutes, not CI-smoke material).
 LARGE_SCALE_SIZES = (200, 500)
-#: The committed explicit-tier wall-clock for ``random_80_80`` (the
-#: pre-symbolic BENCH baseline) and the speedup the symbolic fixpoint
-#: must hold against it.
-EXPLICIT_80_BASELINE_S = 4.692301
-MIN_80_SPEEDUP = 3.0
 #: Per-design slow list depth persisted in the JSON.
 SLOWEST_KEPT = 5
-#: Fraction of the suite the symbolic tier must actually prove.  It
-#: has no state bound, so any fallback to sampling is a regression.
-MIN_SYMBOLIC_COVERAGE = 1.0
 
 
 def _scale_designs(sizes):
-    """(graph, schedule) for the beyond-max_states scale-suite specs.
+    """(graph, schedule) for the scale-suite specs.
 
     Same spread-the-board random mapping as the scale graphs of
     ``bench_controller_synthesis`` -- maximal parallelism across the
-    COOL board's units is what drives the reachable product past
-    ``max_states``.
+    COOL board's units is what drives the reachable product size.
     """
     big = cool_board()
     designs = []
-    for spec in scale_suite(sizes):
+    for spec in scale_suite(sizes) if sizes else ():
         graph = spec.build()
         rng = random.Random(spec.nodes)
         mapping = {node.name: rng.choice(big.resource_names)
@@ -108,77 +92,47 @@ def _stg_and_controller(schedule):
     return mini, synthesize_system_controller(mini)
 
 
-def _timed_checks(prepared, strategy, max_states):
+def _timed_checks(prepared, verify):
     out = []
     for graph, mini, controller in prepared:
         started = time.perf_counter()
-        check = verify_composition(mini, controller, graph=graph,
-                                   max_states=max_states,
-                                   strategy=strategy)
+        check = verify(mini, controller, graph=graph)
         out.append((graph.name, check, time.perf_counter() - started))
     return out
 
 
 def measure(n_graphs: int = DEFAULT_GRAPHS, seed: int = SUITE_SEED,
-            max_states: int = DEFAULT_MAX_PRODUCT_STATES,
             scale_sizes: tuple = ()) -> dict:
     prepared = _prepare(_suite_designs(n_graphs, seed))
     scale_prepared = _prepare(_scale_designs(scale_sizes))
 
-    auto_started = time.perf_counter()
-    per_design = _timed_checks(prepared, "auto", max_states)
-    auto_s = time.perf_counter() - auto_started
+    per_design = _timed_checks(prepared, verify_composition)
+    oracle = _timed_checks(prepared, explicit_oracle)
+    scale_per_design = _timed_checks(scale_prepared, verify_composition)
 
-    explicit = _timed_checks(prepared, "exhaustive", max_states)
-    explicit_s = sum(seconds for _, _, seconds in explicit)
-    agreeing = sum(a.equivalent == b.equivalent
-                   for (_, a, _), (_, b, _) in zip(per_design, explicit))
-
-    scale_per_design = _timed_checks(scale_prepared, "auto", max_states)
-
-    sampled_started = time.perf_counter()
-    sampled_checks = [verify_composition(mini, controller, graph=graph,
-                                         strategy="sampled")
-                      for graph, mini, controller in prepared]
-    sampled_s = time.perf_counter() - sampled_started
-
-    proved = [(name, check, seconds) for name, check, seconds in per_design
-              if check.tier == "symbolic"]
-    fallbacks = [(name, check) for name, check, _ in per_design
-                 if check.tier == "sampled"]
-    symbolic_s = sum(seconds for _, _, seconds in proved)
-    slowest = sorted(proved, key=lambda entry: entry[2],
+    checks = [check for _, check, _ in per_design]
+    slowest = sorted(per_design, key=lambda entry: entry[2],
                      reverse=True)[:SLOWEST_KEPT]
     seconds_of = {name: seconds for name, _, seconds in per_design}
-    explicit_seconds_of = {name: seconds for name, _, seconds in explicit}
-    tier_counts: dict = {}
-    for _, check, _ in per_design + scale_per_design:
-        tier_counts[check.tier] = tier_counts.get(check.tier, 0) + 1
+    oracle_seconds_of = {name: seconds for name, _, seconds in oracle}
     return {
         "suite": {
             "graphs": len(prepared),
             "workload_graphs": n_graphs,
             "seed": seed,
-            "max_states": max_states,
             "scale_sizes": list(scale_sizes),
         },
-        "symbolic": {
-            "proved": len(proved),
-            "equivalent": sum(check.equivalent
-                              for _, check, _ in proved),
-            "verify_s": round(symbolic_s, 6),
-            "product_states": sum(check.product_states
-                                  for _, check, _ in proved),
-            "largest_product": max((check.product_states
-                                    for _, check, _ in proved), default=0),
-            "projections": sum(check.projections_checked
-                               for _, check, _ in proved),
-            "pairs_checked": sum(check.pairs_checked
-                                 for _, check, _ in proved),
-            "starts_checked": sum(check.starts_checked
-                                  for _, check, _ in proved),
-            "oracle_agreed": sum(check.oracle == "agrees"
-                                 for _, check, _ in proved),
+        "production": {
+            "designs": len(checks),
+            "proved": sum(check.equivalent and check.tier == "symbolic"
+                          for check in checks),
+            "verify_s": round(sum(seconds_of.values()), 6),
+            "product_states": sum(c.product_states for c in checks),
+            "largest_product": max((c.product_states for c in checks),
+                                   default=0),
+            "projections": sum(c.projections_checked for c in checks),
+            "pairs_checked": sum(c.pairs_checked for c in checks),
+            "starts_checked": sum(c.starts_checked for c in checks),
             "slowest_designs": [{
                 "name": name,
                 "seconds": round(seconds, 6),
@@ -186,18 +140,14 @@ def measure(n_graphs: int = DEFAULT_GRAPHS, seed: int = SUITE_SEED,
                 "pairs_checked": check.pairs_checked,
             } for name, check, seconds in slowest],
         },
-        "tiers": tier_counts,
-        "explicit_crosscheck": {
-            "designs": len(explicit),
-            "agreeing": agreeing,
-            "verify_s": round(explicit_s, 6),
+        "oracle": {
+            "designs": len(oracle),
+            "agreeing": sum(check.oracle == "agrees"
+                            for _, check, _ in oracle),
+            "verify_s": round(sum(oracle_seconds_of.values()), 6),
             "random_80_80": None if "random_80_80" not in seconds_of else {
-                "symbolic_s": round(seconds_of["random_80_80"], 6),
-                "explicit_s": round(
-                    explicit_seconds_of["random_80_80"], 6),
-                "baseline_s": EXPLICIT_80_BASELINE_S,
-                "speedup_x": round(
-                    EXPLICIT_80_BASELINE_S / seconds_of["random_80_80"], 2),
+                "production_s": round(seconds_of["random_80_80"], 6),
+                "oracle_s": round(oracle_seconds_of["random_80_80"], 6),
             },
         },
         "scale": {
@@ -209,141 +159,84 @@ def measure(n_graphs: int = DEFAULT_GRAPHS, seed: int = SUITE_SEED,
                 "product_states": check.product_states,
                 "pairs_checked": check.pairs_checked,
                 "projections": check.projections_checked,
-                "bdd_nodes": check.bdd_nodes,
-                "bdd_ite_hit_rate": check.bdd_ite_hit_rate,
             } for name, check, seconds in scale_per_design],
             "largest_proved_states": max(
                 (check.product_states for _, check, _ in scale_per_design
-                 if check.tier == "symbolic" and check.equivalent),
-                default=0),
+                 if check.equivalent), default=0),
         },
-        "fallback": {
-            "designs": len(fallbacks),
-            "all_reasons_recorded": all(check.fallback_reason
-                                        for _, check in fallbacks),
-            "equivalent": sum(check.equivalent for _, check in fallbacks),
-            "names": sorted(name for name, _ in fallbacks),
-        },
-        "sampled_baseline": {
-            "verify_s": round(sampled_s, 6),
-            "equivalent": sum(check.equivalent
-                              for check in sampled_checks),
-            "designs": len(sampled_checks),
-            "environments": sampled_checks[0].environments
-            if sampled_checks else 0,
-            "activations": sampled_checks[0].activations
-            if sampled_checks else 0,
-        },
-        "auto_total_s": round(auto_s, 6),
     }
 
 
-def check(payload: dict, timing_margin: float | None = 1.0) -> None:
-    """The verification-v3 gate (shared by pytest and the CLI).
+def check(payload: dict, full: bool = True) -> None:
+    """The verification gate (shared by pytest and the CLI).
 
-    ``timing_margin=None`` skips the wall-clock and scale gates (CI
-    smoke on shared runners); the functional gates always apply.
+    ``full=False`` skips the scale-size gate (CI smoke on a small
+    suite); the functional gates always apply.
     """
-    symbolic = payload["symbolic"]
-    crosscheck = payload["explicit_crosscheck"]
-    fallback = payload["fallback"]
-    sampled = payload["sampled_baseline"]
+    production = payload["production"]
+    oracle = payload["oracle"]
     scale = payload["scale"]
     designs = payload["suite"]["graphs"]
 
-    assert symbolic["equivalent"] == symbolic["proved"], \
-        "a symbolic-tier design failed the equivalence proof"
-    assert fallback["designs"] == 0, \
-        (f"the unbounded symbolic tier fell back to sampling on "
-         f"{fallback['names']}")
-    assert sampled["equivalent"] == sampled["designs"], \
-        "a design failed the forced sampled tier"
-    assert symbolic["proved"] + fallback["designs"] == designs
-    assert symbolic["proved"] >= MIN_SYMBOLIC_COVERAGE * designs, \
-        (f"symbolic tier only covered {symbolic['proved']}/{designs} "
-         f"designs (min {MIN_SYMBOLIC_COVERAGE:.0%})")
-    assert crosscheck["agreeing"] == crosscheck["designs"] == designs, \
-        "symbolic and explicit tiers disagree on a suite verdict"
+    assert production["proved"] == production["designs"] == designs, \
+        "a suite design failed the production equivalence proof"
+    assert oracle["agreeing"] == oracle["designs"] == designs, \
+        "the explicit oracle disagrees with production on a suite verdict"
     for entry in scale["designs"]:
         assert entry["tier"] == "symbolic" and entry["equivalent"], \
-            f"scale design {entry['name']} not proved symbolically"
-    if timing_margin is not None:
-        assert scale["largest_proved_states"] > \
-            payload["suite"]["max_states"], \
-            "no beyond-max_states design proved at full suite size"
-        assert max(entry["product_states"] for entry in scale["designs"]) \
-            >= 50_000, "the 500-node scale design is missing"
-        speed = crosscheck["random_80_80"]
-        assert speed is not None, "random_80_80 missing from the suite"
-        budget = EXPLICIT_80_BASELINE_S / MIN_80_SPEEDUP * timing_margin
-        assert speed["symbolic_s"] <= budget, \
-            (f"random_80_80 symbolic proof ({speed['symbolic_s']}s) lost "
-             f"the {MIN_80_SPEEDUP}x speedup vs the explicit baseline "
-             f"({EXPLICIT_80_BASELINE_S}s)")
+            f"scale design {entry['name']} not proved"
+    if full:
+        assert scale["largest_proved_states"] >= 50_000, \
+            "the 500-node scale design is missing"
 
 
 def report(payload: dict) -> str:
     suite = payload["suite"]
-    symbolic = payload["symbolic"]
-    crosscheck = payload["explicit_crosscheck"]
-    fallback = payload["fallback"]
-    sampled = payload["sampled_baseline"]
-    lines = ["Verification v3 -- symbolic fixpoint tier at suite scale:"]
+    production = payload["production"]
+    oracle = payload["oracle"]
+    lines = ["Composition verification at suite scale:"]
     lines.append(f"  suite               : {suite['graphs']} designs "
-                 f"+ {len(payload['scale']['designs'])} scale "
-                 f"(explicit max_states {suite['max_states']})")
-    lines.append(f"  symbolic tier       : {symbolic['proved']} proved in "
-                 f"{symbolic['verify_s'] * 1e3:8.1f} ms "
-                 f"({symbolic['product_states']} product states, "
-                 f"{symbolic['pairs_checked']} pairs, "
-                 f"{symbolic['projections']} projections, "
-                 f"{symbolic['oracle_agreed']} oracle-agreed)")
-    for entry in symbolic["slowest_designs"]:
+                 f"+ {len(payload['scale']['designs'])} scale")
+    lines.append(f"  production          : {production['proved']} proved in "
+                 f"{production['verify_s'] * 1e3:8.1f} ms "
+                 f"({production['product_states']} product states, "
+                 f"{production['pairs_checked']} pairs, "
+                 f"{production['projections']} projections)")
+    for entry in production["slowest_designs"]:
         lines.append(f"    slow proof        : {entry['name']} "
                      f"({entry['seconds'] * 1e3:.1f} ms, "
                      f"{entry['product_states']} states, "
                      f"{entry['pairs_checked']} pairs)")
-    lines.append(f"  explicit crosscheck : {crosscheck['agreeing']}/"
-                 f"{crosscheck['designs']} verdicts identical in "
-                 f"{crosscheck['verify_s'] * 1e3:8.1f} ms")
-    if crosscheck["random_80_80"]:
-        speed = crosscheck["random_80_80"]
-        lines.append(f"  random_80_80        : {speed['symbolic_s']}s "
-                     f"symbolic vs {speed['baseline_s']}s committed "
-                     f"explicit ({speed['speedup_x']}x)")
+    lines.append(f"  explicit oracle     : {oracle['agreeing']}/"
+                 f"{oracle['designs']} verdicts agree in "
+                 f"{oracle['verify_s'] * 1e3:8.1f} ms")
+    if oracle["random_80_80"]:
+        speed = oracle["random_80_80"]
+        lines.append(f"  random_80_80        : {speed['production_s']}s "
+                     f"production vs {speed['oracle_s']}s explicit oracle "
+                     f"(same run)")
     for entry in payload["scale"]["designs"]:
         lines.append(f"  scale proof         : {entry['name']} "
                      f"({entry['seconds']:.1f} s, "
                      f"{entry['product_states']} states, "
-                     f"{entry['pairs_checked']} pairs, "
-                     f"{entry['bdd_nodes']} BDD nodes)")
-    lines.append(f"  tiers               : {payload['tiers']} "
-                 f"(fallbacks {fallback['designs']})")
-    lines.append(f"  sampled baseline    : {sampled['designs']} designs in "
-                 f"{sampled['verify_s'] * 1e3:8.1f} ms "
-                 f"({sampled['environments']} environments x "
-                 f"{sampled['activations']} activations)")
+                     f"{entry['pairs_checked']} pairs)")
     return "\n".join(lines)
 
 
 def test_verify_composition_benchmark(benchmark, run_once):
     payload = run_once(benchmark, measure)
     assert payload["suite"]["workload_graphs"] >= 50
-    check(payload, timing_margin=None)
+    check(payload, full=False)
     print("\n" + report(payload))
 
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
-        description="Symbolic composition verification at suite scale")
+        description="Composition verification at suite scale")
     parser.add_argument("--graphs", type=int, default=DEFAULT_GRAPHS,
                         help="workload suite size (default %(default)s)")
     parser.add_argument("--seed", type=int, default=SUITE_SEED,
                         help="suite seed (default %(default)s)")
-    parser.add_argument("--max-states", type=int,
-                        default=DEFAULT_MAX_PRODUCT_STATES,
-                        help="explicit-tier product bound "
-                             "(default %(default)s)")
     parser.add_argument("--no-scale", action="store_true",
                         help="skip the 200/500-node scale proofs even at "
                              "full suite size")
@@ -353,9 +246,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     full = args.graphs >= DEFAULT_GRAPHS
     scale_sizes = LARGE_SCALE_SIZES if full and not args.no_scale else ()
-    payload = measure(args.graphs, args.seed, args.max_states,
-                      scale_sizes=scale_sizes)
-    check(payload, timing_margin=1.0 if scale_sizes else None)
+    payload = measure(args.graphs, args.seed, scale_sizes=scale_sizes)
+    check(payload, full=bool(scale_sizes))
     if not args.no_write:
         RESULTS_PATH.write_text(json.dumps(payload, indent=2) + "\n")
     print(report(payload))

@@ -108,13 +108,12 @@ KERNEL_BUILDER_METHODS: dict[str, frozenset[str]] = {
 #: equality and fingerprints (pure memo of already-frozen content), so
 #: writing it does not breach immutability.
 #:
-#: The symbolic verification tier deliberately keeps its caches OFF the
-#: kernel classes: ``BddEngine`` owns its unique/ite tables,
-#: ``LazyStepSystem`` its interned rows, and the verifier's
+#: The composition verifier deliberately keeps its caches OFF the
+#: kernel classes: ``LazyStepSystem`` owns its interned rows, and the
 #: fingerprint-keyed step-system cache is module state in
-#: ``repro.controllers.verify`` -- none of them hang new memo slots on
+#: ``repro.controllers.verify`` -- neither hangs new memo slots on
 #: ``Automaton``/``Stg``/``Fsm``, so no new entries (and no
-#: suppressions) are needed here for that tier.
+#: suppressions) are needed here for the verifier.
 KERNEL_MEMO_ATTRIBUTES: dict[str, frozenset[str]] = {
     "Automaton": frozenset({"_fingerprint", "_obs_summary"}),
     "Stg": frozenset({"_automaton_cache"}),

@@ -1,9 +1,10 @@
-"""Symbolic verification tier: fixpoint equivalence without the product.
+"""Symbolic verification: fixpoint equivalence without the product.
 
-The explicit composition verifier materializes both sides of the check
-as :class:`~repro.automata.core.Automaton` objects and hands them to the
-τ-saturating bisimulation -- which caps at ``max_states`` and makes the
-largest suite design the long pole.  This module is the unbounded tier:
+The explicit composition oracle materializes both sides of the check as
+:class:`~repro.automata.core.Automaton` objects and hands them to the
+τ-saturating bisimulation -- which caps at a state bound and makes the
+largest designs the long pole.  This module is the unbounded check the
+composition verifier runs on every flow:
 
 * :class:`LazyStepSystem` -- an on-the-fly interned step-transition
   system.  States are discovered and densely numbered as the check
@@ -27,24 +28,21 @@ largest suite design the long pole.  This module is the unbounded tier:
   stays invisible, exactly as weak equivalence demands.  On failure the
   breadth-first parent links reconstruct the shortest distinguishing
   trace -- the concrete ``?letter`` / ``!action`` counterexample the
-  explicit tier would have reported.
+  explicit oracle reports.
 * :func:`reachable_set_summary` -- the reachable state-index set as a
   BDD characteristic function over a
   :class:`~repro.symbolic.relation.VariablePairing` block, with an
-  optional *relational cross-check*: the same set recomputed from
-  nothing but per-letter partitioned transition-relation BDDs by
+  optional *relational cross-check* by
   :func:`~repro.symbolic.relation.reachable_states` image iteration.
-  The composition verifier runs that cross-check on every design small
-  enough for the explicit oracle, so the relational layer is re-proved
-  against the enumerative explorer on every bench run.
+  Not on the verify path: dense interning makes the reachable set the
+  interval ``i < n`` by construction, so the summary proves nothing the
+  explorer does not already guarantee.
 
-Engineering note on representations: reachable sets and transition
-relations live as BDDs (hash-consing makes set equality and the
-relational algebra O(1)-ish), while the *frontier sets* inside the pair
-fixpoint are sorted element-index tuples -- over a dense index space a
-reduced BDD of a small set degenerates to a chain of index cubes, and
-the tuple is the same canonical object at a fraction of the constant
-factor.  ``docs/SYMBOLIC_VERIFY.md`` carries the full rationale.
+The *frontier sets* inside the pair fixpoint are sorted element-index
+tuples -- over a dense index space a reduced BDD of a small set
+degenerates to a chain of index cubes, and the tuple is the same
+canonical object at a fraction of the constant factor.
+``docs/SYMBOLIC_VERIFY.md`` carries the full rationale.
 """
 
 from __future__ import annotations
@@ -66,8 +64,7 @@ __all__ = ["LazyStepSystem", "ClassVerdict", "SymbolicEquivalence",
 #: Safety valve for the determinized pair fixpoint: the subset
 #: construction is linear-ish on the determinate systems this tier
 #: compares, so hitting this bound means the inputs violate the
-#: determinacy contract -- raise (and let ``verify_composition`` fall
-#: back with a recorded reason) instead of filling memory.
+#: determinacy contract -- raise instead of filling memory.
 MAX_PAIR_FIXPOINT = 2_000_000
 
 
@@ -280,8 +277,6 @@ class SymbolicEquivalence:
     left_states: int
     right_states: int
     pairs_checked: int
-    image_iterations: int
-    bdd_stats: dict
 
 
 class _Side:
@@ -466,29 +461,18 @@ def _check_class(label: str, left: _ClassView, right: _ClassView
 
 def symbolic_trace_equivalence(
         left: LazyStepSystem, right: LazyStepSystem,
-        classes: Sequence[tuple[str, frozenset[str]]],
-        engine: BddEngine | None = None,
-        relational_check: bool = False) -> SymbolicEquivalence:
+        classes: Sequence[tuple[str, frozenset[str]]]
+        ) -> SymbolicEquivalence:
     """Weak trace equivalence of two step systems, per projection class.
 
     Expands both systems fully (the joint fixpoint touches every
     reachable state anyway, and a fully expanded system is immutable),
-    builds the reachable-set characteristic functions (with the
-    relational image-iteration cross-check when requested), then runs
-    the determinized τ-closed pair fixpoint once per class.  Every
-    class must agree for the systems to be equivalent; each failing
-    class carries its shortest distinguishing trace.
+    then runs the determinized τ-closed pair fixpoint once per class.
+    Every class must agree for the systems to be equivalent; each
+    failing class carries its shortest distinguishing trace.
     """
-    engine = engine or BddEngine()
     left.expand_all()
     right.expand_all()
-    iterations = 0
-    set_sizes = []
-    for system in (left, right):
-        _reached, size, steps = reachable_set_summary(
-            engine, system, relational_check=relational_check)
-        set_sizes.append(size)
-        iterations += steps
     left_side = _Side(left)
     right_side = _Side(right)
     verdicts = []
@@ -503,7 +487,4 @@ def symbolic_trace_equivalence(
         verdicts=tuple(verdicts),
         left_states=len(left),
         right_states=len(right),
-        pairs_checked=pairs_checked,
-        image_iterations=iterations,
-        bdd_stats=dict(engine.stats(),
-                       reachable_set_nodes=tuple(set_sizes)))
+        pairs_checked=pairs_checked)

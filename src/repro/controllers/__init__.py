@@ -4,8 +4,7 @@ from .fsm import Fsm, FsmError, FsmTransition, encode_states
 from .system_controller import (ControllerHarness, SystemController,
                                 controller_composition,
                                 synthesize_system_controller)
-from .verify import (DEFAULT_MAX_PRODUCT_STATES, CompositionCheck,
-                     verify_composition)
+from .verify import CompositionCheck, verify_composition
 from .guards import (harvest_care_sets, simplify_controller_guards,
                      simplify_fsm_conditions)
 from .datapath_controller import (DatapathController,
@@ -17,7 +16,7 @@ __all__ = [
     "Fsm", "FsmError", "FsmTransition", "encode_states",
     "ControllerHarness", "SystemController", "controller_composition",
     "synthesize_system_controller",
-    "CompositionCheck", "verify_composition", "DEFAULT_MAX_PRODUCT_STATES",
+    "CompositionCheck", "verify_composition",
     "harvest_care_sets", "simplify_controller_guards",
     "simplify_fsm_conditions",
     "DatapathController", "synthesize_datapath_controller", "IoController",

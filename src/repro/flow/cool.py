@@ -53,8 +53,7 @@ from ..controllers.datapath_controller import (DatapathController,
 from ..controllers.io_controller import IoController, synthesize_io_controller
 from ..controllers.system_controller import (SystemController,
                                              synthesize_system_controller)
-from ..controllers.verify import (DEFAULT_MAX_PRODUCT_STATES,
-                                  CompositionCheck, verify_composition)
+from ..controllers.verify import CompositionCheck, verify_composition
 from ..graph.partition import Partition
 from ..graph.taskgraph import TaskGraph
 from ..graph.validate import check_graph
@@ -152,25 +151,11 @@ class FlowResult:
             check = self.composition_check
             verdict = "equivalent" if check.equivalent \
                 else "MISMATCH: " + "; ".join(check.mismatches)
-            if check.tier == "symbolic":
-                oracle = f", explicit oracle {check.oracle}" \
-                    if check.oracle else ""
-                evidence = (f"symbolic fixpoint, "
-                            f"{check.product_states} product states, "
-                            f"{check.projections_checked} projections, "
-                            f"{check.bdd_nodes} BDD nodes "
-                            f"(ite hit rate {check.bdd_ite_hit_rate:.0%})"
-                            f"{oracle}, streamed restarts included")
-            elif check.tier == "bisimulation":
-                evidence = (f"exhaustive bisimulation, "
-                            f"{check.product_states} product states, "
-                            f"{check.projections_checked} projections, "
-                            f"streamed restarts included")
-            else:
-                evidence = (f"sampled, {check.environments} environments "
-                            f"x {check.activations} activations")
             lines.append(f"verified composition: controllers x STG "
-                         f"{verdict} ({evidence})")
+                         f"{verdict} (symbolic fixpoint, "
+                         f"{check.product_states} product states, "
+                         f"{check.projections_checked} projections, "
+                         f"streamed restarts included)")
         if self.guard_report is not None:
             before = self.guard_report["guard_literals_before"]
             after = self.guard_report["guard_literals_after"]
@@ -260,10 +245,8 @@ def _stage_controllers(ctx: FlowContext) -> dict[str, Any]:
 
 
 def _stage_verify(ctx: FlowContext) -> dict[str, Any]:
-    max_states, strategy = ctx.get("verify_options")
     check = verify_composition(ctx.get("stg"), ctx.get("controller"),
-                               graph=ctx.get("graph"),
-                               max_states=max_states, strategy=strategy)
+                               graph=ctx.get("graph"))
     return {"composition_check": check}
 
 
@@ -272,13 +255,12 @@ def _stage_codegen(ctx: FlowContext) -> dict[str, Any]:
     arch: TargetArchitecture = ctx.get("arch")
     hls_results = ctx.get("hls_results")
     controller = ctx.get("controller")
-    simplify, guard_max_states = ctx.get("codegen_options")
+    simplify = ctx.get("simplify_guards")
     care_sets: dict = {}
     care_reason: str | None = None
     if simplify:
         try:
-            care_sets = harvest_care_sets(controller,
-                                          max_states=guard_max_states)
+            care_sets = harvest_care_sets(controller)
         except AutomataError as exc:
             # structural simplification still applies; only the
             # reachability don't-cares are lost
@@ -364,12 +346,12 @@ def build_flow_stages() -> list[Stage]:
               ("controller", "io_controller", "datapath_controllers",
                "arbiter"),
               _stage_controllers),
-        Stage("verify", ("stg", "controller", "graph", "verify_options"),
+        Stage("verify", ("stg", "controller", "graph"),
               ("composition_check",), _stage_verify),
         Stage("codegen",
               ("graph", "partition", "schedule", "plan", "controller",
                "io_controller", "datapath_controllers", "arbiter",
-               "hls_results", "arch", "codegen_options"),
+               "hls_results", "arch", "simplify_guards"),
               ("vhdl_files", "c_files", "netlist", "guard_report"),
               _stage_codegen),
         Stage("cosim",
@@ -436,8 +418,6 @@ class CoolFlow:
                  design_time_model: DesignTimeModel | None = None,
                  stage_cache: CacheTier | None = None,
                  verify_composition: bool = True,
-                 verify_max_states: int = DEFAULT_MAX_PRODUCT_STATES,
-                 verify_strategy: str = "auto",
                  simplify_guards: bool = True,
                  store_path: "str | None" = None) -> None:
         self.arch = arch
@@ -448,15 +428,6 @@ class CoolFlow:
         #: Run the ``verify`` stage (product-of-controllers vs minimized
         #: STG equivalence) as part of every flow.
         self.verify_composition = verify_composition
-        #: Tier knobs forwarded to
-        #: :func:`repro.controllers.verify.verify_composition`:
-        #: largest reachable product the *explicit* bisimulation tier
-        #: attempts (the default symbolic tier is unbounded), and the
-        #: strategy ("auto" | "symbolic" | "exhaustive" | "sampled").
-        #: Part of the verify stage's fingerprint, so changing either
-        #: re-runs exactly that stage.
-        self.verify_max_states = verify_max_states
-        self.verify_strategy = verify_strategy
         #: Route the codegen stage's FSM cascades through the symbolic
         #: guard engine (dead-branch pruning, same-successor merging,
         #: reachability don't-cares from the composition product).
@@ -500,10 +471,7 @@ class CoolFlow:
                           partitioner=self.partitioner,
                           comm_options=(self.reuse_memory,
                                         self.allow_direct_comm),
-                          verify_options=(self.verify_max_states,
-                                          self.verify_strategy),
-                          codegen_options=(self.simplify_guards,
-                                           self.verify_max_states))
+                          simplify_guards=self.simplify_guards)
 
         # HLS area feedback: partitioning works on the quick estimator;
         # if the *synthesized* datapath of a device overflows its CLB

@@ -42,8 +42,9 @@ __all__ = ["CacheTier", "PersistentCache", "TieredCache",
 #: every store key (so old-schema records are simply never looked up)
 #: and stamped into every record header (so a forced lookup still
 #: refuses a cross-version decode).  Bump when the output serialization
-#: or the fingerprint definition changes incompatibly.
-PIPELINE_CACHE_SCHEMA = 1
+#: or the fingerprint definition changes incompatibly.  Version 2:
+#: ``CompositionCheck`` dropped its sampled-tier, BDD and fallback fields.
+PIPELINE_CACHE_SCHEMA = 2
 
 #: Highest pickle protocol guaranteed on every supported interpreter;
 #: pinned so records written by different Python patch versions stay

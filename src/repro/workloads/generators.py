@@ -21,7 +21,7 @@ Families
 * :class:`RandomDagSpec` -- the unconstrained TGFF-style generator of
   :func:`repro.apps.random_task_graph` as a spec family, the shape the
   scale sweeps use for 200..500-node designs whose reachable products
-  only the symbolic verification tier can prove.
+  only the production (lazy) verifier can prove.
 
 All generated graphs pass :func:`repro.graph.check_graph` and use node
 kinds with executable semantics, so a generated workload can run the
@@ -484,8 +484,8 @@ class RandomDagSpec(WorkloadSpec):
     class suite members: fingerprinted, cacheable and reproducible from
     the spec alone.  Unlike :class:`LayeredDagSpec` this family does
     not bound its width, which is what makes its reachable composition
-    products outgrow the explicit verifier's ``max_states`` -- the
-    population the symbolic tier exists for.
+    products outgrow the explicit oracle's state bound -- the
+    population the lazy production verifier exists for.
     """
 
     nodes: int = 200

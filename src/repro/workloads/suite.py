@@ -25,8 +25,8 @@ DEFAULT_FAMILIES = ("layered", "fork_join", "chain", "tree", "equalizer",
                     "dct")
 
 #: Node counts of the default :func:`scale_suite` -- the designs whose
-#: reachable composition products outgrow the explicit verifier's
-#: ``max_states`` and are only provable by the symbolic tier.
+#: reachable composition products outgrow the explicit oracle's state
+#: bound and are only provable by the production (lazy) verifier.
 SCALE_SUITE_SIZES = (200, 500)
 
 
@@ -84,7 +84,7 @@ def workload_suite(count: int, seed: int = 0,
 
 def scale_suite(sizes: Sequence[int] = SCALE_SUITE_SIZES
                 ) -> list[RandomDagSpec]:
-    """Beyond-``max_states`` spec variants: one random DAG per size.
+    """Beyond-the-oracle spec variants: one random DAG per size.
 
     The verification scale population: each spec seeds its generator
     with its own node count (matching the long-standing scale-graph

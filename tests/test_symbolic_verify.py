@@ -322,7 +322,6 @@ class TestSymbolicTraceEquivalence:
         assert result.left_states == 2
         assert result.right_states == 3
         assert result.pairs_checked > 0
-        assert result.bdd_stats["nodes"] >= 0
 
     def test_tampered_side_yields_shortest_trace(self):
         result = symbolic_trace_equivalence(_ping_fused(),
@@ -340,13 +339,6 @@ class TestSymbolicTraceEquivalence:
         verdict = result.verdicts[0]
         assert not verdict.equivalent
         assert verdict.missing_side == "left"
-
-    def test_relational_check_runs_per_system(self):
-        result = symbolic_trace_equivalence(_ping_fused(), _ping_staged(),
-                                            CLASSES, relational_check=True)
-        assert result.equivalent
-        assert result.image_iterations > 0
-        assert len(result.bdd_stats["reachable_set_nodes"]) == 2
 
     def test_fixpoint_safety_valve(self, monkeypatch):
         import repro.automata.symbolic as symbolic

@@ -1,12 +1,11 @@
 """Tests for verified composition: product-of-controllers ≡ minimized STG.
 
-Covers the tiered checker on the bundled apps (the unbounded symbolic
-fixpoint tier as default with the explicit bisimulation tier as its
-oracle, environment sampling as recorded fallback), the ``verify``
-pipeline stage (FlowResult exposure + fingerprint caching + tier
-configuration) and the detector's teeth: a tampered controller must be
-caught by *every* tier, with a concrete distinguishing trace from the
-symbolic one.
+Covers the production check on the bundled apps (lazy step systems +
+pair fixpoint, no state bound), the ``verify`` pipeline stage
+(FlowResult exposure + fingerprint caching) and the detector's teeth:
+every tampered, deadlocked and schedule-broken design must be rejected
+by both the production path and the explicit weak-bisimulation oracle,
+with a concrete distinguishing trace.
 """
 
 import types
@@ -14,11 +13,13 @@ import types
 import pytest
 
 from repro.apps import dct_stage, four_band_equalizer, fuzzy_controller
-from repro.automata import AutomataError
+from repro.automata import AutomataError, SynchronousComposition
 from repro.controllers import (Fsm, SystemController,
                                synthesize_system_controller,
                                verify_composition)
-from repro.controllers.verify import _dependency_violations, _multiset_diff
+from repro.controllers.verify import (_dependency_violations,
+                                      controller_step_system,
+                                      explicit_oracle, stg_step_system)
 from repro.estimate import CostModel
 from repro.flow import CoolFlow
 from repro.graph import from_mapping
@@ -82,41 +83,46 @@ class TestSymbolicTier:
         check = verify_composition(mini, controller, graph=graph)
         assert check.equivalent, check.mismatches
         assert check.tier == "symbolic"
-        assert check.fallback_reason is None
-        # oracle-sized designs are re-proved by the explicit tier and
-        # the relational BDD image iteration; its stats must surface
-        assert check.oracle == "agrees"
-        assert check.image_iterations > 0
-        assert check.bdd_nodes > 0
-        assert check.bdd_unique_table > 0
-        assert 0.0 < check.bdd_ite_hit_rate <= 1.0
+        assert check.oracle is None  # production never runs the oracle
         assert check.pairs_checked > 0
         # one projection per processing unit plus one per memory command
         assert check.projections_checked > len(controller.sequencers)
         assert check.product_states > len(controller.phase_fsm.states)
         assert check.reference_states > len(controller.phase_fsm.states)
-        assert check.composite_configurations == check.product_states
         assert check.starts_checked >= len(graph.nodes)
 
     def test_restart_loop_is_part_of_the_product(self):
-        from repro.controllers.verify import (controller_product_automaton,
-                                              stg_step_automaton)
         _, mini, controller = implementation(*BUNDLED[0])
-        for automaton in (controller_product_automaton(controller, 4000),
-                          stg_step_automaton(mini, 4000)):
-            restart = automaton.symbols.id_of("restart")
-            assert restart is not None, automaton.name
-            loops = [t for t in automaton.transitions
-                     if restart in t.conditions]
-            assert loops, f"{automaton.name} has no restart edge"
+        reference = stg_step_system(mini)
+        reference.expand_all()
+        for system in (controller_step_system(controller), reference):
+            loops = [succ for _state, letter, _actions, succ
+                     in system.iter_rows()
+                     if "restart" in system.letter_of(letter)]
+            assert loops, f"{system.name} has no restart edge"
+
+    def test_streams_activations_through_restart(self):
+        # every restart edge returns its side to the initial component
+        # states, so the one reachable graph covers every stream length
+        # of back-to-back activations
+        _, mini, controller = implementation(*BUNDLED[0])
+        reference = stg_step_system(mini)
+        reference.expand_all()
+        for system, view in ((controller_step_system(controller),
+                              SynchronousComposition.component_states),
+                             (reference, lambda snapshot: snapshot)):
+            restarted = {view(system.key_of(succ)[0])
+                         for _state, letter, _actions, succ
+                         in system.iter_rows()
+                         if "restart" in system.letter_of(letter)}
+            assert restarted == {view(system.key_of(0)[0])}, system.name
 
     def test_tampered_controller_fails_every_tier(self):
         graph, mini, controller = implementation(*BUNDLED[0])
         tampered = tamper(controller)
-        # symbolic tier (forced: no oracle assist) with a concrete
-        # shortest distinguishing trace in ?letter/!action form
-        check = verify_composition(mini, tampered, graph=graph,
-                                   strategy="symbolic")
+        # production, with a concrete shortest distinguishing trace in
+        # ?letter/!action form
+        check = verify_composition(mini, tampered, graph=graph)
         assert check.tier == "symbolic"
         assert not check.equivalent
         trace_mismatches = [m for m in check.mismatches
@@ -125,17 +131,12 @@ class TestSymbolicTier:
         assert any("trace " in m and " is possible only in " in m
                    for m in trace_mismatches)
         assert any("!start_" in m for m in trace_mismatches)
-        # explicit bisimulation tier independently
-        check = verify_composition(mini, tampered, graph=graph,
-                                   strategy="exhaustive")
-        assert check.tier == "bisimulation"
-        assert not check.equivalent
-        assert any("not weakly bisimilar" in m for m in check.mismatches)
-        # and the default auto tier's oracle agrees both are inequivalent
-        check = verify_composition(mini, tampered, graph=graph)
-        assert check.tier == "symbolic"
-        assert not check.equivalent
-        assert check.oracle == "agrees"
+        # the explicit oracle independently, agreeing with production
+        explicit = explicit_oracle(mini, tampered, graph=graph)
+        assert explicit.tier == "bisimulation"
+        assert not explicit.equivalent
+        assert explicit.oracle == "agrees"
+        assert any("not weakly bisimilar" in m for m in explicit.mismatches)
 
     def test_unminimized_stg_also_equivalent(self):
         graph = four_band_equalizer(words=8)
@@ -152,44 +153,19 @@ class TestSymbolicTier:
         assert check.equivalent, check.mismatches
         assert check.tier == "symbolic"
 
-    def test_max_states_no_longer_limits_the_default_tier(self):
-        # the symbolic tier is unbounded: a max_states far below the
-        # reachable product must still produce a symbolic proof (the
-        # explicit oracle silently sits out -- it cannot materialize)
-        graph, mini, controller = implementation(*BUNDLED[0])
-        check = verify_composition(mini, controller, graph=graph,
-                                   max_states=5)
-        assert check.tier == "symbolic"
-        assert check.equivalent, check.mismatches
-        assert check.fallback_reason is None
-        assert check.oracle is None
-
-    def test_fixpoint_blowup_falls_back_with_reason(self, monkeypatch):
-        # the sampled fallback survives for symbolic-tier failures: a
-        # violated determinacy contract (simulated by shrinking the
-        # pair-fixpoint safety valve) must land on the sampled tier
-        # with the reason recorded
+    def test_fixpoint_valve_raises_instead_of_falling_back(self,
+                                                          monkeypatch):
+        # a violated determinacy contract (simulated by shrinking the
+        # pair-fixpoint safety valve) is an error, not a weaker verdict
         import repro.automata.symbolic as symbolic
         graph, mini, controller = implementation(*BUNDLED[0])
         monkeypatch.setattr(symbolic, "MAX_PAIR_FIXPOINT", 1)
-        check = verify_composition(mini, controller, graph=graph)
-        assert check.tier == "sampled"
-        assert check.equivalent
-        assert "pair fixpoint exceeds" in check.fallback_reason
-
-    def test_strict_strategies_refuse_to_fall_back(self, monkeypatch):
-        import repro.automata.symbolic as symbolic
-        _, mini, controller = implementation(*BUNDLED[0])
-        with pytest.raises(AutomataError):
-            verify_composition(mini, controller, max_states=5,
-                               strategy="exhaustive")
-        monkeypatch.setattr(symbolic, "MAX_PAIR_FIXPOINT", 1)
-        with pytest.raises(AutomataError):
-            verify_composition(mini, controller, strategy="symbolic")
+        with pytest.raises(AutomataError, match="pair fixpoint exceeds"):
+            verify_composition(mini, controller, graph=graph)
 
     def test_mirrored_deadlock_detected(self):
         # an STG stuck behind an unsatisfiable guard, faithfully
-        # mirrored by its controller: every projection is bisimilar
+        # mirrored by its controller: every projection is equivalent
         # (both sides deadlock identically), so completion must be
         # checked structurally -- no restart-admissible configuration
         stg = Stg("deadlock")
@@ -216,62 +192,32 @@ class TestSymbolicTier:
                                          conditions=("done_a",)))
         stg.add_transition(StgTransition("d_a", "D"))
         controller = synthesize_system_controller(stg)
-        check = verify_composition(stg, controller)
-        assert check.tier == "symbolic"
-        assert not check.equivalent
-        assert sum("never completes an activation" in m
-                   for m in check.mismatches) == 2
-        # the explicit tier sees the same structural deadlock
-        explicit = verify_composition(stg, controller,
-                                      strategy="exhaustive")
-        assert not explicit.equivalent
-        assert sum("never completes an activation" in m
-                   for m in explicit.mismatches) == 2
+        for check in (verify_composition(stg, controller),
+                      explicit_oracle(stg, controller)):
+            assert not check.equivalent
+            assert sum("never completes an activation" in m
+                       for m in check.mismatches) == 2
+        assert check.oracle == "agrees"
 
     def test_schedule_sanity_catches_a_mirrored_dependency_bug(self):
-        # bisimulation alone cannot see a schedule bug both sides
+        # equivalence alone cannot see a schedule bug both sides
         # mirror faithfully: with a (fabricated) reversed dependency
         # the STG's own trace must fail the task-graph sanity check
         # even though controllers ≡ STG holds
         graph, mini, controller = implementation(*BUNDLED[0])
         reversed_edge = types.SimpleNamespace(
             edges=[types.SimpleNamespace(src="gain0", dst="band0")])
-        check = verify_composition(mini, controller, graph=reversed_edge)
-        assert check.tier == "symbolic"
-        assert not check.equivalent
-        assert any("schedule sanity" in m for m in check.mismatches)
-
-    def test_bad_arguments_rejected(self):
-        _, mini, controller = implementation(*BUNDLED[0])
-        with pytest.raises(ValueError):
-            verify_composition(mini, controller, strategy="guess")
-        with pytest.raises(ValueError):
-            verify_composition(mini, controller, activations=0)
-
-
-class TestSampledTier:
-    def test_streams_activations_through_restart(self):
-        graph, mini, controller = implementation(*BUNDLED[0])
-        check = verify_composition(mini, controller, graph=graph,
-                                   strategy="sampled", activations=3)
-        assert check.equivalent, check.mismatches
-        assert check.tier == "sampled"
-        assert check.environments == 3
-        assert check.activations == 3
-        # every activation of every environment checks every start
-        assert check.starts_checked >= 3 * 3 * len(graph.nodes)
-        assert check.fallback_reason is None
-
-    def test_tampered_controller_detected(self):
-        graph, mini, controller = implementation(*BUNDLED[0])
-        check = verify_composition(mini, tamper(controller), graph=graph,
-                                   strategy="sampled")
-        assert not check.equivalent
-        assert check.mismatches
+        for check in (verify_composition(mini, controller,
+                                         graph=reversed_edge),
+                      explicit_oracle(mini, controller,
+                                      graph=reversed_edge)):
+            assert not check.equivalent
+            assert any("schedule sanity" in m for m in check.mismatches)
+        assert check.oracle == "agrees"
 
     def test_restart_cycle_emissions_are_not_a_blind_spot(self):
-        # a command emitted during the restart cycle itself must land
-        # in the next activation's trace, not vanish between traces
+        # a command emitted during the restart cycle itself must be
+        # caught, not vanish between two activations
         graph, mini, controller = implementation(*BUNDLED[0])
         phase = controller.phase_fsm
         noisy = Fsm(phase.name)
@@ -286,31 +232,49 @@ class TestSampledTier:
         broken = SystemController(controller.name, noisy,
                                   controller.sequencers,
                                   controller.done_flags)
-        check = verify_composition(mini, broken, graph=graph,
-                                   strategy="sampled")
-        assert not check.equivalent
-        assert any("write_spurious" in m for m in check.mismatches)
+        for check in (verify_composition(mini, broken, graph=graph),
+                      explicit_oracle(mini, broken, graph=graph)):
+            assert not check.equivalent
+            assert any(m.startswith("projection 'dsp0'")
+                       and "?restart !reset_dsp0" in m
+                       for m in check.mismatches), check.mismatches
+        assert check.oracle == "agrees"
 
     def test_summary_round_trips_tier_fields(self):
         graph, mini, controller = implementation(*BUNDLED[0])
-        summary = verify_composition(mini, controller, graph=graph,
-                                     strategy="sampled").summary()
-        assert summary["tier"] == "sampled"
-        assert summary["activations"] == 2
-        assert summary["fallback_reason"] is None
+        check = verify_composition(mini, controller, graph=graph)
+        summary = check.summary()
+        assert summary["tier"] == "symbolic"
+        assert summary["oracle"] is None
+        assert summary["pairs_checked"] == check.pairs_checked
+        assert summary["mismatches"] == []
+
+    def test_bad_arguments_rejected(self):
+        # the check has one path: no strategy, bound or sampling knobs
+        _, mini, controller = implementation(*BUNDLED[0])
+        for removed in ("strategy", "max_states", "activations",
+                        "environments", "max_cycles"):
+            with pytest.raises(TypeError):
+                verify_composition(mini, controller, **{removed: 1})
+
+
+class TestExplicitOracle:
+    @pytest.mark.parametrize("graph,arch,hw", BUNDLED,
+                             ids=lambda value: getattr(value, "name", None))
+    def test_bundled_apps_agree(self, graph, arch, hw):
+        graph, mini, controller = implementation(graph, arch, hw)
+        check = explicit_oracle(mini, controller, graph=graph)
+        assert check.equivalent, check.mismatches
+        assert check.tier == "bisimulation"
+        assert check.oracle == "agrees"
+        # the materialized automata have the lazy systems' state counts
+        production = verify_composition(mini, controller, graph=graph)
+        assert check.product_states == production.product_states
+        assert check.reference_states == production.reference_states
+        assert check.projections_checked == production.projections_checked
 
 
 class TestTraceCheckHelpers:
-    def test_multiset_diff_sees_multiplicities(self):
-        # equal action *sets*, different multiplicities: the old set
-        # symmetric difference reported nothing here
-        reference = ["start_a", "start_a", "write_e"]
-        candidate = ["start_a", "write_e", "write_e"]
-        message = _multiset_diff(reference, candidate)
-        assert "'write_e': 1" in message
-        assert "'start_a': 1" in message
-        assert "surplus" in message and "missing" in message
-
     def test_dependency_anchor_is_first_occurrence(self):
         edges = [types.SimpleNamespace(src="a", dst="b")]
         # replayed start of 'b': the *first* one ran before its
@@ -345,8 +309,8 @@ class TestVerifyFlowStage:
         _, _, result = flow_and_result
         assert "verified composition" in result.report()
         assert "symbolic fixpoint" in result.report()
-        assert "BDD nodes" in result.report()
-        assert "explicit oracle agrees" in result.report()
+        assert "BDD nodes" not in result.report()
+        assert "oracle" not in result.report()
 
     def test_stage_is_fingerprint_cached(self, flow_and_result):
         flow, graph, _ = flow_and_result
@@ -354,20 +318,6 @@ class TestVerifyFlowStage:
         assert warm.composition_check is not None
         assert warm.composition_check.equivalent
         assert warm.stage_runs.get("verify", 0) == 0
-
-    def test_tier_options_are_part_of_the_stage_key(self, flow_and_result):
-        flow, graph, _ = flow_and_result
-        sampled_flow = CoolFlow(minimal_board(),
-                                partitioner=GreedyPartitioner(),
-                                stage_cache=flow.stage_cache,
-                                verify_strategy="sampled")
-        result = sampled_flow.run(graph)
-        # same upstream artifacts, different verify options: only the
-        # verify stage re-runs and the sampled tier produces the verdict
-        assert result.stage_runs.get("verify") == 1
-        assert result.stage_runs.get("controllers", 0) == 0
-        assert result.composition_check.tier == "sampled"
-        assert "sampled" in result.report()
 
     def test_opt_out(self):
         graph = four_band_equalizer(words=8)
@@ -387,10 +337,9 @@ class TestObservableClassDeterminism:
     into that list (the site at verify.py previously iterated
     ``set(resource_of.values())`` unsorted), two hosts could check and
     label different projections.  Downstream, the symbolic tier's
-    interleaved variable order, pair-fixpoint exploration and BDD
-    construction must be equally hash-independent: the pinned evidence
-    is the full stats row of a symbolic run (pairs explored per class,
-    engine node/unique-table counts, reachable-set BDD sizes).
+    pair-fixpoint exploration must be equally hash-independent: the
+    pinned evidence is the full stats row of a symbolic run (pairs
+    explored per class and reachable step-system sizes).
     Computing all of it under two different ``PYTHONHASHSEED`` values
     must give identical results.
     """
@@ -424,17 +373,12 @@ reference = stg_step_system(mini)
 reference.expand_all()
 actions, bursts = _system_alphabet((reference, product))
 classes = _observable_classes(actions, bursts, _node_resources(controller))
-result = symbolic_trace_equivalence(reference, product, classes,
-                                    relational_check=True)
+result = symbolic_trace_equivalence(reference, product, classes)
 print(json.dumps({
     "classes": [[label, sorted(members)] for label, members in classes],
     "equivalent": result.equivalent,
     "pairs": [[v.label, v.pairs] for v in result.verdicts],
     "states": [result.left_states, result.right_states],
-    "image_iterations": result.image_iterations,
-    "bdd": {key: value for key, value in sorted(result.bdd_stats.items())
-            if key != "ite_hit_rate"},
-    "ite_hit_rate": round(result.bdd_stats["ite_hit_rate"], 9),
 }))
 """
 
@@ -459,5 +403,4 @@ print(json.dumps({
         assert first == second
         assert first["equivalent"]
         assert len(first["classes"]) > 1  # the partition is non-trivial
-        assert first["image_iterations"] > 0
-        assert first["bdd"]["nodes"] > 0
+        assert all(pairs > 0 for _label, pairs in first["pairs"])

@@ -1,0 +1,185 @@
+"""Differential property tests: the production verifier vs. the oracle.
+
+Over small generated designs (``WorkloadSpec`` families with drawn
+knobs, each node mapped to a drawn processing unit) two properties
+must hold:
+
+* the production verdict of :func:`verify_composition` equals the
+  verdict of the explicit weak-bisimulation reference
+  :func:`~repro.controllers.verify.explicit_oracle` -- and both prove
+  the synthesized controllers correct;
+* seeded controller mutations -- a sequencer ``start_*`` dropped, or a
+  done-flag guard literal dropped where some reachable configuration
+  depends on it -- are rejected by both, each with a counterexample
+  trace.
+
+Each example synthesizes and proves a whole design several times, so
+the properties take a fifth of the active hypothesis profile's budget
+(``tests/conftest.py``: 20 examples under ``dev``, 120 under ``ci``).  The ``@example`` rows pin degenerate shapes: a single-node
+chain, round-robin units, and every node on one unit.
+"""
+
+import random
+
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
+
+from repro.controllers import (Fsm, SystemController, harvest_care_sets,
+                               synthesize_system_controller,
+                               verify_composition)
+from repro.controllers.verify import explicit_oracle
+from repro.estimate import CostModel
+from repro.graph import from_mapping
+from repro.platform import cool_board, minimal_board
+from repro.schedule import list_schedule
+from repro.stg import build_stg, minimize_stg
+from repro.workloads import (ChainSpec, DctSpec, EqualizerSpec, ForkJoinSpec,
+                             LayeredDagSpec, TreeSpec)
+
+EXAMPLES = max(1, settings.default.max_examples // 5)
+PROPERTY = settings(max_examples=EXAMPLES, deadline=None)
+
+BOARDS = {"minimal": minimal_board, "cool": cool_board}
+
+_seeds = st.integers(min_value=0, max_value=10_000)
+_knobs = {"ccr": st.sampled_from((0.1, 0.5, 1.0, 2.0, 8.0)),
+          "hw_bias": st.sampled_from((0.3, 0.5, 0.7)),
+          "cost_spread": st.sampled_from((2.0, 4.0, 8.0))}
+
+specs = st.one_of(
+    st.builds(ChainSpec, seed=_seeds, length=st.integers(1, 10), **_knobs),
+    st.builds(ForkJoinSpec, seed=_seeds, branches=st.integers(1, 4),
+              depth=st.integers(1, 2), **_knobs),
+    st.builds(TreeSpec, seed=_seeds, depth=st.integers(1, 2),
+              arity=st.integers(2, 3), **_knobs),
+    st.integers(1, 4).flatmap(lambda layers: st.builds(
+        LayeredDagSpec, seed=_seeds, layers=st.just(layers),
+        nodes=st.integers(layers, 10), inputs=st.integers(1, 2),
+        outputs=st.integers(1, 2), **_knobs)),
+    st.builds(EqualizerSpec, seed=_seeds, bands=st.integers(1, 4),
+              words=st.just(8), taps_per_band=st.sampled_from((3, 5))),
+    st.builds(DctSpec, seed=_seeds, points=st.just(4),
+              coefficients=st.integers(1, 3)),
+)
+boards = st.sampled_from(sorted(BOARDS))
+#: The node -> unit mapping: a random seed, or one of the two
+#: degenerate mappings (every node on the first unit, round robin).
+mappings = st.one_of(st.sampled_from(("one_unit", "round_robin")),
+                     st.integers(min_value=0, max_value=2**16))
+
+
+def implement(spec, board_name, mapping):
+    """(graph, minimized STG, controller) of ``spec`` under ``mapping``."""
+    board = BOARDS[board_name]()
+    graph = spec.build()
+    units = board.resource_names
+    rng = random.Random(mapping)
+    nodes = [node.name for node in graph.internal_nodes()]
+    if mapping == "one_unit":
+        mapping = {node: units[0] for node in nodes}
+    elif mapping == "round_robin":
+        mapping = {node: units[rank % len(units)]
+                   for rank, node in enumerate(nodes)}
+    else:
+        mapping = {node: rng.choice(units) for node in nodes}
+    partition = from_mapping(graph, mapping, board.fpga_names,
+                             board.processor_names)
+    stg, _ = minimize_stg(build_stg(list_schedule(partition,
+                                                  CostModel(graph, board))))
+    return graph, stg, synthesize_system_controller(stg)
+
+
+def _mutated(controller, resource, index, conditions, actions):
+    """``controller`` with one sequencer transition rewritten."""
+    fsm = controller.sequencers[resource]
+    mutant = Fsm(fsm.name)
+    for state in fsm.states:
+        mutant.add_state(state, fsm.state_outputs.get(state, ()))
+    mutant.initial = fsm.initial
+    for position, t in enumerate(fsm.transitions):
+        if position == index:
+            mutant.add_transition(t.src, t.dst, conditions, actions)
+        else:
+            mutant.add_transition(t.src, t.dst, t.conditions, t.actions)
+    return SystemController(controller.name, controller.phase_fsm,
+                            {**controller.sequencers, resource: mutant},
+                            controller.done_flags)
+
+
+def drop_start(controller, pick):
+    """Drop the ``start_*`` commands of one sequencer transition."""
+    sites = [(resource, index, t)
+             for resource, fsm in sorted(controller.sequencers.items())
+             for index, t in enumerate(fsm.transitions)
+             if any(a.startswith("start_") for a in t.actions)]
+    resource, index, t = sites[pick % len(sites)]
+    return _mutated(controller, resource, index, t.conditions,
+                    tuple(a for a in t.actions if not a.startswith("start_")))
+
+
+def drop_done_literal(controller, pick):
+    """Drop one *live* ``done_*`` guard literal of a sequencer.
+
+    Live: some reachable configuration satisfies the rest of the guard
+    but not the literal (a literal the latched flags always satisfy is
+    a reachability don't-care, and dropping it changes nothing).
+    Returns None when the controller has no live done literal.
+    """
+    care = harvest_care_sets(controller)
+    sites = []
+    for resource, fsm in sorted(controller.sequencers.items()):
+        observed = care.get(fsm.name, {})
+        for index, t in enumerate(fsm.transitions):
+            for literal in sorted(t.conditions):
+                rest = set(t.conditions) - {literal}
+                if literal.startswith("done_") and any(
+                        literal not in valuation and rest <= valuation
+                        for valuation in observed.get(t.src, ())):
+                    sites.append((resource, index, t, literal))
+    if not sites:
+        return None
+    resource, index, t, literal = sites[pick % len(sites)]
+    return _mutated(controller, resource, index,
+                    tuple(c for c in t.conditions if c != literal),
+                    t.actions)
+
+
+@PROPERTY
+@given(spec=specs, board=boards, mapping=mappings)
+@example(spec=ChainSpec(seed=0, length=1), board="minimal", mapping=0)
+@example(spec=ForkJoinSpec(seed=1, branches=3, depth=1), board="cool",
+         mapping="round_robin")
+@example(spec=TreeSpec(seed=2, depth=2, arity=2), board="cool",
+         mapping="one_unit")
+def test_production_verdict_matches_the_oracle(spec, board, mapping):
+    graph, stg, controller = implement(spec, board, mapping)
+    check = verify_composition(stg, controller, graph=graph)
+    reference = explicit_oracle(stg, controller, graph=graph)
+    assert check.tier == "symbolic" and check.oracle is None
+    assert reference.oracle == "agrees"
+    assert check.equivalent == reference.equivalent
+    assert check.equivalent, check.mismatches
+
+
+@PROPERTY
+@given(spec=specs, board=boards, mapping=mappings,
+       pick=st.integers(min_value=0, max_value=1_000))
+@example(spec=ChainSpec(seed=0, length=1), board="minimal", mapping=0,
+         pick=0)
+@example(spec=ForkJoinSpec(seed=1, branches=3, depth=1), board="cool",
+         mapping="round_robin", pick=3)
+def test_seeded_mutations_are_rejected_by_both(spec, board, mapping,
+                                               pick):
+    graph, stg, controller = implement(spec, board, mapping)
+    mutants = [drop_start(controller, pick),
+               drop_done_literal(controller, pick)]
+    assume(mutants[1] is not None)
+    for mutant in mutants:
+        check = verify_composition(stg, mutant, graph=graph)
+        reference = explicit_oracle(stg, mutant, graph=graph)
+        assert not check.equivalent
+        assert reference.oracle == "agrees"
+        assert any(" is possible only in " in m for m in check.mismatches), \
+            check.mismatches
+        assert any(" possible only in " in m
+                   for m in reference.mismatches), reference.mismatches
