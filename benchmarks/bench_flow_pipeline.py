@@ -8,10 +8,9 @@ repo root so later PRs have a perf trajectory to beat:
 * ``warm_run_s`` -- the same flow again on the same (graph, arch) pair:
   every stage is served from the cross-run stage cache;
 * ``batch`` -- a partitioner x architecture sweep through
-  :class:`~repro.flow.batch.BatchRunner` on every backend (serial,
-  4 threads, 4 processes); for these small pure-Python jobs serial is
-  expected to win -- the pools are there for failure isolation and for
-  minute-scale jobs where compute dwarfs result pickling.
+  :class:`~repro.flow.batch.BatchRunner` on both backends (serial, and
+  shard with 2 shards over 2 worker processes); for these 8 small jobs
+  the worker start-up can outweigh the parallelism.
 """
 
 import json
@@ -25,6 +24,8 @@ from repro.platform import cool_board, minimal_board
 
 RESULTS_PATH = Path(__file__).resolve().parents[1] / \
     "BENCH_flow_pipeline.json"
+#: Shard count and worker processes of the shard-backend sweep.
+SHARD_WORKERS = 2
 
 
 def _sweep_jobs():
@@ -53,11 +54,12 @@ def measure():
 
     backends = {}
     all_ok = True
-    for backend, workers in (("serial", None), ("thread", 4),
-                             ("process", 4)):
+    for backend, runner in (
+            ("serial", BatchRunner()),
+            ("shard", BatchRunner(shards=SHARD_WORKERS,
+                                  max_workers=SHARD_WORKERS))):
         started = time.perf_counter()
-        outcomes = BatchRunner(max_workers=workers, backend=backend) \
-            .run(_sweep_jobs())
+        outcomes = runner.run(_sweep_jobs())
         backends[backend] = round(time.perf_counter() - started, 6)
         all_ok = all_ok and all(o.ok for o in outcomes)
 
@@ -69,7 +71,7 @@ def measure():
         "warm_stage_runs": sum(warm.stage_runs.values()),
         "batch": {
             "jobs": len(_sweep_jobs()),
-            "workers": 4,
+            "workers": SHARD_WORKERS,
             "seconds_per_backend": backends,
             "all_ok": all_ok,
         },

@@ -5,15 +5,16 @@ by default) through :class:`~repro.flow.batch.BatchRunner` /
 :class:`~repro.flow.batch.DesignSpaceExplorer` and persists the numbers
 to ``BENCH_workload_sweep.json`` at the repo root:
 
-* ``backends`` -- wall-clock of the full sweep per backend, plus the
-  determinism check: identical seed must produce *identical* ranked
-  results on ``serial`` and ``thread``;
+* ``backends`` -- wall-clock of the full sweep on the ``serial``
+  backend and on the ``shard`` backend (2 shards over 2 worker
+  processes), plus the determinism check: identical seed must produce
+  *identical* ranked results on both;
 * ``shared_cache`` -- the same sweep twice on one shared
   :class:`~repro.flow.pipeline.StageCache`: the second pass is served
-  stage results across jobs (the cheap way to re-rank a suite);
-* ``process_isolation`` -- a deliberately unpicklable job under
-  ``backend="process"`` must yield exactly one failed outcome instead
-  of sinking the sweep.
+  stage results across jobs (the cheap way to re-rank a suite).
+
+Poisoned-job isolation on the shard backend is gated by
+``bench_shard_sweep.py``.
 
 Runs under pytest-benchmark (``pytest benchmarks/bench_workload_sweep.py``)
 or standalone for CI smoke checks::
@@ -24,11 +25,10 @@ or standalone for CI smoke checks::
 import argparse
 import json
 import sys
-import threading
 import time
 from pathlib import Path
 
-from repro.flow import BatchRunner, DesignSpaceExplorer, FlowJob, StageCache
+from repro.flow import BatchRunner, DesignSpaceExplorer, StageCache
 from repro.partition import GreedyPartitioner
 from repro.platform import minimal_board
 from repro.workloads import build_graphs, workload_suite
@@ -38,14 +38,8 @@ RESULTS_PATH = Path(__file__).resolve().parents[1] / \
 
 DEFAULT_GRAPHS = 50
 SUITE_SEED = 7
-
-
-class _UnpicklablePartitioner(GreedyPartitioner):
-    """Cannot cross a process boundary (holds a thread lock)."""
-
-    def __init__(self):
-        super().__init__()
-        self._lock = threading.Lock()
+#: Shard count and worker processes of the shard-backend sweep.
+SHARD_WORKERS = 2
 
 
 def _ranked_view(exploration):
@@ -71,9 +65,11 @@ def measure(n_graphs: int = DEFAULT_GRAPHS, seed: int = SUITE_SEED) -> dict:
     # 1. full sweep per backend + determinism across backends
     backends = {}
     views = {}
-    for backend, workers in (("serial", None), ("thread", 4)):
-        exploration, seconds = _explore(
-            graphs, BatchRunner(max_workers=workers, backend=backend))
+    for backend, runner in (
+            ("serial", BatchRunner()),
+            ("shard", BatchRunner(shards=SHARD_WORKERS,
+                                  max_workers=SHARD_WORKERS))):
+        exploration, seconds = _explore(graphs, runner)
         views[backend] = _ranked_view(exploration)
         backends[backend] = {
             "seconds": round(seconds, 6),
@@ -83,7 +79,7 @@ def measure(n_graphs: int = DEFAULT_GRAPHS, seed: int = SUITE_SEED) -> dict:
             "feasible": len(exploration.feasible_points()),
             "pareto": len(exploration.pareto()),
         }
-    backends_agree = views["serial"] == views["thread"]
+    backends_agree = views["serial"] == views["shard"]
 
     # 2. shared-cache re-sweep: second pass over an unchanged suite.
     # snapshot() between the passes so the warm-pass hit rate is
@@ -97,15 +93,6 @@ def measure(n_graphs: int = DEFAULT_GRAPHS, seed: int = SUITE_SEED) -> dict:
         sum(o.result.stage_runs.values())
         for o in warm_exploration.outcomes if o.ok)
 
-    # 3. process-backend isolation: one poisoned job in a tiny sweep
-    # (graphs[-1] keeps this valid even for a --graphs 1 smoke run)
-    arch = minimal_board()
-    jobs = [FlowJob(graph=graphs[0], arch=arch,
-                    partitioner=GreedyPartitioner(), label="good"),
-            FlowJob(graph=graphs[-1], arch=arch,
-                    partitioner=_UnpicklablePartitioner(), label="poison")]
-    outcomes = BatchRunner(max_workers=2, backend="process").run(jobs)
-
     return {
         "suite": {
             "graphs": len(graphs),
@@ -113,6 +100,7 @@ def measure(n_graphs: int = DEFAULT_GRAPHS, seed: int = SUITE_SEED) -> dict:
             "families": sorted({s.family for s in specs}),
             "total_nodes": sum(len(g) for g in graphs),
         },
+        "shard_workers": SHARD_WORKERS,
         "backends": backends,
         "backends_agree": backends_agree,
         "shared_cache": {
@@ -123,20 +111,13 @@ def measure(n_graphs: int = DEFAULT_GRAPHS, seed: int = SUITE_SEED) -> dict:
             "cache": cache.stats(),
             "warm_cache": cache.stats(since=warm_window),
         },
-        "process_isolation": {
-            "jobs": len(outcomes),
-            "ok_outcomes": sum(o.ok for o in outcomes),
-            "failed_outcomes": sum(not o.ok for o in outcomes),
-            "poison_error": next((o.error for o in outcomes if not o.ok),
-                                 None),
-        },
     }
 
 
 def check(payload: dict) -> None:
     """The sweep-regression gate (shared by pytest and the CLI)."""
     assert payload["backends_agree"], \
-        "identical seed must rank identically on serial and thread backends"
+        "identical seed must rank identically on serial and shard backends"
     for backend, stats in payload["backends"].items():
         assert stats["failed"] == 0, f"{backend} sweep had failures"
         assert stats["ok"] == payload["suite"]["graphs"]
@@ -148,12 +129,6 @@ def check(payload: dict) -> None:
     assert warm_cache["misses"] == 0, "warm pass must never miss"
     assert warm_cache["hit_rate"] >= 0.99, \
         "warm-window hit rate must be ~1.0 (snapshot delta, not lifetime)"
-    isolation = payload["process_isolation"]
-    assert isolation["failed_outcomes"] == 1
-    assert isolation["ok_outcomes"] == isolation["jobs"] - 1
-    assert "pickle" in isolation["poison_error"].lower()
-    assert "partitioner" in isolation["poison_error"], \
-        "submission-time validation must name the offending field"
 
 
 def report(payload: dict) -> str:
@@ -170,9 +145,6 @@ def report(payload: dict) -> str:
                  f"{cache['warm_sweep_s'] * 1e3:.1f} ms "
                  f"({cache['warm_speedup']}x, warm hit rate "
                  f"{cache['warm_cache']['hit_rate']})")
-    isolation = payload["process_isolation"]
-    lines.append(f"  process isolation   : {isolation['failed_outcomes']} "
-                 f"poisoned job contained, sweep survived")
     return "\n".join(lines)
 
 

@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Design-space exploration: sweep partitioners x deadlines x boards.
 
-Fans the full COOL flow over every combination with the parallel
+Fans the full COOL flow over every combination with the
 :class:`~repro.flow.batch.BatchRunner`, then prints the implementations
 ranked on the classic co-design Pareto axes -- makespan, CLB area and
 communication memory -- with the Pareto-optimal ones marked ``*``.
@@ -27,7 +27,7 @@ def main() -> None:
         architectures=[minimal_board(), cool_board()],
         partitioners=[GreedyPartitioner(), MilpPartitioner()],
         deadlines=deadlines,
-        runner=BatchRunner(max_workers=4),
+        runner=BatchRunner(),
     )
     exploration = explorer.explore()
 

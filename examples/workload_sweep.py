@@ -10,8 +10,8 @@ COOL flow twice:
   graphs in-worker and return :class:`~repro.flow.batch.DesignPoint`
   summaries, each worker reusing one process-local
   :class:`~repro.flow.pipeline.StageCache` across its shards;
-* with the streaming thread backend on a shared cache, to show the
-  same suite ranked identically (the shard backend is bit-identical to
+* with the serial backend on a shared stage cache, to show the same
+  suite ranked identically (the shard backend is bit-identical to
   serial by construction).
 
 Progress is reported per completion and the per-graph Pareto-ranked
@@ -53,23 +53,21 @@ def main() -> None:
           f"in {stats.map_seconds * 1e3:.0f} ms, merged worker caches: "
           f"{stats.cache}")
 
-    # the same sweep on the in-process thread backend with a shared
-    # cache ranks identically -- pick the backend by workload, not by
-    # results (see the repro.flow.batch docstring for guidance)
+    # the same sweep on the serial backend with a shared cache ranks
+    # identically -- pick the backend by workload, not by results (see
+    # the repro.flow.batch docstring for guidance)
     cache = StageCache(max_entries=2048)
-    threaded = DesignSpaceExplorer(
+    serial = DesignSpaceExplorer(
         specs,
         architectures=[minimal_board()],
         partitioners=[GreedyPartitioner()],
-        runner=BatchRunner(max_workers=4, stage_cache=cache,
-                           job_timeout=120.0),
+        runner=BatchRunner(stage_cache=cache, job_timeout=120.0),
     ).explore()
-    assert [p.label for p in threaded.ranked()] == \
-        [p.label for p in exploration.ranked()], "backends must agree"
+    assert serial.ranked() == exploration.ranked(), "backends must agree"
 
     print(f"\n{len(exploration.points)} implementations, "
           f"{len(exploration.pareto())} Pareto-optimal "
-          f"(identical on the thread backend):\n")
+          f"(identical on the serial backend):\n")
     print(exploration.table())
 
 

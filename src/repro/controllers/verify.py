@@ -228,7 +228,7 @@ def _stg_stepper(stg: Stg):
 #: exploration in one flow run.  Only fully expanded systems are
 #: published (expansion drives a single scratch composition, so a
 #: half-explored system is not shareable); once expanded they are
-#: read-only and therefore safe across the thread-backend BatchRunner.
+#: read-only and therefore safe to share across threads.
 _STEP_SYSTEM_CACHE: "OrderedDict[str, LazyStepSystem]" = OrderedDict()
 _STEP_SYSTEM_CACHE_MAX = 8
 _STEP_SYSTEM_CACHE_LOCK = threading.Lock()

@@ -6,9 +6,9 @@ from .pipeline import (CacheTier, FlowContext, PipelineError,
                        stage_timer)
 from .cool import CoolFlow, FlowResult, build_flow_stages, \
     select_eviction_victim
-from .batch import (JOB_TIMEOUT_SEMANTICS, BatchRunner, DesignPoint,
-                    DesignSpaceExplorer, ExplorationResult, FlowJob,
-                    JobOutcome, design_point_of, payload_check)
+from .batch import (BatchRunner, DesignPoint, DesignSpaceExplorer,
+                    ExplorationResult, FlowJob, JobOutcome, design_point_of,
+                    payload_check)
 from .shard import (Shard, ShardError, ShardOutcome, ShardPlanner,
                     ShardSweepStats, SweepResult, map_reduce_sweep,
                     reduce_shards, sharded_sweep)
@@ -21,7 +21,7 @@ __all__ = ["CoolFlow", "FlowResult", "build_flow_stages",
            "PipelineExecutor", "PipelineError", "StageCache", "stage_timer",
            "fingerprint_of", "BatchRunner", "FlowJob", "JobOutcome",
            "DesignPoint", "ExplorationResult", "DesignSpaceExplorer",
-           "JOB_TIMEOUT_SEMANTICS", "payload_check", "design_point_of",
+           "payload_check", "design_point_of",
            "ShardPlanner", "Shard", "ShardError", "ShardOutcome",
            "ShardSweepStats", "SweepResult", "sharded_sweep",
            "reduce_shards", "map_reduce_sweep",

@@ -1,75 +1,49 @@
-"""Parallel batch execution and design-space exploration for the flow.
+"""Batch execution and design-space exploration for the flow.
 
-The ROADMAP north-star is throughput across many designs and scenarios;
-the map-reduce shape of parallel controller synthesis (Alimguzhin et
-al.) fits the COOL flow directly because every (graph, architecture,
-partitioner, options) job is independent:
+Every (graph, architecture, partitioner, options) job of the COOL flow
+is independent, so a sweep has the map-reduce shape of parallel
+controller synthesis (Alimguzhin et al.): one map path, one reduce path.
 
 * :class:`FlowJob` -- one fully-specified flow invocation, given either
   a built :class:`~repro.graph.taskgraph.TaskGraph` or a compact
   :class:`~repro.workloads.WorkloadSpec` built in-worker;
-* :class:`BatchRunner` -- streams a job list across
-  :mod:`concurrent.futures` workers (threads by default, processes,
-  sharded worker processes or strictly serial on request): jobs are
-  submitted individually and consumed ``as_completed``, outcomes are
-  reassembled into input order, an optional ``progress`` callback
-  observes each completion as it happens, and a per-job ``job_timeout``
-  turns stragglers into failed outcomes instead of stalling the sweep.
-  Failures are isolated per job, so one bad design can never sink a
-  sweep; for the process-boundary backends, *pickling* problems are
-  caught at submission time by :func:`payload_check` with an error
-  naming the offending job field instead of a mid-sweep ``TypeError``
-  from the pool;
+* :class:`BatchRunner` -- runs a job list and returns the outcomes in
+  input order, with an optional ``progress`` callback observing each
+  completion and a per-job ``job_timeout`` budget.  Failures are
+  isolated per job, so one bad design can never sink a sweep;
 * :class:`DesignSpaceExplorer` -- sweeps designs x architectures x
   partitioners x deadlines and ranks the implementations on the classic
   co-design Pareto axes: makespan, CLB area, communication memory words.
 
 Jobs deep-copy their partitioner before running so stateful engines
-(e.g. the genetic algorithm's RNG) start identically whether the batch
-runs serially or on four workers -- batch results are reproducible by
-construction.  A :class:`~repro.flow.pipeline.StageCache` passed to the
-runner is shared by every job of the sweep (thread/serial backends), so
-jobs that revisit a (graph, architecture) pair -- deadline sweeps,
-repeated suites -- reuse each other's stage results.
+(e.g. the genetic algorithm's RNG) start identically whatever runs
+them -- batch results are reproducible by construction.
 
 Choosing a backend
 ------------------
-Every backend emits one ``repro.obs`` span per job when a tracer is
-active (:func:`repro.obs.activate`), so backend choice never costs
-visibility -- only the span *fidelity* differs, as noted per backend.
-``"serial"``
-    Fastest for sub-second jobs (no pool overhead) and the reference
-    semantics every other backend must reproduce bit-identically.
-    Per-job spans nest fully: each job span contains its flow, stage
-    and store spans.
-``"thread"``
-    Buys *orchestration*, not speed: per-job failure isolation,
-    streaming progress and ``job_timeout`` on a shared address space
-    (one shared ``stage_cache`` serves every job).  The flow is pure
-    Python, so threads serialize on the GIL -- a thread sweep measures
-    at or below serial throughput (``BENCH_workload_sweep.json``).
-    Per-job spans are recorded at completion time from the outcome's
-    measured duration (worker threads run outside the sweep tracer).
-``"process"``
-    True parallelism, paid for per *job*: every job payload is pickled
-    in and every (large, ~75 KB) ``FlowResult`` is pickled back, so it
-    only wins when per-job compute (minute-scale MILP solves) dwarfs
-    the result-pickling cost.  Payloads must pass :func:`payload_check`.
-    Per-job spans are completion-time records, like ``"thread"``.
+Both backends emit one ``repro.obs`` span per job when a tracer is
+active (:func:`repro.obs.activate`).
+``"serial"`` (the default)
+    The reference semantics, and the fastest path for sub-second jobs.
+    Outcomes carry the full ``FlowResult``.  A ``stage_cache`` passed to
+    the runner is shared by every job, so jobs that revisit a (graph,
+    architecture) pair -- deadline sweeps, repeated suites -- reuse
+    each other's stage results.  Per-job spans nest fully: each job span
+    contains its flow, stage and store spans.
 ``"shard"``
     True parallelism for *sweeps*: jobs are reduced to compact payloads
     (ideally a :class:`~repro.workloads.WorkloadSpec` built in-worker),
     partitioned into deterministic shards by content fingerprint, run
     against a per-worker-process stage cache initialized once, and
-    returned as compact :class:`DesignPoint` summaries -- no fat
-    artifact pickling on the hot path.  Results are bit-identical to
-    ``"serial"`` (see :mod:`repro.flow.shard`); wall-clock speedup
-    scales with cores (``BENCH_shard_sweep.json``).  Use ``shards=`` to
-    control the partition count.  The trade: outcomes carry summaries,
-    not ``FlowResult`` artifacts -- rank and reduce, don't introspect.
-    Per-job (and nested stage/store) spans are recorded *inside* the
-    worker processes, shipped back compactly in ``ShardOutcome.spans``
-    and re-parented into the coordinator's trace under per-shard spans.
+    returned as compact :class:`DesignPoint` summaries.  Results are
+    bit-identical to ``"serial"`` (see :mod:`repro.flow.shard`);
+    wall-clock speedup scales with cores (``BENCH_shard_sweep.json``).
+    Payloads that cannot be pickled are rejected at submission time by
+    :func:`payload_check`, with the offending job field named.  The
+    trade: outcomes carry summaries, not ``FlowResult`` artifacts --
+    rank and reduce, don't introspect.  Per-job (and nested
+    stage/store) spans are recorded *inside* the worker processes and
+    re-parented into the coordinator's trace under per-shard spans.
 """
 
 from __future__ import annotations
@@ -79,15 +53,11 @@ import os
 import pickle
 import time
 import warnings
-from concurrent.futures import (FIRST_COMPLETED, CancelledError, Future,
-                                ProcessPoolExecutor, ThreadPoolExecutor,
-                                wait)
 from dataclasses import dataclass, field
 from itertools import product
 from typing import Callable, Iterable, Mapping, Sequence
 
 from ..graph.taskgraph import TaskGraph
-from ..obs import record as obs_record
 from ..obs import span as obs_span
 from ..partition.base import Partitioner
 from ..platform.architecture import TargetArchitecture
@@ -97,8 +67,8 @@ from .cool import CoolFlow, FlowResult
 from .pipeline import CacheTier, StageCache
 
 __all__ = ["FlowJob", "JobOutcome", "BatchRunner", "DesignPoint",
-           "ExplorationResult", "DesignSpaceExplorer",
-           "JOB_TIMEOUT_SEMANTICS", "payload_check", "design_point_of"]
+           "ExplorationResult", "DesignSpaceExplorer", "payload_check",
+           "design_point_of"]
 
 #: Signature of the streaming progress hook:
 #: ``callback(outcome, done_count, total)``, invoked in completion order.
@@ -109,10 +79,11 @@ class _ProgressGuard:
     """Isolate ``progress`` callback failures from the sweep itself.
 
     A progress hook is an *observer*: a bug in it must not abort a sweep
-    whose jobs all succeeded.  Every backend routes its callback through
-    this wrapper, which swallows callback exceptions, warns on the first
-    failure only, and keeps invoking the callback for later completions
-    (a hook may choke on one outcome yet handle the rest fine).
+    whose jobs all succeeded.  Every entry point routes its callback
+    through :func:`_guarded`, which wraps it here: callback exceptions
+    are swallowed, the first failure only is warned about, and later
+    completions still reach the callback (a hook may choke on one
+    outcome yet handle the rest fine).
     """
 
     __slots__ = ("_callback", "_warned")
@@ -132,27 +103,12 @@ class _ProgressGuard:
                     f"-- the sweep continues; further callback errors are "
                     f"suppressed silently", RuntimeWarning, stacklevel=2)
 
-#: Per-backend semantics of ``BatchRunner(job_timeout=...)`` -- the one
-#: authoritative record; docstrings, the shard layer and the tests all
-#: defer to this table.  Pure-Python jobs cannot be preempted, so no
-#: backend ever interrupts a running job: "fails" means the sweep
-#: reports a failed :class:`JobOutcome` and moves on.
-JOB_TIMEOUT_SEMANTICS: Mapping[str, str] = {
-    "serial": "ignored: the single in-process job cannot be preempted,"
-              " so there is nothing the budget could buy",
-    "thread": "per job, measured from the moment the job starts"
-              " executing; an expired job fails but its worker thread"
-              " runs on until the job body really returns",
-    "process": "per job, measured from the moment the job starts"
-               " executing; an expired job fails while its worker"
-               " process runs on, and once every worker is held by an"
-               " expired job the queued jobs fail as starved -- the"
-               " sweep always finishes in bounded time",
-    "shard": "per job, checked when the job returns: an over-budget job"
-             " is reported failed and its result discarded, then the"
-             " shard continues with its next job (a job that never"
-             " returns stalls its shard -- pair with small shards)",
-}
+
+def _guarded(progress: ProgressCallback | None) -> ProgressCallback | None:
+    """``progress`` behind a :class:`_ProgressGuard` (idempotent)."""
+    if progress is None or isinstance(progress, _ProgressGuard):
+        return progress
+    return _ProgressGuard(progress)
 
 
 @dataclass(frozen=True)
@@ -161,9 +117,9 @@ class FlowJob:
 
     The design is given either as a built ``graph`` or as a compact
     ``workload`` spec (exactly one of the two); a spec-based job builds
-    its graph inside the worker, which is what keeps shard/process
-    payloads small -- a :class:`~repro.workloads.WorkloadSpec` pickles
-    at ~200 bytes where its built graph costs kilobytes.
+    its graph inside the worker, which is what keeps shard payloads
+    small -- a :class:`~repro.workloads.WorkloadSpec` pickles at ~200
+    bytes where its built graph costs kilobytes.
     """
 
     graph: TaskGraph | None = None
@@ -207,7 +163,7 @@ class JobOutcome:
     """Result (or failure) of one batch job.
 
     ``result`` carries the full :class:`~repro.flow.cool.FlowResult` on
-    the in-process backends; the shard backend ships only the compact
+    the serial backend; the shard backend ships only the compact
     ``point`` summary back from its workers (``result`` stays ``None``
     even for successful jobs -- check ``ok``, not ``result``).
     """
@@ -229,11 +185,11 @@ _PAYLOAD_FIELDS = ("graph", "workload", "arch", "partitioner", "deadline",
 
 
 def payload_check(job: FlowJob) -> str | None:
-    """Submission-time pickling validation for process-boundary backends.
+    """Submission-time pickling validation for the shard backend.
 
     Returns ``None`` for a shippable job, otherwise an actionable error
-    naming the offending field.  The process and shard backends run this
-    *before* submitting, so an un-picklable job fails fast as its own
+    naming the offending field.  The shard backend runs this *before*
+    submitting, so an un-picklable job fails fast as its own
     outcome instead of surfacing as a mid-sweep ``TypeError`` from the
     pool -- and the message says which field to fix rather than where
     the pool happened to choke.
@@ -261,8 +217,8 @@ def _normalize_store(store: "str | os.PathLike | ArtifactStore | "
                      ) -> tuple[PersistentCache | None, str | None]:
     """``(persistent_cache, store_root_path)`` from any store spec.
 
-    The cache handle serves the in-process backends directly; the root
-    path is what crosses the process boundary for the pooled backends.
+    The cache handle serves the serial backend directly; the root path
+    is what crosses the process boundary to the shard workers.
     """
     if store is None:
         return None, None
@@ -277,7 +233,7 @@ def _normalize_store(store: "str | os.PathLike | ArtifactStore | "
 
 
 def _run_job(job: FlowJob, stage_cache: CacheTier | None) -> FlowResult:
-    """Execute one job in a fresh flow (module-level for process pools)."""
+    """Execute one job in a fresh flow."""
     partitioner = copy.deepcopy(job.partitioner) \
         if job.partitioner is not None else None
     flow = CoolFlow(job.arch, partitioner=partitioner,
@@ -288,116 +244,92 @@ def _run_job(job: FlowJob, stage_cache: CacheTier | None) -> FlowResult:
                     deadline=job.deadline)
 
 
-#: Per-process memo of the tiers built by :func:`_store_tier`: one tier
-#: per store root, so every job a process-pool worker executes shares
-#: one L1 over the store instead of rebuilding handles per job.
-_STORE_TIERS: dict[str, TieredCache] = {}
-
-
-def _store_tier(store_path: str) -> TieredCache:
-    """The worker-local cache tier over a shared on-disk store.
-
-    The process backend cannot ship a live cache across its boundary,
-    so it ships the store *root path* instead and each worker process
-    lazily builds (and memoizes) its own L1-over-L2 tier on first use.
-    """
-    tier = _STORE_TIERS.get(store_path)
-    if tier is None:
-        tier = TieredCache(StageCache(),
-                           PersistentCache(ArtifactStore(store_path)))
-        _STORE_TIERS[store_path] = tier
-    return tier
-
-
-def _run_outcome(job: FlowJob,
-                 stage_cache: CacheTier | None = None,
-                 store_path: str | None = None) -> JobOutcome:
+def _run_outcome(job: FlowJob, stage_cache: CacheTier | None = None,
+                 job_timeout: float | None = None) -> JobOutcome:
+    """Run one job with per-job failure isolation and the budget rule
+    of ``BatchRunner(job_timeout=...)``: both backends run every job
+    through here."""
     started = time.perf_counter()
-    if stage_cache is None and store_path is not None:
-        stage_cache = _store_tier(store_path)
     try:
         result = _run_job(job, stage_cache)
     except Exception as exc:  # isolate failures per job
         return JobOutcome(job, error=f"{type(exc).__name__}: {exc}",
                           seconds=time.perf_counter() - started)
-    return JobOutcome(job, result=result,
-                      seconds=time.perf_counter() - started)
+    seconds = time.perf_counter() - started
+    if job_timeout is not None and seconds >= job_timeout:
+        return JobOutcome(job, seconds=seconds, error=(
+            f"TimeoutError: job exceeded {job_timeout}s budget (jobs are "
+            f"non-preemptive: the job ran to completion in {seconds:.3f}s "
+            f"and its result was discarded)"))
+    return JobOutcome(job, result=result, seconds=seconds)
 
 
 class BatchRunner:
-    """Run many flow jobs, optionally in parallel, streaming completions.
+    """Run many flow jobs serially or sharded over worker processes.
 
     Parameters
     ----------
     max_workers:
-        Worker count for the pool backends; ``None`` lets
-        :mod:`concurrent.futures` pick.
+        Worker process count of the ``"shard"`` backend; ``None`` uses
+        the CPU count.  Rejected on the serial backend, which has none.
     backend:
-        ``"thread"`` (default), ``"process"`` (payloads must pass
-        :func:`payload_check`), ``"shard"`` (map-reduce over worker
-        processes, see :mod:`repro.flow.shard`) or ``"serial"``.
+        ``"serial"`` (the default) or ``"shard"`` (map-reduce over
+        worker processes, see :mod:`repro.flow.shard`).  Setting
+        ``shards=`` selects ``"shard"``, so ``BatchRunner(shards=4)`` is
+        the one-knob parallel sweep.
     stage_cache:
         Optional :class:`~repro.flow.pipeline.StageCache` shared by every
-        job of the batch (it is lock-protected).  Sweeps that revisit a
-        (graph, architecture) pair -- several deadlines over one design,
-        a suite run twice -- are then served stage results across jobs
-        instead of recomputing them.  Ignored by the ``"process"`` and
-        ``"shard"`` backends: their workers live in separate address
-        spaces (the shard backend keeps one cache per worker process
-        instead, initialized once and reused across its shards).
+        job of a serial batch.  Sweeps that revisit a (graph,
+        architecture) pair -- several deadlines over one design, a suite
+        run twice -- are then served stage results across jobs instead
+        of recomputing them.  Rejected on the shard backend: its workers
+        live in separate address spaces and keep one cache per worker
+        process instead (share results across processes with ``store=``).
     store:
         Optional persistent artifact store (a path, an
         :class:`~repro.store.ArtifactStore` or a
         :class:`~repro.store.PersistentCache`) attached as the L2 tier
-        under the stage cache -- on *every* backend.  Serial and thread
-        sweeps run against a :class:`~repro.store.TieredCache` wrapping
-        ``stage_cache`` (or a fresh L1); the process and shard backends
-        ship the store root to their workers, which build their own L1
-        over the shared disk.  Cached stage results then survive the
-        process: a later sweep -- any backend, any worker count --
-        warm-starts from the store with bit-identical results.
+        under the stage cache on both backends.  A serial sweep runs
+        against a :class:`~repro.store.TieredCache` wrapping
+        ``stage_cache`` (or a fresh L1); the shard backend ships the
+        store root to its workers, which build their own L1 over the
+        shared disk.  A later sweep -- either backend, any worker count
+        -- then warm-starts from the store with bit-identical results.
     job_timeout:
-        Optional per-job budget in seconds; the per-backend semantics
-        are recorded once in :data:`JOB_TIMEOUT_SEMANTICS`.  In short:
-        pool backends start the clock when the job starts executing and
-        report expiry as a failed :class:`JobOutcome` without preempting
-        the worker; the shard backend checks the budget when each job
-        returns; the serial backend ignores it.
+        Optional per-job budget in seconds, with one rule on both
+        backends: a running job is never preempted, so the budget is
+        checked when the job returns, and an over-budget job is reported
+        as a failed :class:`JobOutcome` with its result discarded.  The
+        sweep then continues with the next job (a job that never returns
+        therefore stalls its sweep or shard).
     shards:
-        Shard count for the ``"shard"`` backend (defaults to
-        ``max_workers``, falling back to the CPU count).  Setting it
-        with the default backend selects ``"shard"`` implicitly, so
-        ``BatchRunner(shards=4)`` is the one-knob parallel sweep.
-
-    Note on speed: the flow is pure Python, so threads serialize on the
-    GIL, and a naive process pool must pickle every (large)
-    ``FlowResult`` back -- for the bundled (sub-second) jobs both
-    measure at or below ``"serial"`` throughput (see
-    ``BENCH_flow_pipeline.json``).  Real multi-core speedup comes from
-    the ``"shard"`` backend, which ships compact payloads in and
-    summaries out (``BENCH_shard_sweep.json``); reach for plain
-    ``"process"`` only when per-job compute (e.g. minute-scale MILP
-    solves) dwarfs the result-pickling cost and the full ``FlowResult``
-    is needed.  For repeated sweeps over unchanged designs a shared
-    ``stage_cache`` on the ``"serial"``/``"thread"`` backends buys far
-    more than worker parallelism: unchanged (graph, arch) pairs
-    collapse to dictionary lookups (see ``BENCH_workload_sweep.json``).
+        Shard count of the ``"shard"`` backend (defaults to
+        ``max_workers``, falling back to the CPU count).
     """
 
     def __init__(self, max_workers: int | None = None,
-                 backend: str = "thread",
+                 backend: str | None = None,
                  stage_cache: StageCache | None = None,
                  job_timeout: float | None = None,
                  shards: int | None = None,
                  store: "str | os.PathLike | ArtifactStore | "
                         "PersistentCache | None" = None) -> None:
-        if shards is not None and backend == "thread":
-            backend = "shard"  # the one-knob spelling: BatchRunner(shards=4)
-        if backend not in ("thread", "process", "serial", "shard"):
-            raise ValueError(f"unknown batch backend {backend!r}")
-        if shards is not None and backend != "shard":
-            raise ValueError(f"shards= only applies to the shard backend, "
-                             f"not {backend!r}")
+        if backend is None:
+            backend = "shard" if shards is not None else "serial"
+        if backend not in ("serial", "shard"):
+            raise ValueError(f"unknown batch backend {backend!r}: "
+                             f"use 'serial' or 'shard'")
+        if backend == "serial":
+            for name, value in (("shards", shards),
+                                ("max_workers", max_workers)):
+                if value is not None:
+                    raise ValueError(f"{name}= only applies to the shard "
+                                     f"backend; the serial backend runs "
+                                     f"every job in this process")
+        elif stage_cache is not None:
+            raise ValueError("stage_cache= cannot be shared with shard "
+                             "worker processes (each keeps its own "
+                             "cache); share stage results with store=")
         if shards is not None and shards < 1:
             raise ValueError(f"shards must be >= 1, got {shards}")
         if job_timeout is not None and job_timeout <= 0:
@@ -407,9 +339,8 @@ class BatchRunner:
         self.backend = backend
         l2, self.store_path = _normalize_store(store)
         self.stage_cache: CacheTier | None = stage_cache
-        if l2 is not None and backend in ("serial", "thread"):
-            # in-process backends tier immediately; the process/shard
-            # backends ship store_path and tier inside their workers
+        if l2 is not None and backend == "serial":
+            # the shard backend ships store_path and tiers in its workers
             self.stage_cache = TieredCache(
                 stage_cache if stage_cache is not None else StageCache(), l2)
         self.job_timeout = job_timeout
@@ -426,189 +357,29 @@ class BatchRunner:
 
         ``progress`` is invoked once per job *in completion order* as
         ``progress(outcome, done_count, total)`` -- the streaming view
-        of the sweep -- while the returned list is reassembled into
-        input order.
+        of the sweep -- while the returned list is in input order.
         """
         jobs = list(jobs)
-        total = len(jobs)
-        if progress is not None and not isinstance(progress, _ProgressGuard):
-            progress = _ProgressGuard(progress)
-        # only the serial backend runs in-process: the pool backends
-        # keep their semantics (timeout, pickling isolation, no shared
-        # cache across processes) even for single-job or single-worker
-        # batches
-        if self.backend == "serial" or total == 0:
-            outcomes = []
-            for done, job in enumerate(jobs, start=1):
-                with obs_span("job", kind="job", job=job.name,
-                              backend="serial") as job_span:
-                    outcome = _run_outcome(job, self.stage_cache)
-                    job_span.set("ok", outcome.ok)
-                outcomes.append(outcome)
-                if progress is not None:
-                    progress(outcome, done, total)
-            return outcomes
+        progress = _guarded(progress)
         if self.backend == "shard":
-            return self._run_sharded(jobs, progress)
-        return self._run_pooled(jobs, progress)
-
-    def _run_sharded(self, jobs: list[FlowJob],
-                     progress: ProgressCallback | None) -> list[JobOutcome]:
-        # deferred import: shard builds on this module's job/outcome types
-        from .shard import sharded_sweep
-        outcomes, self.shard_stats = sharded_sweep(
-            jobs, shards=self.shards, max_workers=self.max_workers,
-            job_timeout=self.job_timeout, progress=progress,
-            store_path=self.store_path)
+            # deferred import: shard builds on this module's types
+            from .shard import sharded_sweep
+            outcomes, self.shard_stats = sharded_sweep(
+                jobs, shards=self.shards, max_workers=self.max_workers,
+                job_timeout=self.job_timeout, progress=progress,
+                store_path=self.store_path)
+            return outcomes
+        outcomes = []
+        for done, job in enumerate(jobs, start=1):
+            with obs_span("job", kind="job", job=job.name,
+                          backend="serial") as job_span:
+                outcome = _run_outcome(job, self.stage_cache,
+                                       self.job_timeout)
+                job_span.set("ok", outcome.ok)
+            outcomes.append(outcome)
+            if progress is not None:
+                progress(outcome, done, len(jobs))
         return outcomes
-
-    #: How often the timeout loop re-checks for queued jobs entering
-    #: execution (their budget clock starts only then).
-    _TIMEOUT_POLL_S = 0.05
-
-    def _run_pooled(self, jobs: list[FlowJob],
-                    progress: ProgressCallback | None) -> list[JobOutcome]:
-        pool_cls = ThreadPoolExecutor if self.backend == "thread" \
-            else ProcessPoolExecutor
-        # the process backend cannot share a live cache, but it can
-        # share the store: workers rebuild their own tier from the root
-        cache = self.stage_cache if self.backend != "process" else None
-        store_path = self.store_path if self.backend == "process" else None
-        outcomes: list[JobOutcome | None] = [None] * len(jobs)
-        done_count = 0
-        abandoned = False
-        # submission-time payload validation (process boundary only):
-        # an un-shippable job becomes its own failed outcome *now*, with
-        # the offending field named, and is never handed to the pool
-        rejected: list[int] = []
-        if self.backend == "process":
-            for index, job in enumerate(jobs):
-                error = payload_check(job)
-                if error is not None:
-                    outcomes[index] = JobOutcome(job, error=error)
-                    rejected.append(index)
-        pool = pool_cls(max_workers=self.max_workers)
-        try:
-            for index in rejected:
-                done_count += 1
-                obs_record("job", kind="job", duration=0.0,
-                           job=outcomes[index].job.name,
-                           backend=self.backend, ok=False, rejected=True)
-                if progress is not None:
-                    progress(outcomes[index], done_count, len(jobs))
-            index_of: dict[Future, int] = {}
-            for index, job in enumerate(jobs):
-                if outcomes[index] is None:
-                    index_of[pool.submit(_run_outcome, job, cache,
-                                         store_path)] = index
-            pending = set(index_of)
-            started_at: dict[Future, float] = {}
-            stuck: set[Future] = set()    # timed out but still on a worker
-            starved: set[Future] = set()  # queued, clock started anyway
-
-            def emit(future: Future, outcome: JobOutcome) -> None:
-                nonlocal done_count
-                outcomes[index_of[future]] = outcome
-                done_count += 1
-                # pool workers run outside this thread's tracer, so the
-                # per-job span is recorded at completion time from the
-                # outcome's own measured duration
-                obs_record("job", kind="job", duration=outcome.seconds,
-                           job=outcome.job.name, backend=self.backend,
-                           ok=outcome.ok)
-                if progress is not None:
-                    progress(outcome, done_count, len(jobs))
-
-            while pending:
-                now = time.perf_counter()
-                if self.job_timeout is None:
-                    timeout = None
-                else:
-                    # the budget clock of a job starts when its future
-                    # enters execution; queued jobs normally accrue none
-                    # (a job that waited gets its full budget on start)
-                    for future in pending:
-                        if future.running() and (future not in started_at
-                                                 or future in starved):
-                            started_at[future] = now
-                            starved.discard(future)
-                    # a timed-out job cannot be preempted: its worker
-                    # frees up only when the job really returns.  Once
-                    # *every* worker is held by such a job, queued jobs
-                    # start accruing budget too -- otherwise a straggler
-                    # that never returns would stall the sweep forever.
-                    stuck = {f for f in stuck if not f.done()}
-                    if len(stuck) >= pool._max_workers:
-                        for future in pending:
-                            if future not in started_at:
-                                started_at[future] = now
-                                starved.add(future)
-                    elif starved:
-                        # the pool recovered (a timed-out job finally
-                        # returned): queued jobs stop accruing budget
-                        for future in starved:
-                            started_at.pop(future, None)
-                        starved.clear()
-                    expired = [f for f in pending
-                               if f in started_at and now - started_at[f]
-                               >= self.job_timeout]
-                    for future in expired:
-                        pending.discard(future)
-                        if future.done():
-                            emit(future,
-                                 self._outcome_of(future,
-                                                  jobs[index_of[future]]))
-                            continue
-                        if not future.cancel():
-                            stuck.add(future)
-                            abandoned = True
-                        if future in starved:
-                            error = (f"TimeoutError: no worker became "
-                                     f"available within {self.job_timeout}s "
-                                     f"(pool saturated by timed-out jobs)")
-                        else:
-                            error = (f"TimeoutError: job exceeded "
-                                     f"{self.job_timeout}s budget")
-                        emit(future, JobOutcome(
-                            jobs[index_of[future]], error=error,
-                            seconds=now - started_at[future]))
-                    if not pending:
-                        break
-                    deadlines = [started_at[f] + self.job_timeout - now
-                                 for f in pending if f in started_at]
-                    if any(f not in started_at for f in pending) or stuck:
-                        deadlines.append(self._TIMEOUT_POLL_S)
-                    timeout = max(min(deadlines), 0.0)
-                done, pending = wait(pending, timeout=timeout,
-                                     return_when=FIRST_COMPLETED)
-                for future in done:
-                    emit(future, self._outcome_of(future,
-                                                  jobs[index_of[future]]))
-        finally:
-            # abandoned workers may still be executing a timed-out job;
-            # don't block the sweep on them
-            pool.shutdown(wait=not abandoned, cancel_futures=True)
-        completed = [o for o in outcomes if o is not None]
-        assert len(completed) == len(outcomes), \
-            "every job must have an outcome"
-        return completed
-
-    @staticmethod
-    def _outcome_of(future: Future, job: FlowJob) -> JobOutcome:
-        """Convert a finished future into an outcome.
-
-        ``future.result()`` can raise even though ``_run_outcome`` never
-        does: the process backend pickles the job on submission and the
-        outcome on return, and either step can fail *outside* the job
-        body (unpicklable partitioner, graph or ``FlowResult``), or the
-        pool itself can break.  Those failures belong to this job alone.
-        """
-        try:
-            return future.result()
-        except CancelledError:
-            return JobOutcome(job, error="CancelledError: job cancelled")
-        except Exception as exc:
-            return JobOutcome(job, error=f"{type(exc).__name__}: {exc}")
 
 
 # ----------------------------------------------------------------------
@@ -651,6 +422,19 @@ class ExplorationResult:
     points: list[DesignPoint] = field(default_factory=list)
     failures: list[JobOutcome] = field(default_factory=list)
     outcomes: list[JobOutcome] = field(default_factory=list)
+
+    @classmethod
+    def from_outcomes(cls, outcomes: Iterable[JobOutcome], **fields
+                      ) -> "ExplorationResult":
+        """Reduce job outcomes: each success to its design point, each
+        failure to ``failures``; ``fields`` fill subclass fields."""
+        result = cls(outcomes=list(outcomes), **fields)
+        for outcome in result.outcomes:
+            if outcome.ok:
+                result.points.append(_point_from(outcome))
+            else:
+                result.failures.append(outcome)
+        return result
 
     def feasible_points(self) -> list[DesignPoint]:
         """Implementations that meet all their constraints."""
@@ -846,11 +630,5 @@ class DesignSpaceExplorer:
 
     def explore(self, progress: ProgressCallback | None = None
                 ) -> ExplorationResult:
-        outcomes = self.runner.run(self.jobs(), progress=progress)
-        result = ExplorationResult(outcomes=outcomes)
-        for outcome in outcomes:
-            if outcome.ok:
-                result.points.append(_point_from(outcome))
-            else:
-                result.failures.append(outcome)
-        return result
+        return ExplorationResult.from_outcomes(
+            self.runner.run(self.jobs(), progress=progress))

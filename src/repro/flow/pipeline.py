@@ -222,8 +222,8 @@ class StageCache:
 
     Cached output values are shared by reference between runs, which is
     safe because pipeline artifacts are immutable by contract.  The
-    cache is lock-protected so a :class:`~repro.flow.batch.BatchRunner`
-    can share one instance across worker threads.
+    cache is lock-protected, so one instance can be shared across
+    threads.
     """
 
     def __init__(self, max_entries: int = 256) -> None:
@@ -288,11 +288,11 @@ class StageCache:
     def stats(self, since: Mapping[str, int] | None = None) -> dict:
         """Consistent snapshot of occupancy and hit counters.
 
-        Batch sweeps sharing one cache across worker threads read this
-        for their reports; taking the lock keeps the numbers coherent
-        mid-sweep.  With ``since`` (a :meth:`snapshot`), the hit/miss
-        counters and the hit rate cover only the window after the
-        snapshot was taken; occupancy is always current.
+        Callers sharing one cache across threads read this for their
+        reports; taking the lock keeps the numbers coherent mid-sweep.
+        With ``since`` (a :meth:`snapshot`), the hit/miss counters and
+        the hit rate cover only the window after the snapshot was taken;
+        occupancy is always current.
         """
         with self._lock:
             hits, misses = self.hits, self.misses

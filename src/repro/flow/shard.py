@@ -1,11 +1,8 @@
-"""Sharded map-reduce sweeps on a real multi-core backend.
+"""Sharded map-reduce sweeps: the parallel path of the batch layer.
 
-The thread backend buys isolation, not speed (pure Python, GIL), and a
-naive process pool pickles a ~75 KB :class:`~repro.flow.cool.FlowResult`
-back per sub-second job -- so before this module a big sweep was serial
-in all but name.  Following the map-reduce decomposition of parallel
-controller synthesis (Alimguzhin et al., arXiv:1210.2276), a sweep here
-is three explicit stages:
+Following the map-reduce decomposition of parallel controller synthesis
+(Alimguzhin et al., arXiv:1210.2276), a sweep here is three explicit
+stages, with exactly one map path and one reduce path:
 
 **plan**
     :class:`ShardPlanner` partitions the suite into shards
@@ -25,24 +22,23 @@ is three explicit stages:
     reused across every shard it executes.  With ``store_path=`` that
     cache becomes the L1 tier over a shared persistent store
     (:mod:`repro.store`), so workers warm-start from previous runs and
-    share stage results with each other through the disk.  Workers return
+    share stage results with each other through the disk.  Jobs run
+    through the same code path as the serial backend; workers return
     :class:`JobSummary` values (a :class:`~repro.flow.batch.DesignPoint`
     plus error/timing/cache evidence), never fat flow artifacts.
 
 **reduce**
     Per-shard outcomes are verified against the plan (tampered, stale
     or incomplete shard results raise :class:`ShardError`), reassembled
-    into suite order, and the per-shard Pareto fronts, stage-cache
-    windows and timings are merged into one sweep-wide view.  The merged
-    result is bit-identical to the ``"serial"`` backend: same outcomes,
-    same Pareto front, same ranking order, for any shard count and any
-    map order.
+    into suite order, and their stage-cache windows and timings are
+    merged into one sweep-wide view.  The result is bit-identical to
+    the ``"serial"`` backend -- same outcomes, same Pareto front, same
+    ranking order -- for any shard count and any order in which the
+    shards complete.
 
 Entry points: ``BatchRunner(backend="shard", shards=...)`` for the
 streaming job API, :func:`map_reduce_sweep` for the one-call sweep that
-returns a :class:`SweepResult` (an
-:class:`~repro.flow.batch.ExplorationResult` whose ``pareto()`` is
-served by the merged per-shard fronts).
+returns a :class:`SweepResult`.
 """
 
 from __future__ import annotations
@@ -63,8 +59,8 @@ from ..platform.architecture import TargetArchitecture
 from ..store import ArtifactStore, PersistentCache, TieredCache
 from ..workloads.generators import WorkloadSpec
 from .batch import (DesignPoint, ExplorationResult, FlowJob, JobOutcome,
-                    ProgressCallback, _run_outcome, design_point_of,
-                    payload_check)
+                    ProgressCallback, _guarded, _run_outcome,
+                    design_point_of, payload_check)
 from .pipeline import CacheTier, StageCache
 
 __all__ = ["ShardError", "JobPayload", "JobSummary", "Shard",
@@ -172,7 +168,7 @@ class ShardPlanner:
 
     ``assign`` buckets a payload by its fingerprint modulo the shard
     count, so the plan is a pure function of (suite content, shard
-    count): independent of suite order, worker count and map order.
+    count): independent of suite order and worker count.
     Within a shard, jobs keep suite order -- together with the
     restore-by-index reduce this is what makes the sharded sweep
     bit-identical to the serial backend.
@@ -227,8 +223,7 @@ class ShardOutcome:
     Echoes the shard's planned fingerprint and job coverage so the
     reduce stage can verify integrity, and carries the shard-window
     view of the worker's cache (a :meth:`StageCache.stats` delta) plus
-    the in-worker wall clock.  ``front_indices`` are the shard-local
-    Pareto candidates (job indices) the reduce stage merges.
+    the in-worker wall clock.
     """
 
     shard_index: int
@@ -237,7 +232,6 @@ class ShardOutcome:
     seconds: float
     cache_stats: dict
     pid: int
-    front_indices: tuple[int, ...] = ()
     #: True when the worker's cache was fabricated on first use because
     #: the pool initializer never ran: the shard executed against a cold
     #: default-size L1 with no persistent tier.  Reduce surfaces the
@@ -294,11 +288,8 @@ def run_shard(shard: Shard,
     """Execute one shard against the worker-local cache (the map body).
 
     Jobs run through the same :func:`~repro.flow.batch._run_outcome`
-    path as the serial backend; only the compact summary leaves the
-    worker.  ``job_timeout`` follows the shard entry of
-    :data:`~repro.flow.batch.JOB_TIMEOUT_SEMANTICS`: checked when each
-    job returns, expired jobs are reported failed and their results
-    discarded, and the shard continues.
+    path as the serial backend, ``job_timeout`` rule included; only the
+    compact summary leaves the worker.
 
     With ``trace=True`` (set by the coordinator when *it* is tracing) a
     worker-local :class:`~repro.obs.Tracer` is active for the duration
@@ -316,33 +307,19 @@ def run_shard(shard: Shard,
             with obs_span("job", kind="job", job=payload.label,
                           backend="shard",
                           shard=shard.index) as job_span:
-                outcome = _run_outcome(payload.to_job(), cache)
-                error = outcome.error
-                if error is None and job_timeout is not None \
-                        and outcome.seconds >= job_timeout:
-                    error = (f"TimeoutError: job exceeded {job_timeout}s "
-                             f"budget (shard backend is non-preemptive: "
-                             f"the job ran to completion in "
-                             f"{outcome.seconds:.3f}s and its result "
-                             f"was discarded)")
-                job_span.set("ok", error is None)
+                outcome = _run_outcome(payload.to_job(), cache, job_timeout)
+                job_span.set("ok", outcome.ok)
             point = None
             stage_runs = 0
-            if error is None:
+            if outcome.ok:
                 point = design_point_of(outcome.result, payload.label,
                                         payload.deadline)
                 stage_runs = sum(outcome.result.stage_runs.values())
             summaries.append(JobSummary(index=payload.index,
                                         label=payload.label,
-                                        point=point, error=error,
+                                        point=point, error=outcome.error,
                                         seconds=outcome.seconds,
                                         stage_runs=stage_runs))
-    # shard-local Pareto candidates: the reduce stage merges these
-    # instead of recomputing dominance over every point from scratch
-    points = [s.point for s in summaries if s.point is not None]
-    front = set(ExplorationResult(points=points).pareto())
-    front_indices = tuple(s.index for s in summaries
-                          if s.point is not None and s.point in front)
     cache_stats = cache.stats(since=window)
     # rides through the numeric merge of StageCache.merge_stats, so the
     # sweep-wide view counts how many shards ran on a fallback cache
@@ -353,7 +330,6 @@ def run_shard(shard: Shard,
                         seconds=time.perf_counter() - started,
                         cache_stats=cache_stats,
                         pid=os.getpid(),
-                        front_indices=front_indices,
                         cache_fallback=_WORKER_CACHE_FALLBACK,
                         spans=tracer.compact() if tracer is not None else ())
 
@@ -379,7 +355,7 @@ def _check_shard_outcome(shard: Shard, outcome: ShardOutcome) -> None:
 def reduce_shards(plan: Sequence[Shard],
                   outcomes: Iterable[ShardOutcome],
                   failures: Mapping[int, str] | None = None,
-                  ) -> tuple[dict[int, JobSummary], dict, tuple[int, ...]]:
+                  ) -> tuple[dict[int, JobSummary], dict]:
     """Merge per-shard outcomes into suite-wide views (the reduce body).
 
     Every planned shard must be accounted for, either by a verified
@@ -387,14 +363,13 @@ def reduce_shards(plan: Sequence[Shard],
     anything else -- unknown shards, duplicates, fingerprint or coverage
     mismatches -- raises :class:`ShardError`.  Returns the summaries
     keyed by job index (failed shards synthesize failed summaries for
-    their jobs), the merged cache statistics, and the union of the
-    shard-local Pareto candidate indices.
+    their jobs) and the merged cache statistics.  The result does not
+    depend on the order of ``outcomes``.
     """
     failures = dict(failures or {})
     by_index = {shard.index: shard for shard in plan}
     summaries: dict[int, JobSummary] = {}
     cache_views = []
-    front: list[int] = []
     seen: set[int] = set()
     for outcome in outcomes:
         shard = by_index.get(outcome.shard_index)
@@ -409,7 +384,6 @@ def reduce_shards(plan: Sequence[Shard],
         for summary in outcome.summaries:
             summaries[summary.index] = summary
         cache_views.append(outcome.cache_stats)
-        front.extend(outcome.front_indices)
     for shard in plan:
         if shard.index in seen:
             continue
@@ -423,7 +397,7 @@ def reduce_shards(plan: Sequence[Shard],
                 error=f"ShardError: shard {shard.index} worker failed: "
                       f"{error}",
                 seconds=0.0, stage_runs=0)
-    return summaries, StageCache.merge_stats(cache_views), tuple(front)
+    return summaries, StageCache.merge_stats(cache_views)
 
 
 @dataclass
@@ -440,8 +414,6 @@ class ShardSweepStats:
     reduce_seconds: float = 0.0
     workers: int = 0
     planned_shards: int = 0
-    #: Job indices of the merged per-shard Pareto candidates.
-    front_candidates: tuple[int, ...] = ()
 
 
 # ----------------------------------------------------------------------
@@ -451,17 +423,16 @@ def sharded_sweep(jobs: Sequence[FlowJob], shards: int | None = None,
                   max_workers: int | None = None,
                   job_timeout: float | None = None,
                   progress: ProgressCallback | None = None,
-                  map_order: str = "planned",
                   store_path: str | os.PathLike | None = None,
                   ) -> tuple[list[JobOutcome], ShardSweepStats]:
     """Plan, map and reduce a sweep; outcomes come back in input order.
 
     Backs ``BatchRunner(backend="shard")``.  Jobs failing
     :func:`~repro.flow.batch.payload_check` become failed outcomes at
-    submission time (never planned); ``map_order`` ("planned" or
-    "reversed") controls shard submission order and exists to *prove*
-    order independence -- results are identical either way.  Progress
-    streams per job, in shard completion order.
+    submission time (never planned).  Progress streams per job, in
+    shard completion order, behind the same failure guard as
+    :meth:`~repro.flow.batch.BatchRunner.run`: a raising callback warns
+    once and never aborts the sweep.
 
     ``store_path`` attaches a shared persistent L2 tier (see
     :mod:`repro.store`) under every worker's stage cache: workers of
@@ -470,14 +441,12 @@ def sharded_sweep(jobs: Sequence[FlowJob], shards: int | None = None,
     Results stay bit-identical to a storeless serial sweep; the merged
     ``stats.cache`` grows nested ``l1``/``l2`` views.
     """
-    if map_order not in ("planned", "reversed"):
-        raise ShardError(f"unknown map order {map_order!r}")
     jobs = list(jobs)
     total = len(jobs)
     with obs_span("sharded_sweep", kind="flow", backend="shard",
                   jobs=total) as sweep_span:
         outcomes, stats = _sharded_sweep(jobs, shards, max_workers,
-                                         job_timeout, progress, map_order,
+                                         job_timeout, _guarded(progress),
                                          store_path)
         sweep_span.set("shards", stats.planned_shards)
         sweep_span.set("workers", stats.workers)
@@ -486,7 +455,7 @@ def sharded_sweep(jobs: Sequence[FlowJob], shards: int | None = None,
 
 def _sharded_sweep(jobs: list[FlowJob], shards: int | None,
                    max_workers: int | None, job_timeout: float | None,
-                   progress: ProgressCallback | None, map_order: str,
+                   progress: ProgressCallback | None,
                    store_path: str | os.PathLike | None,
                    ) -> tuple[list[JobOutcome], ShardSweepStats]:
     total = len(jobs)
@@ -519,18 +488,19 @@ def _sharded_sweep(jobs: list[FlowJob], shards: int | None,
     failures: dict[int, str] = {}
     map_started = time.perf_counter()
     if plan:
-        order = list(plan) if map_order == "planned" \
-            else list(reversed(plan))
         store_arg = os.fspath(store_path) if store_path is not None else None
         # when the coordinator is tracing, workers trace too: each shard
         # records its spans locally and ships them back in the outcome
         tracer = current_tracer()
+        # run_shard is looked up in the module globals here, at
+        # submission, so a wrapper installed before the sweep is what
+        # the forked workers run
         with ProcessPoolExecutor(
                 max_workers=workers, initializer=_init_worker,
                 initargs=(DEFAULT_WORKER_CACHE_ENTRIES, store_arg)) as pool:
             shard_of = {pool.submit(run_shard, shard, job_timeout,
                                     tracer is not None): shard
-                        for shard in order}
+                        for shard in plan}
             for future in as_completed(shard_of):
                 shard = shard_of[future]
                 try:
@@ -557,8 +527,7 @@ def _sharded_sweep(jobs: list[FlowJob], shards: int | None,
     stats.map_seconds = time.perf_counter() - map_started
 
     reduce_started = time.perf_counter()
-    summaries, stats.cache, stats.front_candidates = \
-        reduce_shards(plan, shard_outcomes, failures)
+    summaries, stats.cache = reduce_shards(plan, shard_outcomes, failures)
     for index, summary in summaries.items():
         if outcomes[index] is None:  # jobs of failed shards
             emit(index, JobOutcome(jobs[index], error=summary.error,
@@ -578,56 +547,21 @@ def _sharded_sweep(jobs: list[FlowJob], shards: int | None,
 
 @dataclass
 class SweepResult(ExplorationResult):
-    """An exploration whose Pareto front is reduce-merged across shards.
-
-    ``pareto()`` filters the union of the per-shard candidate fronts
-    instead of re-testing dominance over every point -- the classic
-    Pareto merge, which provably yields the same front (a globally
-    non-dominated point is non-dominated in its shard; a dominated
-    point is dominated by some candidate, by transitivity).  The result
-    is bit-identical to :meth:`ExplorationResult.pareto` on the same
-    points, which the shard determinism tests assert.
-    """
+    """An exploration that carries the map-reduce evidence of its sweep."""
 
     shard_stats: ShardSweepStats | None = None
-    front_candidates: list[DesignPoint] = field(default_factory=list)
-
-    def pareto(self) -> list[DesignPoint]:
-        if not self.front_candidates:
-            return super().pareto()
-        candidates = set(self.front_candidates)
-        by_graph: dict[str, list[DesignPoint]] = {}
-        for point in self.front_candidates:
-            by_graph.setdefault(point.graph, []).append(point)
-        return [p for p in self.feasible_points()
-                if p in candidates
-                and not any(q.dominates(p) for q in by_graph[p.graph])]
 
 
 def map_reduce_sweep(jobs: Sequence[FlowJob], shards: int | None = None,
                      max_workers: int | None = None,
                      job_timeout: float | None = None,
                      progress: ProgressCallback | None = None,
-                     map_order: str = "planned",
                      store_path: str | os.PathLike | None = None,
                      ) -> SweepResult:
     """One-call sharded sweep: jobs in, ranked :class:`SweepResult` out."""
-    from .batch import _point_from
     outcomes, stats = sharded_sweep(jobs, shards=shards,
                                     max_workers=max_workers,
                                     job_timeout=job_timeout,
-                                    progress=progress, map_order=map_order,
+                                    progress=progress,
                                     store_path=store_path)
-    result = SweepResult(outcomes=outcomes, shard_stats=stats)
-    point_of_index: dict[int, DesignPoint] = {}
-    for index, outcome in enumerate(outcomes):
-        if outcome.ok:
-            point = _point_from(outcome)
-            result.points.append(point)
-            point_of_index[index] = point
-        else:
-            result.failures.append(outcome)
-    result.front_candidates = [point_of_index[i]
-                               for i in stats.front_candidates
-                               if i in point_of_index]
-    return result
+    return SweepResult.from_outcomes(outcomes, shard_stats=stats)

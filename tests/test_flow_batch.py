@@ -1,26 +1,16 @@
 """Tests for parallel batch execution and design-space exploration."""
 
-import threading
 import time
 
 import pytest
 
 from repro.apps import four_band_equalizer, fuzzy_controller
-from repro.flow import (JOB_TIMEOUT_SEMANTICS, BatchRunner, CoolFlow,
-                        DesignSpaceExplorer, FlowJob, StageCache,
-                        payload_check)
+from repro.flow import (BatchRunner, CoolFlow, DesignSpaceExplorer,
+                        ExplorationResult, FlowJob, StageCache)
 from repro.graph import TaskGraph, execute
 from repro.partition import GreedyPartitioner, MilpPartitioner
 from repro.platform import cool_board, minimal_board
 from repro.workloads import build_graphs, workload_suite
-
-
-class UnpicklablePartitioner(GreedyPartitioner):
-    """A partitioner no process pool can ship (holds a thread lock)."""
-
-    def __init__(self):
-        super().__init__()
-        self._lock = threading.Lock()
 
 
 class SleepyPartitioner(GreedyPartitioner):
@@ -53,17 +43,16 @@ def _jobs():
 class TestBatchRunner:
     def test_serial_and_parallel_agree(self):
         serial = BatchRunner(backend="serial").run(_jobs())
-        parallel = BatchRunner(max_workers=4).run(_jobs())
+        parallel = BatchRunner(shards=2).run(_jobs())
         assert len(serial) == len(parallel) == 4
-        for a, b in zip(serial, parallel):
-            assert a.ok and b.ok
-            assert a.job.label == b.job.label
-            assert a.result.report() == b.result.report()
-            assert a.result.vhdl_files == b.result.vhdl_files
-            assert a.result.c_files == b.result.c_files
+        assert all(o.ok for o in serial + parallel)
+        assert [o.job.label for o in serial] == \
+            [o.job.label for o in parallel]
+        assert ExplorationResult.from_outcomes(parallel).points == \
+            ExplorationResult.from_outcomes(serial).points
 
     def test_outcomes_keep_input_order(self):
-        outcomes = BatchRunner(max_workers=4).run(_jobs())
+        outcomes = BatchRunner(shards=2).run(_jobs())
         assert [o.job.label for o in outcomes] == \
             ["eq/greedy", "eq/milp", "fuzzy/greedy", "eq/cosim"]
         assert all(o.seconds > 0 for o in outcomes)
@@ -85,15 +74,31 @@ class TestBatchRunner:
         jobs = [_jobs()[0],
                 FlowJob(graph=broken, arch=minimal_board(), label="bad"),
                 _jobs()[2]]
-        outcomes = BatchRunner(max_workers=3).run(jobs)
+        outcomes = BatchRunner(shards=2).run(jobs)
         assert outcomes[0].ok and outcomes[2].ok
         assert not outcomes[1].ok
         assert outcomes[1].result is None
         assert "GraphError" in outcomes[1].error
 
     def test_unknown_backend_rejected(self):
-        with pytest.raises(ValueError, match="backend"):
-            BatchRunner(backend="carrier-pigeon")
+        for backend in ("carrier-pigeon", "thread", "process"):
+            with pytest.raises(ValueError, match="backend"):
+                BatchRunner(backend=backend)
+
+    def test_arguments_a_backend_would_ignore_are_rejected(self):
+        # worker counts mean nothing to the serial backend, and a live
+        # cache cannot be shared with shard worker processes: accepting
+        # either would ignore it silently
+        with pytest.raises(ValueError, match="max_workers"):
+            BatchRunner(max_workers=4)
+        with pytest.raises(ValueError, match="max_workers"):
+            BatchRunner(backend="serial", max_workers=4)
+        with pytest.raises(ValueError, match="stage_cache"):
+            BatchRunner(shards=2, stage_cache=StageCache())
+        with pytest.raises(ValueError, match="stage_cache"):
+            BatchRunner(backend="shard", stage_cache=StageCache())
+        assert BatchRunner().backend == "serial"
+        assert BatchRunner(backend="shard", max_workers=2).backend == "shard"
 
     def test_job_names(self):
         job = FlowJob(graph=four_band_equalizer(words=8),
@@ -121,7 +126,7 @@ class TestStreamingRunner:
         def progress(outcome, done, total):
             events.append((outcome.job.label, done, total))
 
-        outcomes = BatchRunner(max_workers=4).run(_jobs(), progress=progress)
+        outcomes = BatchRunner(shards=2).run(_jobs(), progress=progress)
         assert [o.job.label for o in outcomes] == \
             ["eq/greedy", "eq/milp", "fuzzy/greedy", "eq/cosim"]
         assert [d for _, d, _ in events] == [1, 2, 3, 4]
@@ -148,8 +153,7 @@ class TestStreamingRunner:
                 raise RuntimeError("observer bug")
 
         with pytest.warns(RuntimeWarning, match="progress callback"):
-            outcomes = BatchRunner(max_workers=4).run(
-                _jobs(), progress=progress)
+            outcomes = BatchRunner(shards=2).run(_jobs(), progress=progress)
         assert [o.job.label for o in outcomes] == \
             ["eq/greedy", "eq/milp", "fuzzy/greedy", "eq/cosim"]
         assert all(o.ok for o in outcomes)
@@ -170,24 +174,6 @@ class TestStreamingRunner:
                    if issubclass(w.category, RuntimeWarning)]
         assert len(runtime) == 1
 
-    def test_process_pickling_failure_is_isolated(self):
-        # the pickling error surfaces on the future, *outside*
-        # _run_outcome's try/except -- it must still become one failed
-        # outcome instead of sinking the whole sweep
-        equalizer = four_band_equalizer(words=8)
-        jobs = [FlowJob(graph=equalizer, arch=minimal_board(),
-                        partitioner=GreedyPartitioner(), label="good"),
-                FlowJob(graph=equalizer, arch=minimal_board(),
-                        partitioner=UnpicklablePartitioner(), label="bad"),
-                FlowJob(graph=equalizer, arch=cool_board(),
-                        partitioner=GreedyPartitioner(), label="good2")]
-        outcomes = BatchRunner(max_workers=2, backend="process").run(jobs)
-        assert [o.job.label for o in outcomes] == ["good", "bad", "good2"]
-        assert outcomes[0].ok and outcomes[2].ok
-        assert not outcomes[1].ok
-        assert outcomes[1].result is None
-        assert "pickle" in outcomes[1].error.lower()
-
     def test_shared_stage_cache_across_jobs(self):
         cache = StageCache(max_entries=512)
         runner = BatchRunner(backend="serial", stage_cache=cache)
@@ -202,126 +188,28 @@ class TestStreamingRunner:
         assert first.result.report() == second.result.report()
 
     def test_job_timeout_turns_straggler_into_failed_outcome(self):
+        # the serial backend applies the budget rule of both backends:
+        # checked when the job returns, an over-budget result discarded
         equalizer = four_band_equalizer(words=8)
         jobs = [FlowJob(graph=equalizer, arch=minimal_board(),
                         partitioner=GreedyPartitioner(), label="fast"),
                 FlowJob(graph=equalizer, arch=minimal_board(),
-                        partitioner=SleepyPartitioner(2.0), label="slow")]
-        started = time.perf_counter()
-        outcomes = BatchRunner(max_workers=2, backend="thread",
-                               job_timeout=0.4).run(jobs)
-        elapsed = time.perf_counter() - started
-        assert outcomes[0].ok
+                        partitioner=SleepyPartitioner(1.2), label="slow"),
+                FlowJob(graph=equalizer, arch=cool_board(),
+                        partitioner=GreedyPartitioner(), label="after")]
+        outcomes = BatchRunner(job_timeout=0.8).run(jobs)
+        assert outcomes[0].ok and outcomes[0].result is not None
         assert not outcomes[1].ok
         assert "Timeout" in outcomes[1].error
-        assert elapsed < 1.5, "sweep must not wait for the straggler"
+        assert "budget" in outcomes[1].error
+        assert "discarded" in outcomes[1].error
+        assert outcomes[1].result is None
+        assert outcomes[1].seconds >= 0.8
+        assert outcomes[2].ok, "the sweep continues after an expired job"
 
     def test_bad_job_timeout_rejected(self):
         with pytest.raises(ValueError, match="job_timeout"):
             BatchRunner(job_timeout=0.0)
-
-    def test_queued_jobs_do_not_accrue_timeout_budget(self):
-        # per-job budget starts when the job *runs*: four ~sub-second
-        # jobs behind one worker all finish even though their summed
-        # wall-clock exceeds the budget
-        equalizer = four_band_equalizer(words=8)
-        jobs = [FlowJob(graph=equalizer, arch=minimal_board(),
-                        partitioner=SleepyPartitioner(0.15),
-                        label=f"q{i}") for i in range(4)]
-        outcomes = BatchRunner(max_workers=1, backend="thread",
-                               job_timeout=0.45).run(jobs)
-        assert all(o.ok for o in outcomes), \
-            [o.error for o in outcomes if not o.ok]
-
-    def test_saturated_pool_cannot_stall_the_sweep(self):
-        # a straggler holds the only worker past its budget; the queued
-        # job must not wait indefinitely behind it -- once the pool is
-        # saturated by timed-out jobs, queued jobs accrue budget and
-        # fail as starved, so run() returns in bounded time
-        equalizer = four_band_equalizer(words=8)
-        jobs = [FlowJob(graph=equalizer, arch=minimal_board(),
-                        partitioner=SleepyPartitioner(2.5), label="stuck"),
-                FlowJob(graph=equalizer, arch=minimal_board(),
-                        partitioner=GreedyPartitioner(), label="queued")]
-        started = time.perf_counter()
-        outcomes = BatchRunner(max_workers=1, backend="thread",
-                               job_timeout=0.3).run(jobs)
-        elapsed = time.perf_counter() - started
-        assert elapsed < 2.0, "sweep must not wait out the straggler"
-        assert not outcomes[0].ok and "budget" in outcomes[0].error
-        assert not outcomes[1].ok and "worker" in outcomes[1].error
-
-    def test_starvation_clock_clears_when_pool_recovers(self):
-        # a straggler times out but then actually returns: the queued
-        # jobs' starvation clocks must be dropped so quick jobs are not
-        # spuriously failed on a pool that recovered
-        equalizer = four_band_equalizer(words=8)
-        jobs = [FlowJob(graph=equalizer, arch=minimal_board(),
-                        partitioner=SleepyPartitioner(1.0), label="late"),
-                FlowJob(graph=equalizer, arch=minimal_board(),
-                        partitioner=GreedyPartitioner(), label="q1"),
-                FlowJob(graph=equalizer, arch=minimal_board(),
-                        partitioner=GreedyPartitioner(), label="q2")]
-        outcomes = BatchRunner(max_workers=1, backend="thread",
-                               job_timeout=0.8).run(jobs)
-        assert not outcomes[0].ok and "budget" in outcomes[0].error
-        assert outcomes[1].ok, outcomes[1].error
-        assert outcomes[2].ok, outcomes[2].error
-
-    def test_single_job_process_batch_still_isolates_pickling(self):
-        # regression: the old in-process shortcut for tiny batches ran
-        # the job in the parent and silently skipped pickling
-        job = FlowJob(graph=four_band_equalizer(words=8),
-                      arch=minimal_board(),
-                      partitioner=UnpicklablePartitioner(), label="solo")
-        outcome = BatchRunner(max_workers=2, backend="process").run([job])[0]
-        assert not outcome.ok
-        assert "pickle" in outcome.error.lower()
-
-    def test_process_rejects_unpicklable_payload_at_submission(self):
-        # satellite: the poison is caught *before* the pool sees the job,
-        # with the offending field named -- not a mid-sweep TypeError
-        bad = FlowJob(graph=four_band_equalizer(words=8),
-                      arch=minimal_board(),
-                      partitioner=UnpicklablePartitioner(), label="bad")
-        error = payload_check(bad)
-        assert error is not None
-        assert "partitioner" in error
-        assert "pickle" in error.lower()
-        assert payload_check(_jobs()[0]) is None
-        events = []
-        outcomes = BatchRunner(max_workers=2, backend="process").run(
-            [bad] + _jobs()[:1],
-            progress=lambda o, d, t: events.append(o.job.label))
-        assert not outcomes[0].ok and "partitioner" in outcomes[0].error
-        assert outcomes[1].ok
-        assert events[0] == "bad", "rejection must stream before any result"
-
-    def test_process_expired_straggler_fails_and_sweep_continues(self):
-        # satellite: expired-straggler path on the *process* backend --
-        # the straggler becomes a failed outcome with a reason while the
-        # fast job still completes
-        equalizer = four_band_equalizer(words=8)
-        jobs = [FlowJob(graph=equalizer, arch=minimal_board(),
-                        partitioner=SleepyPartitioner(2.5), label="slow"),
-                FlowJob(graph=equalizer, arch=minimal_board(),
-                        partitioner=GreedyPartitioner(), label="fast")]
-        started = time.perf_counter()
-        outcomes = BatchRunner(max_workers=2, backend="process",
-                               job_timeout=0.5).run(jobs)
-        elapsed = time.perf_counter() - started
-        assert not outcomes[0].ok
-        assert "Timeout" in outcomes[0].error
-        assert "budget" in outcomes[0].error
-        assert outcomes[1].ok, outcomes[1].error
-        assert elapsed < 2.2, "sweep must not wait out the straggler"
-
-    def test_timeout_semantics_documented_per_backend(self):
-        # one authoritative record; every accepted backend has an entry
-        for backend in ("serial", "thread", "process", "shard"):
-            BatchRunner(backend=backend)
-            assert backend in JOB_TIMEOUT_SEMANTICS
-            assert len(JOB_TIMEOUT_SEMANTICS[backend]) > 20
 
 
 class TestSpecBasedJobs:
@@ -376,7 +264,7 @@ class TestDesignSpaceExplorer:
             architectures=[minimal_board(), cool_board()],
             partitioners=[GreedyPartitioner(), MilpPartitioner()],
             deadlines=[None, 10_000],
-            runner=BatchRunner(max_workers=4),
+            runner=BatchRunner(),
         )
         return explorer.explore()
 

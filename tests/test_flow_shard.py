@@ -6,9 +6,8 @@ import threading
 
 import pytest
 
-from repro.flow import (JOB_TIMEOUT_SEMANTICS, BatchRunner,
-                        DesignSpaceExplorer, ExplorationResult, FlowJob,
-                        ShardError, map_reduce_sweep, sharded_sweep)
+from repro.flow import (BatchRunner, DesignSpaceExplorer, ExplorationResult,
+                        FlowJob, ShardError, map_reduce_sweep, sharded_sweep)
 from repro.flow.batch import _point_from
 from repro.flow.shard import (JobSummary, ShardPlanner, payload_of,
                               reduce_shards, run_shard)
@@ -51,11 +50,8 @@ def jobs():
 @pytest.fixture(scope="module")
 def serial(jobs):
     """Reference semantics every sharded run must reproduce."""
-    outcomes = BatchRunner(backend="serial").run(jobs)
-    result = ExplorationResult(outcomes=outcomes)
-    for outcome in outcomes:
-        result.points.append(_point_from(outcome))
-    return result
+    return ExplorationResult.from_outcomes(
+        BatchRunner(backend="serial").run(jobs))
 
 
 class TestShardPlanner:
@@ -105,9 +101,19 @@ class TestShardPlanner:
 class TestShardedIdentity:
     @pytest.mark.parametrize("shards", [1, 2, 5])
     @pytest.mark.parametrize("map_order", ["planned", "reversed"])
-    def test_identical_to_serial(self, jobs, serial, shards, map_order):
-        result = map_reduce_sweep(jobs, shards=shards, max_workers=2,
-                                  map_order=map_order)
+    def test_identical_to_serial(self, jobs, serial, shards, map_order,
+                                 monkeypatch):
+        delivered = []
+        if map_order == "reversed":
+            # deliver the shard outcomes to the coordinator in reverse
+            # plan order: streaming and reduce must not depend on it
+            def reverse_completed(futures):
+                delivered.extend(reversed(list(futures)))
+                return iter(delivered)
+            monkeypatch.setattr(shard_mod, "as_completed", reverse_completed)
+        result = map_reduce_sweep(jobs, shards=shards, max_workers=2)
+        if map_order == "reversed":
+            assert len(delivered) == result.shard_stats.planned_shards
         assert [o.ok for o in result.outcomes] == \
             [o.ok for o in serial.outcomes]
         assert result.points == serial.points
@@ -135,6 +141,27 @@ class TestShardedIdentity:
         assert [d for d, _ in events] == list(range(1, len(jobs) + 1))
         assert all(t == len(jobs) for _, t in events)
 
+    @pytest.mark.parametrize("entry", ["sharded_sweep", "map_reduce_sweep"])
+    def test_raising_progress_callback_does_not_abort(self, jobs, serial,
+                                                      entry):
+        # the direct entry points guard the observer like
+        # BatchRunner.run does: warn once, keep streaming, finish
+        events = []
+
+        def progress(outcome, done, total):
+            events.append(done)
+            raise RuntimeError("observer bug")
+
+        with pytest.warns(RuntimeWarning, match="progress callback"):
+            if entry == "sharded_sweep":
+                outcomes, _ = sharded_sweep(jobs, shards=2, max_workers=2,
+                                            progress=progress)
+            else:
+                outcomes = map_reduce_sweep(jobs, shards=2, max_workers=2,
+                                            progress=progress).outcomes
+        assert [o.point for o in outcomes] == serial.points
+        assert events == list(range(1, len(jobs) + 1))
+
 
 class TestReduceIntegrity:
     @pytest.fixture()
@@ -146,12 +173,11 @@ class TestReduceIntegrity:
 
     def test_clean_reduce_merges_everything(self, plan_and_outcomes):
         plan, outcomes = plan_and_outcomes
-        summaries, cache, front = reduce_shards(plan, outcomes)
+        summaries, cache = reduce_shards(plan, outcomes)
         assert sorted(summaries) == sorted(
             s.index for shard in plan for s in shard.payloads)
         assert cache["caches"] == 2
         assert cache["hits"] + cache["misses"] > 0
-        assert front  # at least one candidate per non-empty sweep
 
     def test_tampered_fingerprint_rejected(self, plan_and_outcomes):
         plan, outcomes = plan_and_outcomes
@@ -186,7 +212,7 @@ class TestReduceIntegrity:
     def test_failed_shard_synthesizes_failed_summaries(self,
                                                        plan_and_outcomes):
         plan, outcomes = plan_and_outcomes
-        summaries, _, _ = reduce_shards(
+        summaries, _ = reduce_shards(
             plan, outcomes[1:], failures={plan[0].index: "worker died"})
         for payload in plan[0].payloads:
             summary = summaries[payload.index]
@@ -203,7 +229,7 @@ class TestShardBackendRunner:
 
     def test_shards_knob_rejected_on_other_backends(self):
         with pytest.raises(ValueError, match="shards"):
-            BatchRunner(backend="process", shards=4)
+            BatchRunner(backend="serial", shards=4)
         with pytest.raises(ValueError, match="shards"):
             BatchRunner(shards=0)
 
@@ -239,11 +265,6 @@ class TestShardBackendRunner:
         assert all("Timeout" in o.error and "budget" in o.error
                    for o in outcomes)
         assert all(o.point is None for o in outcomes)
-
-    def test_timeout_semantics_recorded_for_every_backend(self):
-        assert set(JOB_TIMEOUT_SEMANTICS) == \
-            {"serial", "thread", "process", "shard"}
-        assert "discarded" in JOB_TIMEOUT_SEMANTICS["shard"]
 
 
 class TestWorkerCache:
@@ -293,7 +314,7 @@ class TestWorkerCacheFallback:
         payloads = [payload_of(j, i) for i, j in enumerate(jobs)]
         plan = ShardPlanner(2).plan(payloads)
         assert len(plan) == 2
-        _, cache, _ = reduce_shards(plan, [run_shard(s) for s in plan])
+        _, cache = reduce_shards(plan, [run_shard(s) for s in plan])
         assert cache["cold_fallbacks"] == 2
 
     def test_pooled_sweep_never_falls_back(self, jobs):
@@ -363,15 +384,6 @@ class TestShardedExplorer:
 
 
 class TestSweepResult:
-    def test_merged_front_equals_global_front(self, jobs, serial):
-        result = map_reduce_sweep(jobs, shards=3, max_workers=2)
-        assert result.front_candidates, "map stage must ship candidates"
-        # the reduce-merged front must equal recomputing dominance over
-        # every point from scratch (the serial reference)
-        merged = result.pareto()
-        global_front = ExplorationResult(points=result.points).pareto()
-        assert merged == global_front == serial.pareto()
-
     def test_shard_stats_attached(self, jobs):
         result = map_reduce_sweep(jobs, shards=2, max_workers=2)
         stats = result.shard_stats

@@ -13,8 +13,9 @@ import pickle
 import pytest
 
 from repro.apps import four_band_equalizer
-from repro.flow import (ArtifactStore, BatchRunner, CoolFlow, FlowJob,
-                        PersistentCache, StageCache, TieredCache)
+from repro.flow import (ArtifactStore, BatchRunner, CoolFlow,
+                        ExplorationResult, FlowJob, PersistentCache,
+                        StageCache, TieredCache)
 from repro.flow.pipeline import CacheTier, fingerprint_of
 from repro.partition import GreedyPartitioner
 from repro.platform import minimal_board
@@ -249,26 +250,25 @@ class TestStoreBackedBatch:
             assert outcome.result.report().splitlines()[:-1] == \
                 baseline.result.report().splitlines()
 
-    def test_thread_backend_warm_restart(self, tmp_path):
+    def test_serial_backend_warm_restart(self, tmp_path):
         store = tmp_path / "store"
-        BatchRunner(backend="thread", max_workers=2,
-                    store=store).run(self._jobs())
-        warm = BatchRunner(backend="thread", max_workers=2,
+        BatchRunner(backend="serial", store=store).run(self._jobs())
+        warm = BatchRunner(backend="serial",
                            store=store).run(self._jobs())[0]
         assert warm.ok
         assert sum(warm.result.stage_runs.values()) == 0
         assert warm.result.cache_stats["l2"]["hits"] > 0
 
-    def test_process_backend_matches_serial(self, tmp_path):
+    def test_shard_backend_matches_serial(self, tmp_path):
         store = tmp_path / "store"
-        serial = BatchRunner(backend="serial").run(self._jobs())[0]
-        BatchRunner(backend="process", max_workers=2,
-                    store=store).run(self._jobs())
-        warm = BatchRunner(backend="process", max_workers=2,
-                           store=store).run(self._jobs())[0]
-        assert warm.ok
-        assert warm.result.report().splitlines()[:-1] == \
-            serial.result.report().splitlines()
+        serial = ExplorationResult.from_outcomes(
+            BatchRunner(backend="serial").run(self._jobs()))
+        BatchRunner(shards=2, store=store).run(self._jobs())
+        runner = BatchRunner(shards=2, store=store)
+        warm = ExplorationResult.from_outcomes(runner.run(self._jobs()))
+        assert not warm.failures
+        assert warm.points == serial.points
+        assert runner.shard_stats.cache["l2"]["hits"] > 0
 
     def test_rejects_a_nonsense_store(self):
         with pytest.raises(TypeError, match="store"):
