@@ -8,16 +8,14 @@ controller-synthesis and verification benches (50-graph workload suite
 * ``literals`` -- VHDL guard literal counts of every controller FSM,
   baseline cascade vs the symbolic emitter (dead-branch pruning,
   same-successor merging, factored covers, reachability don't-cares
-  harvested from the composition's reachable step system).  Gated: the suite total
-  must *strictly* drop and no single design may get worse.
-* ``minimizer`` -- state counts of the kernel minimizer with syntactic
-  vs guard-canonical (semantic) signatures.  Gated: the semantic
-  refinement never ends up with more blocks.
+  harvested from the composition's reachable step system).  Gated:
+  the suite total must *strictly* drop and no single design may get
+  worse.
 * ``verification`` -- the soundness gate: every controller rebuilt
   with reachability-reduced guards re-proves trace equivalence to its
   minimized STG through the production composition check.
 * ``cosim`` -- golden-model gate on a sample of designs: the full
-  ``CoolFlow`` (guard simplification on) must co-simulate to exactly
+  ``CoolFlow`` (its codegen stage always simplifies) must co-simulate to exactly
   the golden interpreter's outputs.
 
 Runs under pytest-benchmark or standalone for CI smoke checks::
@@ -32,7 +30,7 @@ import time
 from pathlib import Path
 
 from bench_controller_synthesis import _suite_designs
-from repro.automata import AutomataError, refine_partition
+from repro.automata import AutomataError
 from repro.codegen import check_vhdl, fsm_to_vhdl, guard_literal_count
 from repro.controllers import (harvest_care_sets,
                                simplify_controller_guards,
@@ -86,14 +84,6 @@ def measure(n_graphs: int = DEFAULT_GRAPHS, seed: int = SUITE_SEED) -> dict:
         rejected_vhdl += sum(bool(check_vhdl(text))
                              for text in simplified.values())
 
-        plain_states = guard_states = 0
-        for fsm in controller.fsms:
-            automaton = fsm.to_automaton()
-            plain_states += refine_partition(automaton,
-                                             ordered=True).n_blocks
-            guard_states += refine_partition(automaton, ordered=True,
-                                             guard_canonical=True).n_blocks
-
         # on a harvest fallback `care` is {}: pass it through verbatim
         # so simplify does NOT silently re-harvest (guards stay
         # untouched, re-verification still runs)
@@ -104,8 +94,6 @@ def measure(n_graphs: int = DEFAULT_GRAPHS, seed: int = SUITE_SEED) -> dict:
             "name": graph.name,
             "literals_before": before,
             "literals_after": after,
-            "states_plain": plain_states,
-            "states_guard_canonical": guard_states,
             "reverified": check.equivalent,
         })
 
@@ -120,7 +108,7 @@ def measure(n_graphs: int = DEFAULT_GRAPHS, seed: int = SUITE_SEED) -> dict:
                          for name, values in golden.items()
                          if name in result.sim_result.outputs)
         report = result.guard_report
-        cosim_ok += bool(outputs_ok and report is not None
+        cosim_ok += bool(outputs_ok
                          and report["guard_literals_after"]
                          <= report["guard_literals_before"])
 
@@ -147,14 +135,6 @@ def measure(n_graphs: int = DEFAULT_GRAPHS, seed: int = SUITE_SEED) -> dict:
             "emit_baseline_s": round(emit_baseline_s, 6),
             "emit_simplified_s": round(emit_simplified_s, 6),
         },
-        "minimizer": {
-            "states_plain": sum(d["states_plain"] for d in per_design),
-            "states_guard_canonical": sum(d["states_guard_canonical"]
-                                          for d in per_design),
-            "designs_larger": sum(d["states_guard_canonical"]
-                                  > d["states_plain"]
-                                  for d in per_design),
-        },
         "verification": {
             "reverified": sum(d["reverified"] for d in per_design),
             "designs": len(per_design),
@@ -170,7 +150,6 @@ def measure(n_graphs: int = DEFAULT_GRAPHS, seed: int = SUITE_SEED) -> dict:
 def check(payload: dict) -> None:
     """The guard-simplification gate (shared by pytest and the CLI)."""
     literals = payload["literals"]
-    minimizer = payload["minimizer"]
     verification = payload["verification"]
     cosim = payload["cosim"]
 
@@ -180,10 +159,6 @@ def check(payload: dict) -> None:
         "no design may end up with more guard literals"
     assert literals["rejected_vhdl"] == 0, \
         "every simplified VHDL file must pass the structural checker"
-    assert minimizer["states_guard_canonical"] \
-        <= minimizer["states_plain"], \
-        "guard-canonical refinement may never be coarser than syntactic"
-    assert minimizer["designs_larger"] == 0
     assert verification["reverified"] == verification["designs"], \
         "a simplified controller failed re-verification against its STG"
     assert cosim["golden_ok"] == cosim["designs"], \
@@ -193,7 +168,6 @@ def check(payload: dict) -> None:
 def report(payload: dict) -> str:
     suite = payload["suite"]
     literals = payload["literals"]
-    minimizer = payload["minimizer"]
     verification = payload["verification"]
     cosim = payload["cosim"]
     lines = ["Symbolic guard simplification at suite scale:"]
@@ -206,9 +180,6 @@ def report(payload: dict) -> str:
     lines.append(f"  emitter wall-clock  : baseline "
                  f"{literals['emit_baseline_s'] * 1e3:7.1f} ms | symbolic "
                  f"{literals['emit_simplified_s'] * 1e3:7.1f} ms")
-    lines.append(f"  minimizer blocks    : syntactic "
-                 f"{minimizer['states_plain']} | guard-canonical "
-                 f"{minimizer['states_guard_canonical']}")
     lines.append(f"  re-verification     : "
                  f"{verification['reverified']}/{verification['designs']} "
                  f"equivalent (care fallbacks "

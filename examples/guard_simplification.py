@@ -16,8 +16,8 @@ environment), and emits each controller FSM twice:
   literal.
 
 The simplified controller is re-verified against the minimized STG
-(exhaustive bisimulation tier), so the smaller cascades are *proved*
-to implement the same schedule.
+(the production composition check), so the smaller cascades are
+*proved* to implement the same schedule.
 """
 
 from repro.apps import four_band_equalizer

@@ -14,8 +14,7 @@ from .minimize import (PartitionRefinement, minimize_automaton, quotient,
 from .product import (CompositionConfig, ProductEnvironment,
                       SynchronousComposition, internal_signals,
                       reachable_automaton, synchronous_product)
-from .simplify import (SimplifyReport, simplify_automaton_guards,
-                       state_care_node)
+from .simplify import state_care_node
 from .symbolic import (ClassVerdict, LazyStepSystem, SymbolicEquivalence,
                        reachable_set_summary, symbolic_trace_equivalence)
 
@@ -27,7 +26,7 @@ __all__ = [
     "BisimResult", "distinguishing_trace", "weak_bisimilar",
     "CompositionConfig", "ProductEnvironment", "SynchronousComposition",
     "internal_signals", "reachable_automaton", "synchronous_product",
-    "SimplifyReport", "simplify_automaton_guards", "state_care_node",
+    "state_care_node",
     "ClassVerdict", "LazyStepSystem", "SymbolicEquivalence",
     "reachable_set_summary", "symbolic_trace_equivalence",
 ]

@@ -20,15 +20,15 @@ This module provides that comparison as a kernel operation:
    internal (τ) move.  Timing skew between the two systems -- the
    controller spreads over clock cycles what the STG fires in one
    burst -- therefore turns into τ-moves, which is exactly what weak
-   equivalence abstracts.  The name-rendered transition rows are
-   computed once per automaton and cached (projections only re-filter
-   the action labels), parallel BDD-guarded edges are fused by guard
-   disjunction -- an edge whose guard *implies* a parallel edge's guard
-   is skipped before saturation ever sees it -- and deterministic
-   τ-chains are compressed away (:func:`_compress_tau_chains`): a state
-   whose only move is a single τ-edge is weakly bisimilar to its
-   target, so whole silent walks collapse to their endpoint before the
-   quadratic-ish saturation runs.
+   equivalence abstracts.  A transition's input letter is its
+   conjunction of positive conditions, rendered ``?a+b``.  The
+   name-rendered transition rows are computed once per automaton and
+   cached (projections only re-filter the action labels), and
+   deterministic τ-chains are compressed away
+   (:func:`_compress_tau_chains`): a state whose only move is a single
+   τ-edge is weakly bisimilar to its target, so whole silent walks
+   collapse to their endpoint before the quadratic-ish saturation
+   runs.
 2. **Weak saturation** -- the τ-closure of every state is computed and
    the weak transition relation ``s ⇒ℓ t  iff  s →τ* →ℓ →τ* t`` (plus
    the reflexive-transitive ``⇒τ``) is materialized.  By Milner's
@@ -114,116 +114,28 @@ class _Lts:
         return len(self.adjacency)
 
 
-def _canonical_guard_label(guard, name_of) -> str:
-    """A label that depends only on the guard's *function* and names.
-
-    Stored covers are not canonical (a redundant cube changes the text
-    but not the function) and neither are per-engine covers (interning
-    order steers the ISOP variable branching), so the guard is rebuilt
-    cube-by-cube in a fresh engine whose variable order is the *name*
-    order of the mentioned signals.  The reduced BDD prunes cancelled
-    variables, so the node -- and the deterministic ``minimal_cover``
-    over it -- depends only on the function and the names: two
-    semantically equal guards label identically across automata,
-    whatever their stored covers or interning orders.  Cost is linear
-    in the cover, not exponential in the support.
-    """
-    from ..symbolic import BddEngine, minimal_cover, render_cover
-
-    from ..symbolic import plain_cube
-
-    mentioned = sorted({variable for cube in guard.cover
-                        for variable, _ in cube}, key=name_of)
-    names = [name_of(variable) for variable in mentioned]
-    remap = {variable: index for index, variable in enumerate(mentioned)}
-    engine = BddEngine()
-    onset = engine.disj(
-        engine.cube(tuple((remap[variable], positive)
-                          for variable, positive in cube))
-        for cube in guard.cover)
-    cover = minimal_cover(engine, onset)
-    plain = plain_cube(cover)
-    if plain is not None:
-        # a guard that denotes a plain positive conjunction must label
-        # exactly like a plain-conditions transition would (a tautology
-        # guard returns "" -- no input observation, like conditions=())
-        return "+".join(names[index] for index in plain)
-    return render_cover(cover, lambda index: names[index])
-
-
 def _observation_rows(automaton: Automaton) -> list[tuple]:
     """Name-rendered transition rows, computed once per automaton.
 
-    Each row is ``(src, dst, letter label | None, action names, guard |
-    None)``.  The rows are projection-independent (input letters are
-    always visible, hiding only filters the action names), so they are
-    cached on the automaton and shared by every per-class projection of
-    the composition verifier.
+    Each row is ``(src, dst, letter label | None, action names)``.  The
+    rows are projection-independent (input letters are always visible,
+    hiding only filters the action names), so they are cached on the
+    automaton and shared by every per-class projection of the
+    composition verifier.
     """
     rows = automaton._obs_summary
     if rows is None:
         symbols = automaton.symbols
         rows = []
         for t in automaton.transitions:
-            if t.guard is not None:
-                label = _canonical_guard_label(t.guard, symbols.name_of)
-                letter = INPUT_PREFIX + label if label else None
-            else:
-                names = symbols.names_of(t.conditions)
-                letter = INPUT_PREFIX + "+".join(names) if names else None
-            rows.append((t.src, t.dst, letter,
-                         symbols.names_of(t.actions), t.guard))
+            names = symbols.names_of(t.conditions)
+            letter = INPUT_PREFIX + "+".join(names) if names else None
+            rows.append((t.src, t.dst, letter, symbols.names_of(t.actions)))
         # repro-lint: ignore[FRZ303] -- sanctioned lazy memo: _obs_summary
         # is registered in KERNEL_MEMO_ATTRIBUTES, derived purely from
         # frozen content and invisible to equality and fingerprints
         automaton._obs_summary = rows
     return rows
-
-
-def _merge_guarded_rows(rows: list[tuple], name_of,
-                        observable: frozenset[str] | None) -> list[tuple]:
-    """Fuse parallel guard-backed edges; skip implication-subsumed ones.
-
-    Two guard-backed transitions with the same endpoints and the same
-    *visible* actions denote one observation -- "an input satisfying
-    the guard" -- so their guards merge by disjunction, and a guard
-    that implies a parallel guard is dropped outright (the implication
-    check runs before the τ-saturation ever sees the edge).  Plain
-    transitions pass through untouched: distinct positive letters are
-    distinct observations.
-    """
-    from ..symbolic import minimal_cover
-    from ..symbolic.guards import Guard
-
-    merged: list[tuple] = []
-    groups: dict[tuple, list[tuple]] = {}
-    for row in rows:
-        src, dst, letter, actions, guard = row
-        if guard is None:
-            merged.append(row)
-            continue
-        visible = actions if observable is None else \
-            tuple(a for a in actions if a in observable)
-        groups.setdefault((src, dst, visible), []).append(row)
-    for (src, dst, visible), members in sorted(groups.items()):
-        if len(members) == 1:
-            merged.append(members[0])
-            continue
-        maximal: list = []
-        for guard in (row[4] for row in members):
-            if any(guard.implies(other) for other in maximal):
-                continue  # subsumed edge: skipped before saturation
-            maximal = [other for other in maximal
-                       if not other.implies(guard)]
-            maximal.append(guard)
-        engine = maximal[0].engine
-        node = engine.disj(guard.node for guard in maximal)
-        union = Guard(engine, node, minimal_cover(engine, node))
-        label = _canonical_guard_label(union, name_of)
-        merged.append((src, dst,
-                       INPUT_PREFIX + label if label else None,
-                       members[0][3], union))
-    return merged
 
 
 def _normalized_lts(automaton: Automaton,
@@ -235,13 +147,9 @@ def _normalized_lts(automaton: Automaton,
     (see :func:`_compress_tau_chains`); pass ``compress=False`` to get
     the raw unrolled system.
     """
-    rows = _observation_rows(automaton)
-    if any(row[4] is not None for row in rows):
-        rows = _merge_guarded_rows(rows, automaton.symbols.name_of,
-                                   observable)
     adjacency: list[list[tuple[str | None, int]]] = \
         [[] for _ in range(len(automaton))]
-    for src, dst, letter, actions, _guard in rows:
+    for src, dst, letter, actions in _observation_rows(automaton):
         labels: list[str] = []
         if letter is not None:
             labels.append(letter)
@@ -399,9 +307,6 @@ class _SaturatedUnion:
 
     def outputs_of(self, state: int):
         return ()
-
-    def has_guards(self) -> bool:
-        return False
 
 
 def weak_bisimilar(left: Automaton, right: Automaton,

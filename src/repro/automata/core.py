@@ -9,10 +9,16 @@ This package is the single substrate both are thin views over:
 * :class:`Automaton` -- an immutable transition system whose states,
   condition signals and action signals are interned to integer IDs
   (one :class:`SymbolTable` per automaton), with a stable
-  ``fingerprint()`` so automata are first-class pipeline artifacts;
+  ``fingerprint()`` so automata are first-class pipeline artifacts.
+  Every transition guard is a conjunction of positive literals
+  (:attr:`Transition.conditions`): the done flags and command signals
+  the controllers wait on;
 * :mod:`repro.automata.minimize` -- the one signature-based
   partition-refinement minimizer (worklist-driven, Hopcroft-style
   "process the split block" scheduling);
+* :mod:`repro.automata.simplify` -- the per-state cascade rewrite the
+  VHDL emitter uses to print compact guards (negated literals and
+  OR-terms exist only in the emitted text, never in the kernel);
 * :mod:`repro.automata.executor` -- the one step/trace executor pair:
   token (marked-graph) semantics for STGs, sequential prioritized
   Mealy semantics for controller FSMs;
@@ -28,11 +34,9 @@ Automata are immutable once built: construct through
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Hashable, Iterable, Sequence
 
 from ..fingerprint import content_hash
-from ..symbolic import BddEngine, Guard, guard_from_cover, plain_cube
 
 __all__ = ["AutomataError", "SymbolTable", "Transition", "Automaton",
            "AutomatonBuilder"]
@@ -102,55 +106,34 @@ class SymbolTable:
 
 
 class Transition:
-    """One interned transition: guarded condition, emitted actions.
+    """One interned transition: guarding condition, emitted actions.
 
     ``conditions`` and ``actions`` are symbol IDs sorted by signal name,
     so structurally equal transitions compare equal regardless of the
     order their signals were declared in.  ``conditions`` denotes a
-    conjunction of positive literals -- the zero-cost fast path every
-    transition historically had.  A transition whose firing condition
-    is richer (negated literals, OR-terms from guard-merging
-    minimization) instead carries a BDD-backed
-    :class:`~repro.symbolic.Guard` in ``guard``; ``conditions`` is
-    ``()`` then and :meth:`enabled` consults the guard.  A plain
-    slotted class (not a dataclass): transitions are created in bulk on
-    every view conversion, so construction cost matters.  Treat
-    instances as immutable.
+    conjunction of positive literals; the empty tuple is the
+    unconditional transition.  A plain slotted class (not a
+    dataclass): transitions are created in bulk on every view
+    conversion, so construction cost matters.  Treat instances as
+    immutable.
     """
 
-    __slots__ = ("src", "dst", "conditions", "actions", "guard")
+    __slots__ = ("src", "dst", "conditions", "actions")
 
     def __init__(self, src: int, dst: int,
                  conditions: tuple[int, ...] = (),
-                 actions: tuple[int, ...] = (),
-                 guard: Guard | None = None) -> None:
+                 actions: tuple[int, ...] = ()) -> None:
         self.src = src
         self.dst = dst
         self.conditions = conditions
         self.actions = actions
-        self.guard = guard
 
     def enabled(self, inputs: set[int]) -> bool:
-        if self.guard is not None:
-            return self.guard.eval(inputs)
         return all(c in inputs for c in self.conditions)
 
-    def guard_key(self) -> tuple:
-        """Hashable firing-condition identity (fast path: the literals)."""
-        if self.guard is not None:
-            return self.guard.key()
-        return self.conditions
-
-    def condition_support(self) -> Iterable[int]:
-        """Signal IDs the firing condition depends on."""
-        if self.guard is not None:
-            return self.guard.support()
-        return self.conditions
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        when = self.guard if self.guard is not None else self.conditions
         return (f"Transition({self.src}->{self.dst}, "
-                f"when={when}, do={self.actions})")
+                f"when={self.conditions}, do={self.actions})")
 
 
 class Automaton:
@@ -238,24 +221,11 @@ class Automaton:
         return self._state_keys[state]
 
     # ------------------------------------------------------------------
-    def has_guards(self) -> bool:
-        """Does any transition carry a BDD-backed guard?"""
-        return any(t.guard is not None for t in self._transitions)
-
-    def named_cover(self, guard: Guard) -> tuple:
-        """A guard's cover with signal IDs rendered as names."""
-        name_of = self.symbols.name_of
-        return tuple(tuple((name_of(v), positive) for v, positive in cube)
-                     for cube in guard.cover)
-
     def input_names(self) -> list[str]:
-        """All condition signal names (guard support included), sorted."""
+        """All condition signal names, sorted."""
         seen: set[int] = set()
         for t in self._transitions:
-            if t.guard is not None:
-                seen.update(t.guard.support())
-            else:
-                seen.update(t.conditions)
+            seen.update(t.conditions)
         return sorted(self.symbols.name_of(s) for s in seen)
 
     def output_names(self) -> list[str]:
@@ -281,12 +251,6 @@ class Automaton:
                       for i, name in enumerate(self._state_names)),
                 tuple((self._state_names[t.src], self._state_names[t.dst],
                        sym.names_of(t.conditions), sym.names_of(t.actions))
-                      if t.guard is None
-                      else (self._state_names[t.src],
-                            self._state_names[t.dst],
-                            sym.names_of(t.conditions),
-                            sym.names_of(t.actions),
-                            self.named_cover(t.guard))
                       for t in self._transitions)))
         return self._fingerprint
 
@@ -306,9 +270,6 @@ class AutomatonBuilder:
         self._transitions: list[Transition] = []
         self._state_outputs: list[tuple[int, ...]] = []
         self._state_keys: list[Hashable] = []
-        #: One shared engine per automaton, created on the first
-        #: non-plain guard (plain automata never pay for it).
-        self._engine: BddEngine | None = None
 
     def add_state(self, name: str, outputs: Iterable[str] = (),
                   key: Hashable = None) -> int:
@@ -324,35 +285,15 @@ class AutomatonBuilder:
 
     def add_transition(self, src: str, dst: str,
                        conditions: Iterable[str] = (),
-                       actions: Iterable[str] = (),
-                       guard_cover: Iterable[Iterable[tuple[str, bool]]]
-                       | None = None) -> None:
-        """Add a transition guarded by ``conditions`` or ``guard_cover``.
-
-        ``conditions`` is the historical fast path: a conjunction of
-        positive signal names.  ``guard_cover`` instead gives the guard
-        as a sum-of-products cover -- cubes of ``(signal, polarity)``
-        literals -- and may use negated literals and OR-terms.  A cover
-        that denotes a plain positive conjunction is transparently
-        downgraded to the fast path, so round-tripping simplified
-        guards never pessimizes unguarded automata.
-        """
+                       actions: Iterable[str] = ()) -> None:
+        """Add a transition guarded by the conjunction ``conditions``."""
         for endpoint in (src, dst):
             if endpoint not in self._index:
                 raise AutomataError(f"automaton {self.name!r}: transition "
                                     f"references unknown state {endpoint!r}")
-        guard: Guard | None = None
-        if guard_cover is not None:
-            if not isinstance(conditions, (tuple, list)) or conditions:
-                raise AutomataError(
-                    f"automaton {self.name!r}: pass either conditions or "
-                    f"a guard_cover, not both")
-            conditions, guard = self._intern_guard(guard_cover)
-        else:
-            conditions = self._intern_signals(conditions)
         self._transitions.append(Transition(
             self._index[src], self._index[dst],
-            conditions, self._intern_signals(actions), guard))
+            self._intern_signals(conditions), self._intern_signals(actions)))
 
     def _intern_signals(self, names: Iterable[str]) -> tuple[int, ...]:
         """Intern ``names`` sorted by signal name (canonical order).
@@ -367,36 +308,6 @@ class AutomatonBuilder:
         if len(names) == 1:
             return (self._symbols.intern(names[0]),)
         return tuple(self._symbols.intern(n) for n in sorted(set(names)))
-
-    def _intern_guard(self, guard_cover) -> tuple[tuple[int, ...],
-                                                  Guard | None]:
-        """Intern a named cover; plain positive conjunctions take the
-        fast path.
-
-        The cover is re-minimized through the engine first, so a
-        redundant multi-cube cover that *denotes* a plain conjunction
-        (e.g. ``a&b&c | a&b&!c``) still downgrades to ``conditions``
-        and structurally equal guards store equal covers.
-        """
-        from ..symbolic import minimal_cover
-        cover = tuple(
-            tuple(sorted((self._symbols.intern(name), bool(positive))
-                         for name, positive in cube))
-            for cube in guard_cover)
-        cover = tuple(sorted(set(cover)))
-        if plain_cube(cover) is None and cover:
-            if self._engine is None:
-                self._engine = BddEngine()
-            node = self._engine.disj(self._engine.cube(cube)
-                                     for cube in cover)
-            cover = minimal_cover(self._engine, node)
-        plain = plain_cube(cover)
-        if plain is not None:
-            names = self._symbols.names_of(plain)
-            return self._intern_signals(names), None
-        if self._engine is None:
-            self._engine = BddEngine()
-        return (), guard_from_cover(self._engine, cover)
 
     def build(self, initial: str | None = None) -> Automaton:
         if initial is None:

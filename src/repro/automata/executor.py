@@ -144,12 +144,8 @@ class TokenExecutor:
                            transition.actions)
                     if key in self._fired_keys:
                         continue
-                    guard = transition.guard
-                    if guard is not None:
-                        if not guard.eval(latched):
-                            continue
-                    elif not all(c in latched
-                                 for c in transition.conditions):
+                    if not all(c in latched
+                               for c in transition.conditions):
                         continue
                     self._fire(transition, key)
                     emitted.extend(transition.actions)

@@ -9,7 +9,9 @@ loop of ``Fsm.minimize`` and the equivalence-merge pass of
 ``repro.stg.minimize`` -- which recomputed the signature of *every*
 state on *every* iteration.
 
-Signatures come in two flavours:
+Signatures are syntactic: a transition contributes its positive
+condition conjunction, its actions and the block of its successor.
+They come in two flavours:
 
 * ``ordered=False`` -- a frozenset of ``(conditions, actions,
   successor-block)`` triples: structural equivalence for concurrent
@@ -28,57 +30,10 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 
-from ..symbolic import BddEngine
 from .core import Automaton, AutomatonBuilder
 
 __all__ = ["PartitionRefinement", "refine_partition", "quotient",
            "minimize_automaton"]
-
-
-def _semantic_signature(automaton: Automaton, block_of: list[int],
-                        ordered: bool):
-    """Block signatures over canonical BDD guards (guard_canonical mode).
-
-    Per state the outgoing transitions are precomputed once by
-    :func:`repro.automata.simplify.effective_branches` -- for ordered
-    automata the guards are the cascade's disjoint *effective* guards
-    (``g_i and not (g_1 or ... or g_{i-1})``), dead branches dropped
-    and same-``(dst, actions)`` branches pre-merged -- and each
-    signature merges the nodes of triples sharing ``(actions, successor
-    block)`` by disjunction.  Node indices are canonical within the one
-    shared engine, so the frozenset of ``(merged node, actions, block)``
-    is a semantic state signature: priority order and guard syntax are
-    abstracted, the input->outcome map is not.
-    """
-    from .simplify import effective_branches
-    engine = BddEngine()
-    branches = [
-        [(node, actions, dst)
-         for node, dst, actions in effective_branches(automaton, state,
-                                                      engine, ordered)]
-        for state in range(len(automaton))]
-
-    if ordered:
-        # disjoint effective guards make cross-transition disjunction
-        # sound: the input->outcome map is preserved exactly
-        def signature(state: int):
-            merged: dict[tuple, int] = {}
-            for node, actions, dst in branches[state]:
-                key = (actions, block_of[dst])
-                seen = merged.get(key)
-                merged[key] = node if seen is None \
-                    else engine.or_(seen, node)
-            return frozenset((node, actions, block)
-                             for (actions, block), node in merged.items())
-    else:
-        # token semantics: transitions fire individually (activation
-        # thresholds count them), so guards are canonicalized but
-        # parallel transitions are not fused
-        def signature(state: int):
-            return frozenset((node, actions, block_of[dst])
-                             for node, actions, dst in branches[state])
-
-    return signature
 
 
 @dataclass(frozen=True)
@@ -103,21 +58,13 @@ class PartitionRefinement:
 
 
 def refine_partition(automaton: Automaton,
-                     ordered: bool = False,
-                     guard_canonical: bool = False) -> PartitionRefinement:
+                     ordered: bool = False) -> PartitionRefinement:
     """Coarsest behaviour-preserving partition of the automaton's states.
 
-    ``guard_canonical=True`` switches to *semantic* signatures built on
-    the shared BDD engine: every transition's firing condition becomes a
-    canonical node, transitions to the same successor block with the
-    same actions are merged by guard disjunction, and -- for ordered
-    (prioritized Mealy) automata -- the cascade is first rewritten into
-    its disjoint *effective* guards, so two states whose cascades
-    differ syntactically but pick the same (successor block, actions)
-    for every input valuation land in one block.  Strictly at least as
-    coarse as the syntactic signatures, never coarser than behaviour
-    allows.  The default syntactic path stays BDD-free (its cost gates
-    the controller-synthesis benchmark).
+    Two states share a block when their declared keys and Moore
+    outputs agree and their signatures -- ``(conditions, actions,
+    successor block)`` triples, a frozenset or, with ``ordered=True``,
+    the declaration-order tuple -- coincide.
     """
     n = len(automaton)
     if n == 0:
@@ -141,17 +88,9 @@ def refine_partition(automaton: Automaton,
     out = automaton.out
     wrap = tuple if ordered else frozenset
 
-    if guard_canonical:
-        signature = _semantic_signature(automaton, block_of, ordered)
-    elif automaton.has_guards():
-        # syntactic, but guard-backed transitions keyed by their cover
-        def signature(state: int):
-            return wrap((t.guard_key(), t.actions, block_of[t.dst])
-                        for t in out(state))
-    else:
-        def signature(state: int):
-            return wrap((t.conditions, t.actions, block_of[t.dst])
-                        for t in out(state))
+    def signature(state: int):
+        return wrap((t.conditions, t.actions, block_of[t.dst])
+                    for t in out(state))
 
     worklist: deque[int] = deque(b for b, members in blocks.items()
                                  if len(members) > 1)
@@ -207,22 +146,9 @@ def refine_partition(automaton: Automaton,
 
 
 def quotient(automaton: Automaton,
-             refinement: PartitionRefinement,
-             representative_only: bool = False) -> Automaton:
+             refinement: PartitionRefinement) -> Automaton:
     """The merged automaton: representative-named states, transitions
-    deduplicated in declaration (priority) order.
-
-    ``representative_only`` emits each block's transitions from its
-    representative state alone instead of the union over all members.
-    With syntactic signatures the two coincide (members of a block have
-    identical rewritten transition sets); with the semantic signatures
-    of ``refine_partition(guard_canonical=True)`` members may implement
-    the same input->outcome map through *different* cascades, and
-    interleaving two cascades can put a shadowed low-priority
-    transition in front of the branch that should win -- the
-    representative's own cascade is always a correct implementation of
-    its block.
-    """
+    deduplicated in declaration (priority) order."""
     builder = AutomatonBuilder(automaton.name)
     sym = automaton.symbols
     for rep in refinement.representative:
@@ -231,59 +157,27 @@ def quotient(automaton: Automaton,
                           key=automaton.key_of(rep))
     block_of = refinement.block_of
     rep_name = [automaton.name_of(r) for r in refinement.representative]
-    if representative_only:
-        transitions = [t for rep in refinement.representative
-                       for t in automaton.out(rep)]
-    else:
-        transitions = automaton.transitions
     seen: set[tuple] = set()
-    for t in transitions:
+    for t in automaton.transitions:
         src = rep_name[block_of[t.src]]
         dst = rep_name[block_of[t.dst]]
-        key = (src, dst, t.guard_key(), t.actions)
+        key = (src, dst, t.conditions, t.actions)
         if key in seen:
             continue
         seen.add(key)
-        if t.guard is not None:
-            builder.add_transition(src, dst,
-                                   guard_cover=automaton.named_cover(t.guard),
-                                   actions=sym.names_of(t.actions))
-        else:
-            builder.add_transition(src, dst,
-                                   conditions=sym.names_of(t.conditions),
-                                   actions=sym.names_of(t.actions))
+        builder.add_transition(src, dst,
+                               conditions=sym.names_of(t.conditions),
+                               actions=sym.names_of(t.actions))
     initial = None
     if automaton.initial is not None:
         initial = rep_name[block_of[automaton.initial]]
     return builder.build(initial=initial)
 
 
-def minimize_automaton(automaton: Automaton, ordered: bool = False,
-                       simplify_guards: bool = False,
-                       care_sets=None
+def minimize_automaton(automaton: Automaton, ordered: bool = False
                        ) -> tuple[Automaton, PartitionRefinement]:
-    """Minimize ``automaton``; returns the quotient and the refinement.
-
-    ``simplify_guards=True`` runs the symbolic pipeline: semantic
-    (guard-canonical) refinement, representative-only quotient, and a
-    final :func:`repro.automata.simplify.simplify_automaton_guards`
-    pass that merges transitions to the same successor by guard
-    disjunction (ordered automata), prunes dead branches and minimizes
-    every guard's cover -- exploiting the reachability don't-cares in
-    ``care_sets`` (a mapping ``state name -> iterable of observed input
-    valuations``, e.g. harvested from a materialized
-    :func:`repro.automata.reachable_automaton` product) when given.
-    The default path is unchanged and BDD-free.
-    """
-    if not simplify_guards:
-        refinement = refine_partition(automaton, ordered=ordered)
-        if refinement.merged == 0:
-            return automaton, refinement
-        return quotient(automaton, refinement), refinement
-    from .simplify import simplify_automaton_guards
-    refinement = refine_partition(automaton, ordered=ordered,
-                                  guard_canonical=True)
-    merged = automaton if refinement.merged == 0 \
-        else quotient(automaton, refinement, representative_only=True)
-    return simplify_automaton_guards(merged, ordered=ordered,
-                                     care_sets=care_sets), refinement
+    """Minimize ``automaton``; returns the quotient and the refinement."""
+    refinement = refine_partition(automaton, ordered=ordered)
+    if refinement.merged == 0:
+        return automaton, refinement
+    return quotient(automaton, refinement), refinement

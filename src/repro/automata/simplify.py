@@ -1,58 +1,39 @@
-"""Symbolic guard simplification over kernel automata.
+"""Symbolic cascade rewrite of one prioritized (Mealy) automaton state.
 
 This module is where the :mod:`repro.symbolic` engine meets the
-automaton kernel: it rewrites an automaton's transition guards into
-compact, semantically equivalent covers.
+automaton kernel, and it has one consumer: the VHDL emitter's
+``simplify=True`` path (:func:`repro.codegen.fsm_to_vhdl`).  Kernel
+guards stay conjunctions of positive literals; the rewrite only
+changes how a state's if/elsif cascade is *printed*.
 
-For **ordered** (prioritized Mealy) automata the cascade of a state is
-first converted into its disjoint *effective* guards (``g_i and not
-(g_1 or ... or g_{i-1})``) -- dead branches vanish here -- and branches
-picking the same ``(successor, actions)`` outcome are merged by guard
-disjunction.  Each surviving branch is then re-covered by the
-ESPRESSO-lite extractor, with two sources of don't-care freedom:
+The cascade of a state is first converted into its disjoint
+*effective* guards (``g_i and not (g_1 or ... or g_{i-1})``) -- dead
+branches vanish here -- and branches picking the same ``(successor,
+actions)`` outcome are merged by guard disjunction.  Each surviving
+branch is then re-covered by the ESPRESSO-lite extractor, with two
+sources of don't-care freedom:
 
 * the *cascade* don't-cares: a branch may overlap anything a
   higher-priority branch already takes (the if/elsif order resolves
   it), which is what keeps single-literal cascades single-literal
   instead of sprouting ``not`` terms;
-* the *reachability* don't-cares of ``care_sets``: input valuations
-  that can never occur while residing in the state (harvested from a
-  materialized product, e.g. :func:`repro.automata.reachable_automaton`
-  over the controller composition) are free, so a join guard whose
-  producer flag is always latched by the time the state is entered
-  drops that literal.
-
-For **unordered** (token-semantics) automata, transitions are never
-fused -- activation thresholds count individual firings -- but each
-guard is still cover-minimized under the reachability don't-cares.
-
-The rewritten automaton preserves states, outputs, keys and the
-initial state; plain positive-conjunction guards remain plain (the
-builder downgrades single positive cubes), so unguarded consumers see
-no representation change.
+* the *reachability* don't-cares of the observed valuations: input
+  valuations that can never occur while residing in the state
+  (harvested from the controller composition by
+  :func:`repro.controllers.harvest_care_sets`) are free, so a join
+  guard whose producer flag is always latched by the time the state is
+  entered drops that literal.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Mapping
+from typing import Iterable
 
-from ..symbolic import (FALSE, BddEngine, cover_literals, cover_node,
-                        minimal_cover)
-from .core import Automaton, AutomatonBuilder
+from ..symbolic import FALSE, BddEngine, minimal_cover
+from .core import Automaton
 
-__all__ = ["SimplifyReport", "baseline_literals", "effective_branches",
-           "live_prefix", "simplified_state_covers", "state_care_node",
-           "simplify_automaton_guards"]
-
-
-class SimplifyReport(dict):
-    """Literal/branch counts of one simplification pass (plain dict)."""
-
-
-def _guard_node(engine: BddEngine, transition) -> int:
-    if transition.guard is not None:
-        return cover_node(engine, transition.guard.cover)
-    return engine.conj(transition.conditions)
+__all__ = ["effective_branches", "simplified_state_covers",
+           "state_care_node"]
 
 
 def state_care_node(engine: BddEngine, automaton: Automaton,
@@ -76,25 +57,19 @@ def state_care_node(engine: BddEngine, automaton: Automaton,
     return engine.disj(engine.cube(minterm) for minterm in minterms)
 
 
-def effective_branches(automaton: Automaton, state: int, engine: BddEngine,
-              ordered: bool) -> list[tuple[int, int, tuple[int, ...]]]:
+def effective_branches(automaton: Automaton, state: int, engine: BddEngine
+                       ) -> list[tuple[int, int, tuple[int, ...]]]:
     """Per-state ``(guard node, dst, actions)`` branches.
 
-    Ordered automata get disjoint effective guards with dead branches
-    dropped and same-``(dst, actions)`` branches merged by disjunction
-    (first-occurrence order); unordered automata keep one branch per
-    transition.
+    The guards are the cascade's disjoint effective guards, with dead
+    branches dropped and same-``(dst, actions)`` branches merged by
+    disjunction (first-occurrence order).
     """
-    entries: list[tuple[int, int, tuple[int, ...]]] = []
-    if not ordered:
-        for t in automaton.out(state):
-            entries.append((_guard_node(engine, t), t.dst, t.actions))
-        return entries
     taken = FALSE
     merged: dict[tuple[int, tuple[int, ...]], int] = {}
     order: list[tuple[int, tuple[int, ...]]] = []
     for t in automaton.out(state):
-        node = _guard_node(engine, t)
+        node = engine.conj(t.conditions)
         effective = engine.diff(node, taken)
         taken = engine.or_(taken, node)
         if effective == FALSE:
@@ -108,50 +83,17 @@ def effective_branches(automaton: Automaton, state: int, engine: BddEngine,
     return [(merged[key], key[0], key[1]) for key in order]
 
 
-def live_prefix(automaton: Automaton, state: int):
-    """The firing cascade's live transitions: everything up to and
-    including the first always-enabled one (lower priorities are
-    unreachable in ordered semantics)."""
-    live = []
-    for t in automaton.out(state):
-        live.append(t)
-        if t.guard is None and not t.conditions:
-            break
-        if t.guard is not None and t.guard.is_tautology():
-            break
-    return live
-
-
-def baseline_literals(automaton: Automaton, state: int,
-                      ordered: bool) -> int:
-    """Guard literals of the state's original cascade (the cost the
-    rewrite must beat).  Ordered automata count only the live prefix --
-    exactly what the VHDL emitter would have spelled out."""
-    transitions = live_prefix(automaton, state) if ordered \
-        else automaton.out(state)
-    total = 0
-    for t in transitions:
-        if t.guard is not None:
-            total += cover_literals(t.guard.cover)
-        else:
-            total += len(t.conditions)
-    return total
-
-
 def simplified_state_covers(automaton: Automaton, state: int,
-                            engine: BddEngine, ordered: bool,
-                            observed: Iterable | None
+                            engine: BddEngine, observed: Iterable | None
                             ) -> list[tuple[tuple, int, tuple[int, ...]]]:
     """Minimized ``(cover, dst, actions)`` branches of one state.
 
-    The shared core of guard simplification -- consumed by both
-    :func:`simplify_automaton_guards` and the VHDL emitter's
-    ``simplify=True`` path, so cascade don't-cares, reachability
-    don't-cares (``observed`` valuations) and the
-    tautology-truncation rule cannot drift apart.  Covers are in the
-    automaton's signal-ID space.
+    Covers are minimized against the cascade don't-cares and, when
+    ``observed`` valuations are given, the reachability don't-cares;
+    the list ends at the first tautology cover (that arm always fires).
+    Covers are in the automaton's signal-ID space.
     """
-    branches = effective_branches(automaton, state, engine, ordered)
+    branches = effective_branches(automaton, state, engine)
     dont_care = FALSE
     if observed is not None:
         support: set[int] = set()
@@ -163,93 +105,10 @@ def simplified_state_covers(automaton: Automaton, state: int,
     taken = FALSE
     simplified: list[tuple[tuple, int, tuple[int, ...]]] = []
     for node, dst, actions in branches:
-        if ordered:
-            # anything a higher-priority branch takes is free here
-            cover = minimal_cover(engine, node,
-                                  engine.or_(taken, dont_care))
-            taken = engine.or_(taken, node)
-        else:
-            cover = minimal_cover(engine, node, dont_care)
+        # anything a higher-priority branch takes is free here
+        cover = minimal_cover(engine, node, engine.or_(taken, dont_care))
+        taken = engine.or_(taken, node)
         simplified.append((cover, dst, actions))
-        if ordered and any(not cube for cube in cover):
+        if any(not cube for cube in cover):
             break  # tautology arm always fires: the rest is dead
     return simplified
-
-
-def simplify_automaton_guards(
-        automaton: Automaton, ordered: bool = False,
-        care_sets: Mapping[str, Iterable] | None = None,
-        report: SimplifyReport | None = None) -> Automaton:
-    """Rewrite every guard as a minimal cover; see the module docstring.
-
-    ``care_sets`` maps state names to the input valuations observed in
-    that state (reachability don't-cares); states missing from the
-    mapping are treated as fully cared (no extra freedom).  A state
-    whose rewritten cascade would cost more literals than the original
-    keeps the original -- simplification never pessimizes.  When
-    ``report`` is given it is filled with before/after literal and
-    branch counts.
-    """
-    engine = BddEngine()
-    builder = AutomatonBuilder(automaton.name)
-    symbols = automaton.symbols
-    name_of = symbols.name_of
-    for state in range(len(automaton)):
-        builder.add_state(automaton.name_of(state),
-                          outputs=symbols.names_of(
-                              automaton.outputs_of(state)),
-                          key=automaton.key_of(state))
-
-    literals_before = 0
-    literals_after = 0
-    branches_before = 0
-    branches_after = 0
-    for state in range(len(automaton)):
-        branches_before += len(automaton.out(state))
-        observed = care_sets.get(automaton.name_of(state)) \
-            if care_sets is not None else None
-        simplified = simplified_state_covers(automaton, state, engine,
-                                             ordered, observed)
-        original = baseline_literals(automaton, state, ordered)
-        rewritten = sum(cover_literals(cover)
-                        for cover, _, _ in simplified)
-        literals_before += original
-        if rewritten < original or (rewritten == original and
-                                    len(simplified)
-                                    < len(automaton.out(state))):
-            literals_after += rewritten
-            branches_after += len(simplified)
-            src = automaton.name_of(state)
-            for cover, dst, actions in simplified:
-                builder.add_transition(
-                    src, automaton.name_of(dst),
-                    guard_cover=tuple(
-                        tuple((name_of(v), positive) for v, positive in cube)
-                        for cube in cover),
-                    actions=symbols.names_of(actions))
-        else:
-            # never pessimize: keep the state's original cascade
-            literals_after += original
-            branches_after += len(automaton.out(state))
-            src = automaton.name_of(state)
-            for t in automaton.out(state):
-                if t.guard is not None:
-                    builder.add_transition(
-                        src, automaton.name_of(t.dst),
-                        guard_cover=automaton.named_cover(t.guard),
-                        actions=symbols.names_of(t.actions))
-                else:
-                    builder.add_transition(
-                        src, automaton.name_of(t.dst),
-                        conditions=symbols.names_of(t.conditions),
-                        actions=symbols.names_of(t.actions))
-
-    if report is not None:
-        report.update(literals_before=literals_before,
-                      literals_after=literals_after,
-                      branches_before=branches_before,
-                      branches_after=branches_after)
-    initial = None
-    if automaton.initial is not None:
-        initial = automaton.name_of(automaton.initial)
-    return builder.build(initial=initial)

@@ -12,7 +12,8 @@ stg             schedule                                        stg_full, stg, m
 communication   schedule, arch, comm_options                    plan
 hls             graph, partition, arch                          hls_results
 controllers     graph, stg, partition, hls_results, arch        controller, ioc, dpcs, ...
-codegen         graph, partition, schedule, plan, ctrls, hls    vhdl_files, c_files, netlist
+verify          stg, controller, graph                          composition_check
+codegen         graph, partition, schedule, plan, ctrls, hls    vhdl_files, c_files, ...
 cosim           graph, partition, schedule, plan, ctrl, stimuli sim_result
 =============== =============================================== ==========================
 
@@ -102,15 +103,14 @@ class FlowResult:
     c_files: dict[str, str]
     netlist: Netlist
     sim_result: SimResult | None
-    #: Product-of-controllers vs minimized-STG equivalence evidence
-    #: (None when the flow ran with ``verify_composition=False``).
-    composition_check: CompositionCheck | None = None
+    #: Product-of-controllers vs minimized-STG equivalence evidence.
+    composition_check: CompositionCheck
     #: Guard-simplification evidence of the codegen stage: VHDL guard
     #: literal counts before/after and whether reachability care sets
-    #: were harvested (None when ``simplify_guards=False``).
-    guard_report: dict | None = None
+    #: were harvested.
+    guard_report: dict
+    design_time: DesignTimeReport
     stage_seconds: dict[str, float] = field(default_factory=dict)
-    design_time: DesignTimeReport | None = None
     #: How often each pipeline stage actually executed during this run
     #: (0 = served entirely from the stage cache).
     stage_runs: dict[str, int] = field(default_factory=dict)
@@ -147,23 +147,21 @@ class FlowResult:
         for resource, clbs in self.clbs_per_fpga.items():
             cap = self.arch.fpga(resource).clb_capacity
             lines.append(f"hardware {resource}: {clbs}/{cap} CLBs")
-        if self.composition_check is not None:
-            check = self.composition_check
-            verdict = "equivalent" if check.equivalent \
-                else "MISMATCH: " + "; ".join(check.mismatches)
-            lines.append(f"verified composition: controllers x STG "
-                         f"{verdict} (symbolic fixpoint, "
-                         f"{check.product_states} product states, "
-                         f"{check.projections_checked} projections, "
-                         f"streamed restarts included)")
-        if self.guard_report is not None:
-            before = self.guard_report["guard_literals_before"]
-            after = self.guard_report["guard_literals_after"]
-            saved = f" (-{1 - after / before:.0%})" if before else ""
-            care = "reachability don't-cares" \
-                if self.guard_report["care_sets"] else "structural only"
-            lines.append(f"guard simplification: {before} -> {after} VHDL "
-                         f"guard literals{saved}, {care}")
+        check = self.composition_check
+        verdict = "equivalent" if check.equivalent \
+            else "MISMATCH: " + "; ".join(check.mismatches)
+        lines.append(f"verified composition: controllers x STG "
+                     f"{verdict} (symbolic fixpoint, "
+                     f"{check.product_states} product states, "
+                     f"{check.projections_checked} projections, "
+                     f"streamed restarts included)")
+        before = self.guard_report["guard_literals_before"]
+        after = self.guard_report["guard_literals_after"]
+        saved = f" (-{1 - after / before:.0%})" if before else ""
+        care = "reachability don't-cares" \
+            if self.guard_report["care_sets"] else "structural only"
+        lines.append(f"guard simplification: {before} -> {after} VHDL "
+                     f"guard literals{saved}, {care}")
         lines.append(f"generated: {len(self.vhdl_files)} VHDL files, "
                      f"{len(self.c_files)} C files, netlist with "
                      f"{len(self.netlist.components)} components / "
@@ -171,10 +169,9 @@ class FlowResult:
         if self.sim_result is not None:
             lines.append(f"co-simulation: {self.sim_result.cycles} cycles, "
                          f"bus busy {self.sim_result.bus_busy_ticks}")
-        if self.design_time is not None:
-            lines.append(f"design time: {self.design_time.total_s / 60:.1f} "
-                         f"min total, {self.design_time.hw_fraction:.0%} in "
-                         f"hardware synthesis")
+        lines.append(f"design time: {self.design_time.total_s / 60:.1f} "
+                     f"min total, {self.design_time.hw_fraction:.0%} in "
+                     f"hardware synthesis")
         if self.cache_stats is not None and "l2" in self.cache_stats:
             l1, l2 = self.cache_stats["l1"], self.cache_stats["l2"]
             lines.append(
@@ -255,23 +252,19 @@ def _stage_codegen(ctx: FlowContext) -> dict[str, Any]:
     arch: TargetArchitecture = ctx.get("arch")
     hls_results = ctx.get("hls_results")
     controller = ctx.get("controller")
-    simplify = ctx.get("simplify_guards")
     care_sets: dict = {}
     care_reason: str | None = None
-    if simplify:
-        try:
-            care_sets = harvest_care_sets(controller)
-        except AutomataError as exc:
-            # structural simplification still applies; only the
-            # reachability don't-cares are lost
-            care_reason = str(exc)
+    try:
+        care_sets = harvest_care_sets(controller)
+    except AutomataError as exc:
+        # structural simplification still applies; only the
+        # reachability don't-cares are lost
+        care_reason = str(exc)
     vhdl_files: dict[str, str] = {}
     literals_before = 0
 
     def emit(fsm) -> str:
         nonlocal literals_before
-        if not simplify:
-            return fsm_to_vhdl(fsm)
         literals_before += fsm_guard_literals(fsm)
         return fsm_to_vhdl(fsm, simplify=True,
                            care_of=care_sets.get(fsm.name))
@@ -282,16 +275,14 @@ def _stage_codegen(ctx: FlowContext) -> dict[str, Any]:
     vhdl_files["arbiter.vhd"] = emit(ctx.get("arbiter").to_fsm())
     for resource, dpc in ctx.get("datapath_controllers").items():
         vhdl_files[f"dpc_{resource}.vhd"] = emit(dpc.fsm)
-    guard_report: dict[str, Any] | None = None
-    if simplify:
-        guard_report = {
-            "simplified": True,
-            "care_sets": not care_reason,
-            "care_fallback": care_reason,
-            "guard_literals_before": literals_before,
-            "guard_literals_after": sum(guard_literal_count(text)
-                                        for text in vhdl_files.values()),
-        }
+    guard_report = {
+        "simplified": True,
+        "care_sets": not care_reason,
+        "care_fallback": care_reason,
+        "guard_literals_before": literals_before,
+        "guard_literals_after": sum(guard_literal_count(text)
+                                    for text in vhdl_files.values()),
+    }
     for resource, hls in hls_results.items():
         if hls.shared_rtl is not None and hls.node_results:
             vhdl_files[f"dp_{resource}.vhd"] = datapath_to_vhdl(hls.shared_rtl)
@@ -351,7 +342,7 @@ def build_flow_stages() -> list[Stage]:
         Stage("codegen",
               ("graph", "partition", "schedule", "plan", "controller",
                "io_controller", "datapath_controllers", "arbiter",
-               "hls_results", "arch", "simplify_guards"),
+               "hls_results", "arch"),
               ("vhdl_files", "c_files", "netlist", "guard_report"),
               _stage_codegen),
         Stage("cosim",
@@ -415,27 +406,13 @@ class CoolFlow:
                  partitioner: Partitioner | None = None,
                  reuse_memory: bool = True,
                  allow_direct_comm: bool = True,
-                 design_time_model: DesignTimeModel | None = None,
                  stage_cache: CacheTier | None = None,
-                 verify_composition: bool = True,
-                 simplify_guards: bool = True,
                  store_path: "str | None" = None) -> None:
         self.arch = arch
         self.partitioner = partitioner if partitioner is not None \
             else self.default_partitioner()
         self.reuse_memory = reuse_memory
         self.allow_direct_comm = allow_direct_comm
-        #: Run the ``verify`` stage (product-of-controllers vs minimized
-        #: STG equivalence) as part of every flow.
-        self.verify_composition = verify_composition
-        #: Route the codegen stage's FSM cascades through the symbolic
-        #: guard engine (dead-branch pruning, same-successor merging,
-        #: reachability don't-cares from the composition product).
-        #: Part of the codegen stage's fingerprint, so toggling it
-        #: re-runs exactly that stage.
-        self.simplify_guards = simplify_guards
-        self.design_time_model = design_time_model if design_time_model \
-            is not None else DesignTimeModel()
         #: Shared across ``run`` calls of this flow (and across flows
         #: when one cache instance is passed to several of them).  With
         #: ``store_path=`` the cache is tiered over a persistent
@@ -470,8 +447,7 @@ class CoolFlow:
         ctx = FlowContext(graph=graph, arch=self.arch, deadline=deadline,
                           partitioner=self.partitioner,
                           comm_options=(self.reuse_memory,
-                                        self.allow_direct_comm),
-                          simplify_guards=self.simplify_guards)
+                                        self.allow_direct_comm))
 
         # HLS area feedback: partitioning works on the quick estimator;
         # if the *synthesized* datapath of a device overflows its CLB
@@ -519,11 +495,8 @@ class CoolFlow:
 
         # co-synthesis of the converged schedule: STG construction,
         # communication refinement, controllers, code generation.
-        requested = ["minimization", "plan", "vhdl_files", "c_files",
-                     "netlist"]
-        if self.verify_composition:
-            requested.append("composition_check")
-        executor.request(ctx, requested)
+        executor.request(ctx, ["minimization", "plan", "vhdl_files",
+                               "c_files", "netlist", "composition_check"])
 
         sim_result: SimResult | None = None
         if stimuli is not None:
@@ -535,10 +508,10 @@ class CoolFlow:
         c_files: dict[str, str] = ctx.get("c_files")
         design_time = DesignTimeReport(
             measured_stages=dict(executor.stage_seconds))
-        design_time.hw_synthesis_s = self.design_time_model.hardware_seconds(
+        model = DesignTimeModel()
+        design_time.hw_synthesis_s = model.hardware_seconds(
             {r: h.total_area_clbs for r, h in hls_results.items()})
-        design_time.sw_compile_s = self.design_time_model.software_seconds(
-            len(c_files))
+        design_time.sw_compile_s = model.software_seconds(len(c_files))
 
         # the top-level dict artifacts (and partition stats) are copied
         # so the common caller mutations cannot corrupt the stage cache;
@@ -559,8 +532,7 @@ class CoolFlow:
             vhdl_files=dict(ctx.get("vhdl_files")), c_files=dict(c_files),
             netlist=ctx.get("netlist"),
             sim_result=sim_result,
-            composition_check=ctx.get("composition_check")
-            if self.verify_composition else None,
+            composition_check=ctx.get("composition_check"),
             guard_report=ctx.get("guard_report"),
             stage_seconds=dict(executor.stage_seconds),
             design_time=design_time,

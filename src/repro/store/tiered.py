@@ -44,7 +44,9 @@ __all__ = ["CacheTier", "PersistentCache", "TieredCache",
 #: refuses a cross-version decode).  Bump when the output serialization
 #: or the fingerprint definition changes incompatibly.  Version 2:
 #: ``CompositionCheck`` dropped its sampled-tier, BDD and fallback fields.
-PIPELINE_CACHE_SCHEMA = 2
+#: Version 3: ``Transition`` dropped its ``guard`` slot (pickled ``Stg``
+#: outputs carry their cached kernel automaton).
+PIPELINE_CACHE_SCHEMA = 3
 
 #: Highest pickle protocol guaranteed on every supported interpreter;
 #: pinned so records written by different Python patch versions stay

@@ -1,42 +1,36 @@
-"""Symbolic guard engine: hash-consed BDDs + two-level covers.
+"""Symbolic boolean algebra: hash-consed BDDs + two-level covers.
 
-The kernel's transition guards were historically flat conjunctions of
-positive literals; this package is the algebra that lets them grow into
-arbitrary boolean functions without giving up canonicity:
+Kernel transition guards are conjunctions of positive literals
+(:attr:`repro.automata.Transition.conditions`); this package is the
+algebra the two symbolic consumers build on:
 
 * :mod:`repro.symbolic.bdd` -- a hash-consed ROBDD engine over interned
   signal IDs (fixed ascending variable order, memoized ``ite``), so
-  semantically equal guards are pointer-equal and implication /
+  semantically equal functions are pointer-equal and implication /
   tautology are cheap;
 * :mod:`repro.symbolic.cover` -- ESPRESSO-lite two-level covers
   (Minato-Morreale ISOP, expand, irredundant) for emitting compact
   sum-of-products expressions;
-* :mod:`repro.symbolic.guards` -- the :class:`Guard` value kernel
-  transitions carry on the non-plain path;
 * :mod:`repro.symbolic.relation` -- quantification, variable-pairing
   substitution and the ``and_exists`` relational product with
   early-quantification image scheduling, the substrate of the symbolic
   verification tier (:mod:`repro.automata.symbolic`).
 
-Integration with the automaton kernel lives in
-:mod:`repro.automata.simplify` (guard-merging minimization and
-don't-care simplification) and :mod:`repro.codegen.vhdl` (factored
-guard rendering).
+The one guard rewrite lives at VHDL emission:
+:func:`repro.codegen.fsm_to_vhdl` with ``simplify=True`` re-covers each
+state's cascade through :mod:`repro.automata.simplify`.
 """
 
 from .bdd import FALSE, TRUE, BddEngine, BddError
 from .cover import (Cube, cover_literals, cover_node, cube_node,
-                    expand_cubes, irredundant_cover, isop, minimal_cover,
-                    render_cover)
-from .guards import Guard, guard_from_cover, plain_cube
+                    expand_cubes, irredundant_cover, isop, minimal_cover)
 from .relation import (VariablePairing, and_exists, exists, forall,
                        reachable_states, relational_image, rename)
 
 __all__ = [
     "FALSE", "TRUE", "BddEngine", "BddError",
     "Cube", "cover_literals", "cover_node", "cube_node", "expand_cubes",
-    "irredundant_cover", "isop", "minimal_cover", "render_cover",
-    "Guard", "guard_from_cover", "plain_cube",
+    "irredundant_cover", "isop", "minimal_cover",
     "VariablePairing", "and_exists", "exists", "forall",
     "reachable_states", "relational_image", "rename",
 ]

@@ -12,7 +12,7 @@ onset ``L`` and an upper bound ``U = L or dont_care`` is acceptable:
   literals from each cube while it stays inside ``U``;
 * :func:`irredundant_cover` -- ESPRESSO's *irredundant* step: drop
   whole cubes while the remainder still covers ``L``;
-* :func:`minimal_cover` -- the pipeline the guard machinery calls.
+* :func:`minimal_cover` -- the pipeline the VHDL guard rewrite calls.
 
 The cover algorithms are deterministic: cubes and literals are always
 visited in sorted order, so two runs over equal inputs emit equal
@@ -21,13 +21,12 @@ covers (fingerprints and generated VHDL must not flap between runs).
 
 from __future__ import annotations
 
-from typing import Callable, Iterable
+from typing import Iterable
 
 from .bdd import FALSE, TRUE, BddEngine
 
 __all__ = ["Cube", "cube_node", "cover_node", "isop", "expand_cubes",
-           "irredundant_cover", "minimal_cover", "cover_literals",
-           "render_cover"]
+           "irredundant_cover", "minimal_cover", "cover_literals"]
 
 #: One product term: sorted ``(variable, polarity)`` literals.
 Cube = tuple[tuple[int, bool], ...]
@@ -158,20 +157,3 @@ def cover_literals(cubes: Iterable[Cube]) -> int:
     """Total literal count of a cover (the emitter's cost metric)."""
     return sum(len(cube) for cube in cubes)
 
-
-def render_cover(cubes: Iterable[Cube],
-                 name_of: Callable[[int], str],
-                 negate: str = "!") -> str:
-    """Deterministic text form, e.g. ``a&!b | c`` (debug / labels)."""
-    cubes = tuple(cubes)
-    if not cubes:
-        return "0"
-    terms = []
-    for cube in cubes:
-        if not cube:
-            terms.append("1")
-            continue
-        terms.append("&".join(
-            (name_of(var) if positive else negate + name_of(var))
-            for var, positive in cube))
-    return " | ".join(terms)

@@ -175,93 +175,3 @@ class TestTauChainCompression:
         c.add_transition("d1", "d1")
         result = weak_bisimilar(lhs, c.build())
         assert result.bisimilar
-
-
-class TestGuardedObservation:
-    def test_parallel_guarded_edges_merge_by_disjunction(self):
-        def one_sided(split):
-            b = AutomatonBuilder("g")
-            b.add_state("s0")
-            b.add_state("s1")
-            b.add_transition("s0", "s0")
-            if split:
-                # two parallel edges a&!b / b&!a ...
-                b.add_transition("s0", "s1", actions=("x",),
-                                 guard_cover=[(("a", True), ("b", False))])
-                b.add_transition("s0", "s1", actions=("x",),
-                                 guard_cover=[(("a", False), ("b", True))])
-            else:
-                # ... vs their disjunction as one edge
-                b.add_transition("s0", "s1", actions=("x",),
-                                 guard_cover=[(("a", True), ("b", False)),
-                                              (("a", False), ("b", True))])
-            b.add_transition("s1", "s1")
-            return b.build()
-
-        result = weak_bisimilar(one_sided(True), one_sided(False))
-        assert result.bisimilar
-
-    def test_labels_canonical_across_covers_and_interning_orders(self):
-        # same guard function, different stored cover (one carries a
-        # redundant subsumed cube) and different interning order: the
-        # observation labels must still line up
-        def machine(redundant, flip):
-            b = AutomatonBuilder("canon")
-            b.add_state("s0")
-            b.add_state("s1")
-            b.add_transition("s0", "s0")
-            if flip:  # intern b before a (different variable order)
-                b.add_transition("s1", "s1", conditions=("b", "a"))
-            cover = [(("a", True), ("b", False))]
-            if redundant:
-                cover.append((("a", True), ("b", False), ("c", True)))
-            b.add_transition("s0", "s1", actions=("x",), guard_cover=cover)
-            if not flip:
-                b.add_transition("s1", "s1", conditions=("b", "a"))
-            return b.build()
-
-        result = weak_bisimilar(machine(True, flip=False),
-                                machine(False, flip=True))
-        assert result.bisimilar, result.counterexample
-
-    def test_labels_canonical_on_wide_support_guards(self):
-        # 12 support variables: canonicalization must not fall back to
-        # the stored (non-canonical) cover above some support cap
-        signals = [f"v{index:02d}" for index in range(12)]
-        wide = tuple((signal, True) for signal in signals)
-
-        def machine(redundant):
-            b = AutomatonBuilder("wide")
-            b.add_state("s0")
-            b.add_state("s1")
-            b.add_transition("s0", "s0")
-            cover = [wide[:6] + ((signals[6], False),),
-                     wide[6:] + ((signals[0], False),)]
-            if redundant:
-                cover.append(wide[:6] + ((signals[6], False),
-                                         (signals[7], True)))
-            b.add_transition("s0", "s1", actions=("x",), guard_cover=cover)
-            b.add_transition("s1", "s1")
-            return b.build()
-
-        result = weak_bisimilar(machine(True), machine(False))
-        assert result.bisimilar, result.counterexample
-
-    def test_subsumed_guarded_edge_is_skipped(self):
-        def machine(extra_subsumed):
-            b = AutomatonBuilder("sub")
-            b.add_state("s0")
-            b.add_state("s1")
-            b.add_transition("s0", "s0")
-            b.add_transition("s0", "s1", actions=("x",),
-                             guard_cover=[(("a", True),), (("b", True),)])
-            if extra_subsumed:
-                # a&!b implies a|b: adds nothing observable (stays
-                # guard-backed thanks to the negated literal)
-                b.add_transition("s0", "s1", actions=("x",),
-                                 guard_cover=[(("a", True), ("b", False))])
-            b.add_transition("s1", "s1")
-            return b.build()
-
-        result = weak_bisimilar(machine(True), machine(False))
-        assert result.bisimilar

@@ -4,7 +4,7 @@ import pytest
 
 from repro.apps import four_band_equalizer, fuzzy_controller
 from repro.codegen import check_vhdl
-from repro.flow import CoolFlow, DesignTimeModel
+from repro.flow import CoolFlow
 from repro.graph import execute
 from repro.partition import GreedyPartitioner, MilpPartitioner
 from repro.platform import cool_board, minimal_board
@@ -123,16 +123,6 @@ class TestFlowVariants:
         for text in result.vhdl_files.values():
             assert check_vhdl(text) == []
 
-    def test_guard_simplification_opt_out(self):
-        graph = four_band_equalizer(words=8)
-        result = CoolFlow(minimal_board(), simplify_guards=False).run(graph)
-        assert result.guard_report is None
-        # baseline cascades spell every repeated wait out
-        on = CoolFlow(minimal_board()).run(graph)
-        from repro.codegen import guard_literal_count
-        assert sum(map(guard_literal_count, result.vhdl_files.values())) > \
-            sum(map(guard_literal_count, on.vhdl_files.values()))
-
 
 class TestFuzzyCaseStudy:
     """The Section 3 experiment in miniature (the benchmark runs more)."""
@@ -152,8 +142,7 @@ class TestFuzzyCaseStudy:
     def test_design_time_shape_matches_paper(self):
         """<= ~60 min total, > 90 % in hardware synthesis."""
         graph = fuzzy_controller()
-        flow = CoolFlow(cool_board(), partitioner=GreedyPartitioner(),
-                        design_time_model=DesignTimeModel())
+        flow = CoolFlow(cool_board(), partitioner=GreedyPartitioner())
         result = flow.run(graph)
         if result.partition_result.partition.hw_nodes():
             assert result.design_time.total_s <= 75 * 60

@@ -118,6 +118,16 @@ class TestPersistentCache:
         assert PersistentCache(store, schema=1).get("stg", ("sig",)) \
             == OUTPUTS
 
+    def test_previous_schema_records_miss_without_quarantine(self, store):
+        # version-2 records pickled Transition objects with a guard slot;
+        # the current reader must look past them, never try to decode them
+        PersistentCache(store, schema=PIPELINE_CACHE_SCHEMA - 1).put(
+            "stg", ("sig",), OUTPUTS)
+        current = PersistentCache(store)
+        assert current.get("stg", ("sig",)) is None
+        assert current.misses == 1
+        assert store.quarantined == 0
+
     def test_schema_is_folded_into_the_key(self):
         assert cache_key("stg", ("sig",), schema=1) != \
             cache_key("stg", ("sig",), schema=2)

@@ -6,9 +6,8 @@ import random
 import pytest
 
 from repro.symbolic import (FALSE, TRUE, BddEngine, BddError, cover_literals,
-                            cover_node, expand_cubes, guard_from_cover,
-                            irredundant_cover, isop, minimal_cover,
-                            plain_cube, render_cover)
+                            cover_node, expand_cubes, irredundant_cover, isop,
+                            minimal_cover)
 
 
 def minterm_node(engine, row):
@@ -158,33 +157,3 @@ class TestCovers:
         cover = minimal_cover(e, onset, dc)
         assert cover == (((0, True),),)
         assert cover_literals(cover) == 1
-
-    def test_render_cover(self):
-        names = {0: "a", 1: "b"}.get
-        assert render_cover([((0, True), (1, False))], names) == "a&!b"
-        assert render_cover([], names) == "0"
-        assert render_cover([()], names) == "1"
-
-
-class TestGuard:
-    def test_plain_cube_detection(self):
-        assert plain_cube([((0, True), (2, True))]) == (0, 2)
-        assert plain_cube([()]) == ()
-        assert plain_cube([((0, False),)]) is None
-        assert plain_cube([((0, True),), ((1, True),)]) is None
-
-    def test_guard_eval_and_implication(self):
-        e = BddEngine()
-        g1 = guard_from_cover(e, [((0, True), (1, False))])
-        g2 = guard_from_cover(e, [((0, True),)])
-        assert g1.eval({0}) and not g1.eval({0, 1})
-        assert g1.implies(g2) and not g2.implies(g1)
-        assert g1.support() == frozenset({0, 1})
-
-    def test_guard_fingerprint_via_names(self):
-        e = BddEngine()
-        g = guard_from_cover(e, [((0, True),), ((1, True),)])
-        names = {0: "x", 1: "y"}
-        e2 = BddEngine()
-        h = guard_from_cover(e2, [((1, True),), ((0, True),)])
-        assert g.fingerprint(names.get) == h.fingerprint(names.get)

@@ -319,14 +319,6 @@ class TestVerifyFlowStage:
         assert warm.composition_check.equivalent
         assert warm.stage_runs.get("verify", 0) == 0
 
-    def test_opt_out(self):
-        graph = four_band_equalizer(words=8)
-        flow = CoolFlow(minimal_board(), partitioner=GreedyPartitioner(),
-                        verify_composition=False)
-        result = flow.run(graph)
-        assert result.composition_check is None
-        assert result.stage_runs.get("verify", 0) == 0
-
 
 class TestObservableClassDeterminism:
     """Pin: the symbolic verdict must not depend on hash order.

@@ -13,10 +13,18 @@ must hold:
   depends on it -- are rejected by both, each with a counterexample
   trace.
 
+A third property drives the production emitter the codegen stage
+runs: every FSM of the synthesized controller, emitted with
+``fsm_to_vhdl(simplify=True)`` over its harvested care sets, must pass
+the VHDL checker, spend no more guard literals than the default
+emission, and step like ``Fsm.step`` on every harvested valuation of
+every state.
+
 Each example synthesizes and proves a whole design several times, so
 the properties take a fifth of the active hypothesis profile's budget
-(``tests/conftest.py``: 20 examples under ``dev``, 120 under ``ci``).  The ``@example`` rows pin degenerate shapes: a single-node
-chain, round-robin units, and every node on one unit.
+(``tests/conftest.py``: 20 examples under ``dev``, 120 under ``ci``).
+The ``@example`` rows pin degenerate shapes: a single-node chain,
+round-robin units, and every node on one unit.
 """
 
 import random
@@ -24,6 +32,10 @@ import random
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+from test_codegen import _case_arm, _interpret_arm
+
+from repro.codegen import (check_vhdl, fsm_guard_literals, fsm_to_vhdl,
+                           guard_literal_count)
 from repro.controllers import (Fsm, SystemController, harvest_care_sets,
                                synthesize_system_controller,
                                verify_composition)
@@ -183,3 +195,27 @@ def test_seeded_mutations_are_rejected_by_both(spec, board, mapping,
             check.mismatches
         assert any(" possible only in " in m
                    for m in reference.mismatches), reference.mismatches
+
+
+@PROPERTY
+@given(spec=specs, board=boards, mapping=mappings)
+@example(spec=ChainSpec(seed=0, length=1), board="minimal", mapping=0)
+@example(spec=ForkJoinSpec(seed=1, branches=3, depth=1), board="cool",
+         mapping="round_robin")
+@example(spec=TreeSpec(seed=2, depth=2, arity=2), board="cool",
+         mapping="one_unit")
+def test_care_set_emission_steps_like_the_fsm(spec, board, mapping):
+    _graph, _stg, controller = implement(spec, board, mapping)
+    care = harvest_care_sets(controller)
+    for fsm in controller.fsms:
+        observed = care[fsm.name]
+        text = fsm_to_vhdl(fsm, simplify=True, care_of=observed)
+        assert check_vhdl(text) == [], text
+        assert guard_literal_count(text) <= fsm_guard_literals(fsm)
+        for state in fsm.states:
+            arm = _case_arm(text, state)
+            for valuation in observed.get(state, ()):
+                want_next, want_out = fsm.step(state, set(valuation))
+                got = _interpret_arm(arm, set(valuation), state)
+                assert (want_next, set(want_out)) == got, \
+                    (fsm.name, state, sorted(valuation))
