@@ -10,7 +10,10 @@ of (a) the disabled fast path and (b) a fully-collected trace.  Writes
   instrumented (``activate(Tracer())``) vs uninstrumented
   (``activate(None)``), interleaved best-of-N so machine drift hits
   both arms equally.  Traced wall-clock must be within
-  ``OVERHEAD_GATE`` (5%) of untraced;
+  ``OVERHEAD_GATE`` (5%) of untraced.  The traced arm also holds the
+  enforced ``stage_clock_agrees`` gate: per stage, the ``stage_seconds``
+  the flows report, summed over the sweep, equal the durations of the
+  traced ``stage`` spans -- one clock, so exactly equal;
 * ``sharded_trace`` -- a store-backed ``map_reduce_sweep`` (4 shards)
   under an active tracer: the merged trace must contain in-worker spans
   from >= 2 distinct worker processes, every job span re-parented under
@@ -64,7 +67,8 @@ def _jobs(n_designs: int, seed: int):
 
 
 def _serial_pass(n_designs: int, seed: int, tracer):
-    """One serial sweep under ``tracer`` (None = explicitly untraced)."""
+    """One serial sweep under ``tracer`` (None = explicitly untraced):
+    its seconds, and its :func:`stage_clock` when traced."""
     jobs = _jobs(n_designs, seed)  # fresh jobs: no cross-pass caching
     runner = BatchRunner(backend="serial")
     started = time.perf_counter()
@@ -72,17 +76,48 @@ def _serial_pass(n_designs: int, seed: int, tracer):
         outcomes = runner.run(jobs)
     seconds = time.perf_counter() - started
     assert all(o.ok for o in outcomes)
-    return seconds
+    return seconds, (stage_clock(outcomes, tracer)
+                     if tracer is not None else None)
+
+
+def stage_clock(outcomes, tracer) -> dict[str, dict[str, float]]:
+    """Per stage: ``stage_seconds`` summed over the sweep's flows, and
+    the traced ``stage`` span durations summed the same way (per flow
+    in span order, then over the flows in job order)."""
+    spans = tracer.spans()
+    flows = [s for s in spans if s.kind == "flow"]
+    assert len(flows) == len(outcomes)
+    reported: dict[str, float] = {}
+    traced: dict[str, float] = {}
+    for flow, outcome in zip(flows, outcomes):
+        assert flow.attributes["graph"] == outcome.result.graph.name
+        per_flow: dict[str, float] = {}
+        for entry in spans:
+            if entry.kind == "stage" and entry.parent_id == flow.span_id:
+                per_flow[entry.name] = \
+                    per_flow.get(entry.name, 0.0) + entry.duration
+        for stage, seconds in per_flow.items():
+            traced[stage] = traced.get(stage, 0.0) + seconds
+        for stage, seconds in outcome.result.stage_seconds.items():
+            reported[stage] = reported.get(stage, 0.0) + seconds
+    return {stage: {"stage_seconds": reported.get(stage),
+                    "traced": traced.get(stage)}
+            for stage in sorted(set(reported) | set(traced))}
 
 
 def measure_overhead(n_designs: int, seed: int) -> dict:
     """Interleaved traced/untraced serial sweeps, best-of-N each arm."""
-    untraced, traced, span_counts = [], [], []
+    untraced, traced, span_counts, clocks = [], [], [], []
     for _ in range(REPEATS):
-        untraced.append(_serial_pass(n_designs, seed, None))
+        untraced.append(_serial_pass(n_designs, seed, None)[0])
         tracer = Tracer()
-        traced.append(_serial_pass(n_designs, seed, tracer))
+        seconds, clock = _serial_pass(n_designs, seed, tracer)
+        traced.append(seconds)
         span_counts.append(len(tracer))
+        clocks.append(clock)
+    disagreeing = sorted({stage for clock in clocks
+                          for stage, row in clock.items()
+                          if row["stage_seconds"] != row["traced"]})
     best_untraced, best_traced = min(untraced), min(traced)
     overhead = (best_traced - best_untraced) / best_untraced
     return {
@@ -95,6 +130,15 @@ def measure_overhead(n_designs: int, seed: int) -> dict:
         "spans_per_traced_pass": span_counts[0],
         "overhead": round(overhead, 6),
         "gate": OVERHEAD_GATE,
+        "stage_clock_agrees": {
+            "enforced": True,
+            "traced_passes": len(clocks),
+            "disagreeing_stages": disagreeing,
+            "agrees": not disagreeing,
+            "stages": {stage: {key: round(value, 6)
+                               for key, value in row.items()}
+                       for stage, row in clocks[0].items()},
+        },
     }
 
 
@@ -155,6 +199,10 @@ def check(payload: dict) -> None:
          f"{gate['gate']:.0%} gate")
     assert gate["spans_per_traced_pass"] > gate["designs"], \
         "a traced pass must collect at least one span per job"
+    clock = gate["stage_clock_agrees"]
+    assert clock["agrees"], \
+        (f"stage_seconds disagree with the traced stage spans for "
+         f"{clock['disagreeing_stages']}")
     trace = payload["sharded_trace"]
     assert len(trace["worker_pids"]) >= 2, \
         (f"the merged trace must carry in-worker spans from >= 2 worker "
@@ -181,6 +229,11 @@ def report(payload: dict) -> str:
                  f"({gate['spans_per_traced_pass']} spans)")
     lines.append(f"  overhead         : {gate['overhead']:+.2%} "
                  f"(gate <= {gate['gate']:.0%})")
+    clock = gate["stage_clock_agrees"]
+    lines.append(f"  stage clock      : stage_seconds == traced stage spans"
+                 f" = {clock['agrees']} over "
+                 f"{len(clock['stages'])} stages, "
+                 f"{clock['traced_passes']} traced passes")
     lines.append(f"  sharded trace    : {trace['spans']} spans, kinds "
                  f"{trace['kinds']}")
     lines.append(f"  worker processes : {len(trace['worker_pids'])} "

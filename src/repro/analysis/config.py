@@ -162,9 +162,9 @@ OBS_MODULE_NAME = "obs"
 #: nondeterministic by construction.  OBS501 bans these names from
 #: fingerprint-reachable and stage-body code -- instrumentation must
 #: wrap the pipeline from the outside (executor, flow driver, batch
-#: runner), never sit inside what a fingerprint can see.  The metrics
-#: half (``MetricsRegistry`` and friends) is timestamp-free and is
-#: deliberately NOT listed.
+#: runner), never sit inside what a fingerprint can see.  The event
+#: counters (``Counter``) are timestamp-free and deliberately NOT
+#: listed.
 OBS_TRACING_NAMES = frozenset({
     "span", "record", "Span", "Tracer", "activate", "current_tracer",
     "tracing_active",

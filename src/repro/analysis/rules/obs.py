@@ -12,8 +12,8 @@ pipeline stage bodies, no name imported from the tracing API
 (:data:`~repro.analysis.config.OBS_TRACING_NAMES`) may be called.
 Instrumentation belongs *around* the pipeline -- the executor, the flow
 driver, the batch runner, the store -- never inside what a fingerprint
-can see.  The metrics API (``MetricsRegistry`` and friends) is
-timestamp-free and deliberately exempt, as is the obs package itself
+can see.  The event counters (``Counter``) are timestamp-free and
+deliberately exempt, as is the obs package itself
 (:data:`~repro.analysis.config.OBS_EXEMPT_PATHS`).
 """
 

@@ -2,8 +2,7 @@
 
 from ..store import (ArtifactStore, PersistentCache, TieredCache)
 from .pipeline import (CacheTier, FlowContext, PipelineError,
-                       PipelineExecutor, Stage, StageCache, fingerprint_of,
-                       stage_timer)
+                       PipelineExecutor, Stage, StageCache, fingerprint_of)
 from .cool import CoolFlow, FlowResult, build_flow_stages, \
     select_eviction_victim
 from .batch import (BatchRunner, DesignPoint, DesignSpaceExplorer,
@@ -18,7 +17,7 @@ from .timing import (DesignTimeModel, DesignTimeReport,
 __all__ = ["CoolFlow", "FlowResult", "build_flow_stages",
            "select_eviction_victim", "DesignTimeModel", "DesignTimeReport",
            "SYNTHESIS_SECONDS_PER_CLB", "Stage", "FlowContext",
-           "PipelineExecutor", "PipelineError", "StageCache", "stage_timer",
+           "PipelineExecutor", "PipelineError", "StageCache",
            "fingerprint_of", "BatchRunner", "FlowJob", "JobOutcome",
            "DesignPoint", "ExplorationResult", "DesignSpaceExplorer",
            "payload_check", "design_point_of",

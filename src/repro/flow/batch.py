@@ -51,7 +51,6 @@ from __future__ import annotations
 import copy
 import os
 import pickle
-import time
 import warnings
 from dataclasses import dataclass, field
 from itertools import product
@@ -248,20 +247,21 @@ def _run_outcome(job: FlowJob, stage_cache: CacheTier | None = None,
                  job_timeout: float | None = None) -> JobOutcome:
     """Run one job with per-job failure isolation and the budget rule
     of ``BatchRunner(job_timeout=...)``: both backends run every job
-    through here."""
-    started = time.perf_counter()
-    try:
-        result = _run_job(job, stage_cache)
-    except Exception as exc:  # isolate failures per job
-        return JobOutcome(job, error=f"{type(exc).__name__}: {exc}",
-                          seconds=time.perf_counter() - started)
-    seconds = time.perf_counter() - started
-    if job_timeout is not None and seconds >= job_timeout:
-        return JobOutcome(job, seconds=seconds, error=(
+    through here, inside its one ``job`` span, whose duration is the
+    outcome's ``seconds``."""
+    with obs_span("job", kind="job", job=job.name) as job_span:
+        try:
+            result, error = _run_job(job, stage_cache), None
+        except Exception as exc:  # isolate failures per job
+            result, error = None, f"{type(exc).__name__}: {exc}"
+        job_span.set("ok", error is None)
+    seconds = job_span.duration
+    if error is None and job_timeout is not None and seconds >= job_timeout:
+        result, error = None, (
             f"TimeoutError: job exceeded {job_timeout}s budget (jobs are "
             f"non-preemptive: the job ran to completion in {seconds:.3f}s "
-            f"and its result was discarded)"))
-    return JobOutcome(job, result=result, seconds=seconds)
+            f"and its result was discarded)")
+    return JobOutcome(job, result=result, error=error, seconds=seconds)
 
 
 class BatchRunner:
@@ -371,11 +371,7 @@ class BatchRunner:
             return outcomes
         outcomes = []
         for done, job in enumerate(jobs, start=1):
-            with obs_span("job", kind="job", job=job.name,
-                          backend="serial") as job_span:
-                outcome = _run_outcome(job, self.stage_cache,
-                                       self.job_timeout)
-                job_span.set("ok", outcome.ok)
+            outcome = _run_outcome(job, self.stage_cache, self.job_timeout)
             outcomes.append(outcome)
             if progress is not None:
                 progress(outcome, done, len(jobs))

@@ -71,7 +71,7 @@ from ..stg.minimize import MinimizationReport, minimize_stg
 from ..stg.states import Stg
 from ..store import ArtifactStore, PersistentCache, TieredCache
 from .pipeline import (CacheTier, FlowContext, PipelineExecutor, Stage,
-                       StageCache, stage_timer)
+                       StageCache)
 from .timing import DesignTimeModel, DesignTimeReport
 
 __all__ = ["CoolFlow", "FlowResult", "build_flow_stages",
@@ -390,6 +390,23 @@ def select_eviction_victim(problem: PartitioningProblem,
     return fallback
 
 
+def _area_repair(ctx: FlowContext, problem: PartitioningProblem,
+                 hls: SharedDatapathResult, device: str, processor: str,
+                 repairs: int) -> dict[str, Any]:
+    """Partitioning outputs with one node evicted from ``device``."""
+    partition: Partition = ctx.get("partition")
+    node_areas = {name: hls.node_results[name].area_clbs
+                  for name in partition.nodes_on(device)}
+    _, partition, schedule, feasibility = select_eviction_victim(
+        problem, partition, device, node_areas, processor)
+    previous: PartitionResult = ctx.get("partition_result")
+    partition_result = PartitionResult(
+        partition, schedule, feasibility, previous.algorithm,
+        previous.runtime_s, {**previous.stats, "area_repairs": repairs})
+    return {"partition_result": partition_result, "partition": partition,
+            "schedule": schedule}
+
+
 class CoolFlow:
     """Configurable end-to-end driver (facade over the stage pipeline)."""
 
@@ -466,25 +483,11 @@ class CoolFlow:
                            > f.clb_capacity]
             if not overflowing or not self.arch.processors:
                 break
-            with stage_timer("partitioning", executor.stage_seconds):
-                worst = overflowing[0]
-                partition: Partition = ctx.get("partition")
-                node_areas = {
-                    name: hls_results[worst.name].node_results[name].area_clbs
-                    for name in partition.nodes_on(worst.name)}
-                victim, partition, schedule, feasibility = \
-                    select_eviction_victim(problem, partition, worst.name,
-                                           node_areas,
-                                           self.arch.processor_names[0])
-                repairs += 1
-                previous: PartitionResult = ctx.get("partition_result")
-                partition_result = PartitionResult(
-                    partition, schedule, feasibility, previous.algorithm,
-                    previous.runtime_s,
-                    {**previous.stats, "area_repairs": repairs})
-            ctx.put("partition_result", partition_result)
-            ctx.put("partition", partition)
-            ctx.put("schedule", schedule)
+            repairs += 1
+            worst = overflowing[0]
+            executor.refine(ctx, "partitioning", lambda ctx: _area_repair(
+                ctx, problem, hls_results[worst.name], worst.name,
+                self.arch.processor_names[0], repairs))
             if repairs > len(graph):
                 raise RuntimeError("HLS area repair failed to converge")
         if repairs:

@@ -32,42 +32,24 @@ executor relies on that contract -- fingerprints are computed once at
 from __future__ import annotations
 
 import threading
-import time
 import weakref
 from itertools import count
 from collections import OrderedDict
-from contextlib import contextmanager
 from dataclasses import dataclass, fields, is_dataclass
 from enum import Enum
-from typing import Any, Callable, Iterable, Iterator, Mapping
+from typing import Any, Callable, Iterable, Mapping
 
 from ..fingerprint import content_hash
-from ..obs import MetricsRegistry
+from ..obs import Counter
 from ..obs import span as obs_span
 from ..store.tiered import CacheTier
 
-__all__ = ["PipelineError", "stage_timer", "fingerprint_of", "Stage",
+__all__ = ["PipelineError", "fingerprint_of", "Stage",
            "FlowContext", "StageCache", "CacheTier", "PipelineExecutor"]
 
 
 class PipelineError(RuntimeError):
     """Raised for malformed pipelines: missing inputs, bad stage outputs."""
-
-
-@contextmanager
-def stage_timer(stage: str, sink: dict[str, float]) -> Iterator[None]:
-    """Accumulate the wall-clock seconds of the ``with`` body into ``sink``.
-
-    Repeated entries for the same stage add up, so a driver loop that
-    revisits a stage reports the total time spent in it -- the same
-    semantics the old ad-hoc ``_Timer`` inner class of ``CoolFlow.run``
-    had, now shared by the pipeline executor and the flow driver.
-    """
-    started = time.perf_counter()
-    try:
-        yield
-    finally:
-        sink[stage] = sink.get(stage, 0.0) + time.perf_counter() - started
 
 
 # ----------------------------------------------------------------------
@@ -233,18 +215,17 @@ class StageCache:
         self._entries: OrderedDict[tuple, dict[str, tuple[Any, str]]] = \
             OrderedDict()
         self._lock = threading.Lock()
-        self.metrics = MetricsRegistry()
-        self._hits = self.metrics.counter("hits")
-        self._misses = self.metrics.counter("misses")
+        self._hits = Counter("hits")
+        self._misses = Counter("misses")
 
     @property
     def hits(self) -> int:
-        """Lifetime hit count (alias onto the metrics registry)."""
+        """Lifetime hit count."""
         return self._hits.value
 
     @property
     def misses(self) -> int:
-        """Lifetime miss count (alias onto the metrics registry)."""
+        """Lifetime miss count."""
         return self._misses.value
 
     def get(self, stage: str,
@@ -352,9 +333,12 @@ class PipelineExecutor:
     them in declared order.  A stage actually runs only when the
     fingerprints of its inputs differ from the last execution; otherwise
     its previous outputs (still in the context, or in the cross-run
-    cache tier) are reused.  ``stage_runs`` counts real executions,
-    ``stage_seconds`` accumulates wall-clock per stage -- cache hits
-    cost only their lookup time.
+    cache tier) are reused.  ``stage_runs`` counts real executions;
+    ``stage_seconds`` adds up the durations of each stage's ``stage``
+    spans (:func:`repro.obs.span`), so the seconds reported here are
+    exactly the stage times a trace of the run shows.  A run span
+    covers the stage body, fingerprinting its outputs and the cache
+    write; a hit span covers installing the cached outputs.
 
     ``cache`` may be any :class:`~repro.store.tiered.CacheTier`: a bare
     :class:`StageCache` (memory only) or a
@@ -402,26 +386,30 @@ class PipelineExecutor:
         for stage in reversed(needed):
             self._execute(ctx, stage)
 
+    def refine(self, ctx: FlowContext, stage_name: str,
+               body: Callable[[FlowContext], Mapping[str, Any]]) -> None:
+        """Replace a stage's outputs in ``ctx`` with ``body(ctx)``.
+
+        For drivers that refine a stage's outputs after running it (the
+        HLS area-repair loop re-maps the partitioning results).  The
+        refinement is timed like a run of the stage: one ``stage`` span
+        (``cache="refine"``) whose duration is charged to the stage.
+        """
+        stage = self._stage(stage_name)
+        with obs_span(stage.name, kind="stage", cache="refine") as timed:
+            self._install(ctx, stage, body(ctx))
+        self._charge(stage.name, timed.duration)
+
     def commit_outputs(self, ctx: FlowContext, stage_name: str) -> None:
         """Overwrite the cache entry of a stage with the context's artifacts.
 
-        For drivers that *refine* a stage's outputs after running it
-        (the HLS area-repair loop replaces the partitioning results with
-        the converged mapping): committing stores the refined artifacts
+        After a :meth:`refine`, committing stores the refined artifacts
         under the stage's current input signature, so the next run with
-        the same inputs is served the converged solution directly
-        instead of repeating the refinement.
+        the same inputs is served the refined outputs directly instead
+        of repeating the refinement.
         """
-        try:
-            stage = self._by_name[stage_name]
-        except KeyError:
-            raise PipelineError(f"unknown stage {stage_name!r}") from None
-        signature = self._signature(ctx, stage)
-        self._last_inputs[stage.name] = signature
-        if self.cache is not None:
-            self.cache.put(stage.name, signature,
-                           {k: (ctx.get(k), ctx.fingerprint(k))
-                            for k in stage.outputs})
+        stage = self._stage(stage_name)
+        self._publish(ctx, stage, self._signature(ctx, stage))
 
     # ------------------------------------------------------------------
     def _signature(self, ctx: FlowContext, stage: Stage) -> tuple[str, ...]:
@@ -432,34 +420,51 @@ class PipelineExecutor:
                                 f"{missing} (not in context, no producer)")
         return tuple(ctx.fingerprint(k) for k in stage.inputs)
 
+    def _stage(self, stage_name: str) -> Stage:
+        try:
+            return self._by_name[stage_name]
+        except KeyError:
+            raise PipelineError(f"unknown stage {stage_name!r}") from None
+
+    def _charge(self, stage_name: str, seconds: float) -> None:
+        self.stage_seconds[stage_name] = \
+            self.stage_seconds.get(stage_name, 0.0) + seconds
+
+    @staticmethod
+    def _install(ctx: FlowContext, stage: Stage,
+                 produced: Mapping[str, Any]) -> None:
+        missing = [k for k in stage.outputs if k not in produced]
+        if missing:
+            raise PipelineError(f"stage {stage.name!r} did not produce "
+                                f"declared outputs {missing}")
+        for key in stage.outputs:
+            ctx.put(key, produced[key])
+
+    def _publish(self, ctx: FlowContext, stage: Stage,
+                 signature: tuple[str, ...]) -> None:
+        """Mark the stage fresh for ``signature`` and cache its outputs."""
+        self._last_inputs[stage.name] = signature
+        if self.cache is not None:
+            self.cache.put(stage.name, signature,
+                           {k: (ctx.get(k), ctx.fingerprint(k))
+                            for k in stage.outputs})
+
     def _execute(self, ctx: FlowContext, stage: Stage) -> None:
         signature = self._signature(ctx, stage)
         if (self._last_inputs.get(stage.name) == signature
                 and all(k in ctx for k in stage.outputs)):
             return  # still fresh from an earlier request of this run
-        if self.cache is not None:
-            cached = self.cache.get(stage.name, signature)
-            if cached is not None:
-                with obs_span(stage.name, kind="stage", cache="hit"):
-                    with stage_timer(stage.name, self.stage_seconds):
-                        for key, (value, fp) in cached.items():
-                            ctx.put_fingerprinted(key, value, fp)
+        cached = self.cache.get(stage.name, signature) \
+            if self.cache is not None else None
+        with obs_span(stage.name, kind="stage",
+                      cache="miss" if cached is None else "hit") as timed:
+            if cached is None:
+                self._install(ctx, stage, stage.run(ctx))
+                self.stage_runs[stage.name] += 1
+                self._publish(ctx, stage, signature)
+            else:
+                for key, (value, fp) in cached.items():
+                    ctx.put_fingerprinted(key, value, fp)
                 self._last_inputs[stage.name] = signature
                 self.cache_hits[stage.name] += 1
-                return
-        with obs_span(stage.name, kind="stage", cache="miss"):
-            with stage_timer(stage.name, self.stage_seconds):
-                produced = stage.run(ctx)
-            missing = [k for k in stage.outputs if k not in produced]
-            if missing:
-                raise PipelineError(f"stage {stage.name!r} did not produce "
-                                    f"declared outputs {missing}")
-            for key in stage.outputs:
-                ctx.put(key, produced[key])
-            self._last_inputs[stage.name] = signature
-            self.stage_runs[stage.name] = \
-                self.stage_runs.get(stage.name, 0) + 1
-            if self.cache is not None:
-                self.cache.put(stage.name, signature,
-                               {k: (ctx.get(k), ctx.fingerprint(k))
-                                for k in stage.outputs})
+        self._charge(stage.name, timed.duration)

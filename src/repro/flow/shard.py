@@ -304,11 +304,7 @@ def run_shard(shard: Shard,
     summaries: list[JobSummary] = []
     with activate(tracer) if trace else nullcontext():
         for payload in shard.payloads:
-            with obs_span("job", kind="job", job=payload.label,
-                          backend="shard",
-                          shard=shard.index) as job_span:
-                outcome = _run_outcome(payload.to_job(), cache, job_timeout)
-                job_span.set("ok", outcome.ok)
+            outcome = _run_outcome(payload.to_job(), cache, job_timeout)
             point = None
             stage_runs = 0
             if outcome.ok:

@@ -10,7 +10,8 @@ We obviously cannot run 1998's OSCAR + Synopsys + XACT place&route, so
 the flow reports two kinds of time:
 
 * **measured** -- real wall-clock seconds of every reproduced stage
-  (partitioning, co-synthesis, code generation, co-simulation);
+  (partitioning, co-synthesis, code generation, co-simulation), read
+  from the stage spans of the run;
 * **modelled** -- the downstream tool times, calibrated to mid-90s
   workstation throughput: logic synthesis + place&route at
   :data:`SYNTHESIS_SECONDS_PER_CLB` per occupied CLB plus a fixed

@@ -1,27 +1,23 @@
-"""Typed metrics: counters, gauges and histograms behind one registry.
+"""Event counters for the runtime layers.
 
-The runtime layers used to hand-roll their own counting -- plain-int
-instance attributes on :class:`~repro.store.disk.ArtifactStore`, ad-hoc
-window dicts on :class:`~repro.flow.pipeline.StageCache`.  A
-:class:`MetricsRegistry` replaces those with three small typed
-instruments, all thread-safe, all snapshotting to plain sorted dicts so
-existing ``stats()`` payloads (and the BENCH gates that read them) keep
-their shapes.
+The store and cache tiers count their hits, misses, evictions and the
+like with :class:`Counter` instruments they hold directly -- one set
+per instance, never a process-global registry, so stores created side
+by side (as tests do) never bleed counts into each other.  Their
+``stats()`` payloads (and the BENCH gates that read them) snapshot the
+counters into plain dicts.
 
-Instruments are get-or-create: ``registry.counter("hits")`` returns the
-same :class:`Counter` every time, so callers never coordinate
-construction.  Nothing here touches the wall clock -- metrics are pure
-event counts/values and are safe anywhere, including fingerprint-
-adjacent code (unlike spans, which carry timestamps and are banned from
-it by lint rule OBS501).
+Nothing here touches the wall clock -- counters are pure event counts
+and are safe anywhere, including fingerprint-adjacent code (unlike
+spans, which carry timestamps and are banned from it by lint rule
+OBS501).
 """
 
 from __future__ import annotations
 
 import threading
-from typing import Any, Mapping
 
-__all__ = ["Counter", "Gauge", "Histogram", "MetricsRegistry"]
+__all__ = ["Counter"]
 
 
 class Counter:
@@ -47,129 +43,3 @@ class Counter:
 
     def __repr__(self) -> str:
         return f"Counter({self.name}={self.value})"
-
-
-class Gauge:
-    """Last-write-wins instantaneous value (queue depth, bytes on disk)."""
-
-    __slots__ = ("name", "_lock", "_value")
-
-    def __init__(self, name: str) -> None:
-        self.name = name
-        self._lock = threading.Lock()
-        self._value: float = 0
-
-    def set(self, value: float) -> None:
-        with self._lock:
-            self._value = value
-
-    def add(self, delta: float) -> None:
-        with self._lock:
-            self._value += delta
-
-    @property
-    def value(self) -> float:
-        with self._lock:
-            return self._value
-
-    def __repr__(self) -> str:
-        return f"Gauge({self.name}={self.value})"
-
-
-class Histogram:
-    """Streaming summary: count / total / min / max / mean.
-
-    Deliberately bucket-free -- the repo's consumers want aggregate
-    shapes in JSON gates, not percentile estimation, and a fixed-size
-    summary keeps observation O(1) with no allocation.
-    """
-
-    __slots__ = ("name", "_lock", "_count", "_total", "_min", "_max")
-
-    def __init__(self, name: str) -> None:
-        self.name = name
-        self._lock = threading.Lock()
-        self._count = 0
-        self._total = 0.0
-        self._min: float | None = None
-        self._max: float | None = None
-
-    def observe(self, value: float) -> None:
-        with self._lock:
-            self._count += 1
-            self._total += value
-            if self._min is None or value < self._min:
-                self._min = value
-            if self._max is None or value > self._max:
-                self._max = value
-
-    @property
-    def count(self) -> int:
-        with self._lock:
-            return self._count
-
-    def summary(self) -> dict[str, float | int | None]:
-        with self._lock:
-            mean = self._total / self._count if self._count else None
-            return {"count": self._count, "total": self._total,
-                    "min": self._min, "max": self._max, "mean": mean}
-
-    def __repr__(self) -> str:
-        return f"Histogram({self.name}, n={self.count})"
-
-
-class MetricsRegistry:
-    """Named instruments, get-or-create, one namespace per owner.
-
-    Each instrumented object (an :class:`ArtifactStore`, a
-    :class:`PersistentCache`) owns its *own* registry rather than
-    sharing a process-global one -- tests create many stores side by
-    side and their counts must not bleed together.
-    """
-
-    def __init__(self) -> None:
-        self._lock = threading.Lock()
-        self._counters: dict[str, Counter] = {}
-        self._gauges: dict[str, Gauge] = {}
-        self._histograms: dict[str, Histogram] = {}
-
-    def counter(self, name: str) -> Counter:
-        with self._lock:
-            instrument = self._counters.get(name)
-            if instrument is None:
-                instrument = self._counters[name] = Counter(name)
-            return instrument
-
-    def gauge(self, name: str) -> Gauge:
-        with self._lock:
-            instrument = self._gauges.get(name)
-            if instrument is None:
-                instrument = self._gauges[name] = Gauge(name)
-            return instrument
-
-    def histogram(self, name: str) -> Histogram:
-        with self._lock:
-            instrument = self._histograms.get(name)
-            if instrument is None:
-                instrument = self._histograms[name] = Histogram(name)
-            return instrument
-
-    def snapshot(self) -> dict[str, Any]:
-        """All instruments as one plain sorted dict.
-
-        Counters and gauges flatten to name -> value; histograms keep
-        their summary dicts under their names.  Key order is sorted so
-        snapshots serialize deterministically.
-        """
-        with self._lock:
-            counters = list(self._counters.values())
-            gauges = list(self._gauges.values())
-            histograms = list(self._histograms.values())
-        out: dict[str, Any] = {}
-        for counter in counters:
-            out[counter.name] = counter.value
-        for gauge in gauges:
-            out[gauge.name] = gauge.value
-        for histogram in histograms:
-            out[histogram.name] = histogram.summary()
-        return dict(sorted(out.items()))

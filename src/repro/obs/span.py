@@ -67,29 +67,28 @@ class Span:
                 tuple(sorted(self.attributes.items())))
 
 
-class _NullHandle:
-    """Shared no-op span handle: the price of tracing when it is off."""
+class _Stopwatch:
+    """Span handle when tracing is off: times the block, records nothing."""
 
-    __slots__ = ()
+    __slots__ = ("_start", "duration")
 
     def set(self, key: str, value: Any) -> None:
         return None
 
-    def __enter__(self) -> "_NullHandle":
+    def __enter__(self) -> "_Stopwatch":
+        self._start = time.perf_counter()
         return self
 
     def __exit__(self, *exc: object) -> bool:
+        self.duration = time.perf_counter() - self._start
         return False
-
-
-_NULL_HANDLE = _NullHandle()
 
 
 class _OpenSpan:
     """Context-manager handle of one in-flight span."""
 
     __slots__ = ("_tracer", "_parent", "span_id", "name", "kind",
-                 "attributes", "_start")
+                 "attributes", "_start", "duration")
 
     def __init__(self, tracer: "Tracer", name: str, kind: str,
                  parent: int | None, attributes: dict[str, Any]) -> None:
@@ -112,12 +111,12 @@ class _OpenSpan:
         return self
 
     def __exit__(self, *exc: object) -> bool:
-        duration = time.perf_counter() - self._start
+        self.duration = time.perf_counter() - self._start
         self._tracer._stack_pop()
         self._tracer._finish(Span(
             span_id=self.span_id, parent_id=self._parent, name=self.name,
             kind=self.kind, start=self._start - self._tracer.epoch,
-            duration=duration, pid=self._tracer.pid,
+            duration=self.duration, pid=self._tracer.pid,
             attributes=self.attributes))
         return False
 
@@ -286,11 +285,13 @@ def activate(tracer: Tracer | None) -> Iterator[Tracer | None]:
 
 def span(name: str, kind: str = "span", parent: int | None = None,
          **attributes: Any):
-    """Open a span on the active tracer; a shared no-op when tracing is
-    off.  This is the one spelling instrumented code uses."""
+    """Open a span on the active tracer; a bare stopwatch when tracing
+    is off.  Either way the handle's ``duration`` holds the block's
+    seconds after it exits.  This is the one spelling instrumented code
+    uses."""
     tracer = getattr(_ACTIVE, "tracer", None)
     if tracer is None:
-        return _NULL_HANDLE
+        return _Stopwatch()
     return tracer.span(name, kind=kind, parent=parent, **attributes)
 
 

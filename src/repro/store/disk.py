@@ -41,7 +41,7 @@ from itertools import count
 from pathlib import Path
 from typing import Iterator, Mapping
 
-from ..obs import MetricsRegistry
+from ..obs import Counter
 from ..obs import record as obs_record
 from ..obs import span as obs_span
 from .locks import FileLock
@@ -108,35 +108,31 @@ class ArtifactStore:
         self._lock = FileLock(self.root / ".lock")
         for directory in (self._objects, self._tmp, self._quarantine_dir):
             directory.mkdir(parents=True, exist_ok=True)
-        #: Per-handle event counters (:class:`repro.obs.MetricsRegistry`):
-        #: local to this handle, merged across workers by the shard
-        #: reduce.  Pre-created so :meth:`stats` always reports all five.
-        self.metrics = MetricsRegistry()
-        for name in ("hits", "misses", "evictions", "quarantined",
-                     "invalidated"):
-            self.metrics.counter(name)
+        #: Per-handle event counters, local to this handle and merged
+        #: across workers by the shard reduce; :meth:`stats` reports
+        #: all five, in name order.
+        self._counters = {name: Counter(name) for name in (
+            "evictions", "hits", "invalidated", "misses", "quarantined")}
 
-    # -- counter aliases: the pre-obs instance attributes, kept so the
-    # -- BENCH gates and existing callers read unchanged -----------------
     @property
     def hits(self) -> int:
-        return self.metrics.counter("hits").value
+        return self._counters["hits"].value
 
     @property
     def misses(self) -> int:
-        return self.metrics.counter("misses").value
+        return self._counters["misses"].value
 
     @property
     def evictions(self) -> int:
-        return self.metrics.counter("evictions").value
+        return self._counters["evictions"].value
 
     @property
     def quarantined(self) -> int:
-        return self.metrics.counter("quarantined").value
+        return self._counters["quarantined"].value
 
     @property
     def invalidated(self) -> int:
-        return self.metrics.counter("invalidated").value
+        return self._counters["invalidated"].value
 
     # ------------------------------------------------------------------
     # paths
@@ -145,7 +141,7 @@ class ArtifactStore:
         return self._objects / key[:2] / f"{key}.rec"
 
     def _count(self, counter: str, delta: int = 1) -> None:
-        self.metrics.counter(counter).inc(delta)
+        self._counters[counter].inc(delta)
 
     # ------------------------------------------------------------------
     # read path (lock-free)
@@ -346,4 +342,5 @@ class ArtifactStore:
         return {"entries": len(entries),
                 "bytes": sum(entries.values()),
                 "max_bytes": self.max_bytes,
-                **self.metrics.snapshot()}
+                **{name: counter.value
+                   for name, counter in self._counters.items()}}

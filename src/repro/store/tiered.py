@@ -30,7 +30,7 @@ import hashlib
 import pickle
 from typing import Any, Iterable, Mapping, Protocol, runtime_checkable
 
-from ..obs import MetricsRegistry
+from ..obs import Counter
 from ..obs import record as obs_record
 from ..obs import span as obs_span
 from .disk import ArtifactStore
@@ -96,26 +96,23 @@ class PersistentCache:
                  schema: int = PIPELINE_CACHE_SCHEMA) -> None:
         self.store = store
         self.schema = schema
-        self.metrics = MetricsRegistry()
-        for name in self._COUNTERS:
-            self.metrics.counter(name)
+        self._counters = {name: Counter(name) for name in self._COUNTERS}
 
-    # -- counter aliases onto the metrics registry ----------------------
     @property
     def hits(self) -> int:
-        return self.metrics.counter("hits").value
+        return self._counters["hits"].value
 
     @property
     def misses(self) -> int:
-        return self.metrics.counter("misses").value
+        return self._counters["misses"].value
 
     @property
     def unstorable(self) -> int:
-        return self.metrics.counter("unstorable").value
+        return self._counters["unstorable"].value
 
     @property
     def decode_failures(self) -> int:
-        return self.metrics.counter("decode_failures").value
+        return self._counters["decode_failures"].value
 
     # -- CacheTier -----------------------------------------------------
     def get(self, stage: str,
@@ -124,7 +121,7 @@ class PersistentCache:
                       stage=stage) as span:
             record = self.store.get(cache_key(stage, signature, self.schema))
             if record is None or record.schema != self.schema:
-                self.metrics.counter("misses").inc()
+                self._counters["misses"].inc()
                 span.set("result", "miss")
                 return None
             try:
@@ -133,11 +130,11 @@ class PersistentCache:
                            for key, value, fingerprint in rows}
             except Exception:  # stale pickle (renamed class, ...): drop it
                 self.store.invalidate(record.key)
-                self.metrics.counter("decode_failures").inc()
-                self.metrics.counter("misses").inc()
+                self._counters["decode_failures"].inc()
+                self._counters["misses"].inc()
                 span.set("result", "decode_failure")
                 return None
-            self.metrics.counter("hits").inc()
+            self._counters["hits"].inc()
             span.set("result", "hit")
             return outputs
 
@@ -150,7 +147,7 @@ class PersistentCache:
             try:
                 payload = pickle.dumps(rows, protocol=_PICKLE_PROTOCOL)
             except Exception:  # unpicklable artifact: skip, never raise
-                self.metrics.counter("unstorable").inc()
+                self._counters["unstorable"].inc()
                 span.set("result", "unstorable")
                 return
             span.set("bytes", len(payload))
@@ -161,8 +158,8 @@ class PersistentCache:
 
     # -- counter window protocol ----------------------------------------
     def snapshot(self) -> dict[str, int]:
-        return {name: self.metrics.counter(name).value
-                for name in self._COUNTERS}
+        return {name: counter.value
+                for name, counter in self._counters.items()}
 
     def stats(self, since: Mapping | None = None) -> dict:
         counters = self.snapshot()
@@ -200,13 +197,12 @@ class TieredCache:
     def __init__(self, l1: CacheTier, l2: PersistentCache) -> None:
         self.l1 = l1
         self.l2 = l2
-        self.metrics = MetricsRegistry()
-        self.metrics.counter("promotions")
+        self._promotions = Counter("promotions")
 
     @property
     def promotions(self) -> int:
-        """L2-to-L1 promotion count (alias onto the metrics registry)."""
-        return self.metrics.counter("promotions").value
+        """L2-to-L1 promotion count."""
+        return self._promotions.value
 
     # -- CacheTier -----------------------------------------------------
     def get(self, stage: str,
@@ -217,7 +213,7 @@ class TieredCache:
         outputs = self.l2.get(stage, signature)
         if outputs is not None:
             self.l1.put(stage, signature, outputs)
-            self.metrics.counter("promotions").inc()
+            self._promotions.inc()
             obs_record("cache.promote", kind="cache", stage=stage)
         return outputs
 

@@ -1,4 +1,4 @@
-"""Tests for the repro.obs tracing/metrics/report subsystem (PR 10)."""
+"""Tests for the repro.obs tracing/counter/report subsystem."""
 
 import json
 import os
@@ -11,11 +11,16 @@ import time
 import pytest
 
 from repro.analysis import lint_sources
-from repro.obs import (NONDETERMINISTIC_FIELDS, MetricsRegistry, Span, Tracer,
+from repro.apps import four_band_equalizer
+from repro.flow import BatchRunner, CoolFlow, FlowJob
+from repro.obs import (NONDETERMINISTIC_FIELDS, Counter, Span, Tracer,
                        activate, canonical_trace, critical_path,
                        current_tracer, dump_trace, load_trace, record,
                        render_report, slowest_spans, span, stage_breakdown,
                        tracing_active, write_trace)
+from repro.partition import GreedyPartitioner
+from repro.platform import minimal_board
+from repro.workloads import workload_suite
 
 
 class TestTracer:
@@ -111,6 +116,22 @@ class TestActivation:
             h.set("key", "value")  # must not raise
         assert record("ignored") is None
 
+    def test_untraced_span_records_nothing_but_times_its_block(self):
+        tracer = Tracer()
+        with activate(tracer):
+            with activate(None):
+                with span("timed", kind="stage") as handle:
+                    time.sleep(0.001)
+        assert len(tracer) == 0
+        assert handle.duration >= 0.001
+
+    def test_traced_handle_duration_is_the_recorded_duration(self):
+        tracer = Tracer()
+        with activate(tracer):
+            with span("timed", kind="stage") as handle:
+                pass
+        assert handle.duration == tracer.spans()[0].duration
+
     def test_activate_scopes_the_tracer(self):
         tracer = Tracer()
         with activate(tracer):
@@ -140,42 +161,71 @@ class TestActivation:
 
 
 class TestMetrics:
-    def test_counter_get_or_create_identity(self):
-        registry = MetricsRegistry()
-        assert registry.counter("hits") is registry.counter("hits")
-        registry.counter("hits").inc()
-        registry.counter("hits").inc(3)
-        assert registry.counter("hits").value == 4
+    def test_counter_accumulates(self):
+        counter = Counter("hits")
+        counter.inc()
+        counter.inc(3)
+        assert counter.value == 4
 
     def test_counter_rejects_negative_delta(self):
-        registry = MetricsRegistry()
         with pytest.raises(ValueError):
-            registry.counter("hits").inc(-1)
+            Counter("hits").inc(-1)
 
-    def test_gauge_and_histogram(self):
-        registry = MetricsRegistry()
-        registry.gauge("occupancy").set(7)
-        registry.gauge("occupancy").add(-2)
-        histogram = registry.histogram("latency")
-        for value in (1.0, 3.0, 2.0):
-            histogram.observe(value)
-        summary = histogram.summary()
-        assert summary["count"] == 3
-        assert summary["min"] == 1.0 and summary["max"] == 3.0
-        assert summary["mean"] == 2.0
-        assert registry.gauge("occupancy").value == 5
 
-    def test_snapshot_is_plain_sorted_dict(self):
-        registry = MetricsRegistry()
-        registry.counter("b").inc()
-        registry.counter("a").inc(2)
-        registry.gauge("g").set(1)
-        registry.histogram("h").observe(4.0)
-        snapshot = registry.snapshot()
-        assert snapshot["a"] == 2 and snapshot["b"] == 1 and snapshot["g"] == 1
-        assert snapshot["h"]["count"] == 1
-        assert list(snapshot) == sorted(snapshot)
-        assert json.dumps(snapshot)  # JSON-serializable throughout
+class TestOneClock:
+    """Stage and job seconds are the durations of their spans, exactly."""
+
+    def _traced_run(self, flow, graph):
+        """The run's result, and the durations of the ``stage`` spans
+        under its ``flow`` span, added up per stage in open order (the
+        order the executor adds them in)."""
+        tracer = Tracer()
+        with activate(tracer):
+            result = flow.run(graph)
+        spans = tracer.spans()
+        (flow_span,) = [s for s in spans if s.kind == "flow"]
+        sums = {}
+        for entry in spans:
+            if entry.kind == "stage" and entry.parent_id == flow_span.span_id:
+                sums[entry.name] = sums.get(entry.name, 0.0) + entry.duration
+        return result, sums
+
+    def test_stage_seconds_are_stage_span_totals(self, tmp_path):
+        graph = four_band_equalizer(words=8)
+        flow = CoolFlow(minimal_board(), partitioner=GreedyPartitioner(),
+                        store_path=tmp_path / "store")
+        cold, cold_spans = self._traced_run(flow, graph)
+        assert sum(cold.stage_runs.values()) > 0
+        assert cold.stage_seconds == cold_spans
+        warm, warm_spans = self._traced_run(flow, graph)
+        assert sum(warm.stage_runs.values()) == 0
+        assert warm.cache_stats["l1"]["hits"] > 0
+        assert warm.stage_seconds == warm_spans
+        # a fresh flow over the same store: an empty L1, served from disk
+        restarted = CoolFlow(minimal_board(), partitioner=GreedyPartitioner(),
+                             store_path=tmp_path / "store")
+        store_warm, store_spans = self._traced_run(restarted, graph)
+        assert sum(store_warm.stage_runs.values()) == 0
+        assert store_warm.cache_stats["l2"]["hits"] > 0
+        assert store_warm.stage_seconds == store_spans
+        assert set(store_spans) == set(cold_spans)
+
+    @pytest.mark.parametrize("shards", [None, 2])
+    def test_job_seconds_are_job_span_durations(self, shards):
+        arch = minimal_board()
+        jobs = [FlowJob(workload=spec, arch=arch,
+                        partitioner=GreedyPartitioner())
+                for spec in workload_suite(3, seed=11)]
+        runner = BatchRunner(shards=shards, max_workers=shards)
+        tracer = Tracer()
+        with activate(tracer):
+            outcomes = runner.run(jobs)
+        job_spans = {s.attributes["job"]: s for s in tracer.spans()
+                     if s.kind == "job"}
+        assert len(job_spans) == len(jobs)
+        for outcome in outcomes:
+            assert outcome.ok
+            assert outcome.seconds == job_spans[outcome.job.name].duration
 
 
 class TestAdoption:
@@ -407,10 +457,10 @@ class TestObs501Rule:
 
     def test_metrics_api_is_exempt(self):
         assert self._findings("repro/flow/ok.py", """
-            from ..obs import MetricsRegistry
+            from ..obs import Counter
 
             def fingerprint(value):
-                MetricsRegistry().counter("calls").inc()
+                Counter("calls").inc()
                 return repr(value)
         """) == []
 

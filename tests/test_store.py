@@ -159,6 +159,16 @@ class TestArtifactStoreBasics:
         assert store.get(key) is None
         assert store.stats()["invalidated"] == 1
 
+    def test_stats_report_every_counter_in_name_order(self, tmp_path):
+        store = ArtifactStore(tmp_path / "store")
+        store.get(key_of("absent"))
+        stats = store.stats()
+        assert list(stats) == ["entries", "bytes", "max_bytes", "evictions",
+                               "hits", "invalidated", "misses",
+                               "quarantined"]
+        assert stats["misses"] == store.misses == 1
+        assert stats["hits"] == stats["evictions"] == 0
+
     def test_default_budget_is_sane(self):
         assert DEFAULT_MAX_BYTES >= 64 * 1024 * 1024
 
