@@ -1,10 +1,18 @@
 """Ablation A: COOL's partitioning engines compared.
 
 Paper Section 2 lists three options -- MILP, MILP+heuristic, genetic
-algorithms.  This benchmark compares all engines (plus our from-scratch
-branch-and-bound backend) on three workloads and asserts the expected
-quality ordering: the exact MILP is never worse than the heuristics on
-makespan, and every engine returns feasible implementations.
+algorithms.  This benchmark compares them (plus the greedy heuristic)
+on three workloads and asserts that every engine returns a feasible
+implementation and that the MILP's makespan is within 1.15x (+1 tick)
+of every heuristic's.
+
+The slack is needed: the MILP is exact for its own objective, the load
+surrogate (the busiest resource or bus), not for the list-schedule
+makespan reported here, so a heuristic can beat it on makespan -- the
+genetic algorithm does on the fuzzy controller (344 against 391) and
+the greedy heuristic on the equalizer (748 against 815).  The output
+prints each workload's MILP / best-heuristic makespan ratio next to
+the bound.
 """
 
 from repro.apps import four_band_equalizer, fuzzy_controller, random_task_graph
@@ -15,12 +23,15 @@ from repro.platform import cool_board
 from repro.schedule import validate_schedule
 
 ENGINES = [
-    MilpPartitioner(backend="scipy"),
-    MilpPartitioner(backend="bnb"),
+    MilpPartitioner(),
     MilpHeuristicPartitioner(),
     GreedyPartitioner(),
     GeneticPartitioner(GaConfig(population=20, generations=15, seed=3)),
 ]
+
+HEURISTICS = ("greedy", "genetic", "milp+heuristic")
+#: MILP makespan may exceed a heuristic's by this factor (+1 tick).
+SLACK = 1.15
 
 WORKLOADS = [
     ("equalizer", lambda: four_band_equalizer(words=16)),
@@ -52,15 +63,9 @@ def test_ablation_partitioner_comparison(benchmark, run_once):
               f"{result.hw_area:>8} {len(result.partition.cut_edges()):>4} "
               f"{result.runtime_s:>8.3f}")
 
+    print(f"\n  {'workload':<11} {'MILP/best heuristic':>20} {'bound':>6}")
     for wname, _ in WORKLOADS:
-        milp = table[(wname, "milp[scipy]")].makespan
-        for ename in ("greedy", "genetic", "milp+heuristic"):
-            # exact optimization should not lose to the heuristics by
-            # more than the load-bound gap; assert a generous bound
-            assert milp <= int(1.15 * table[(wname, ename)].makespan) + 1
-
-    # both MILP backends agree on solution quality
-    for wname, _ in WORKLOADS:
-        a = table[(wname, "milp[scipy]")].makespan
-        b = table[(wname, "milp[bnb]")].makespan
-        assert abs(a - b) <= max(a, b) * 0.1 + 1
+        milp = table[(wname, "milp")].makespan
+        best = min(table[(wname, ename)].makespan for ename in HEURISTICS)
+        print(f"  {wname:<11} {milp / best:>20.3f} {SLACK:>6.2f}")
+        assert milp <= int(SLACK * best) + 1

@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Compare COOL's three partitioning engines (paper Section 2).
 
-Runs MILP (both backends), the MILP+heuristic combination, the greedy
+Runs the MILP (HiGHS), the MILP+heuristic combination, the greedy
 heuristic and the genetic algorithm on the equalizer, the fuzzy
 controller and a random TGFF-style graph; prints makespan, hardware
 area, cut traffic and runtime for each.
@@ -14,8 +14,7 @@ from repro.partition import (GaConfig, GeneticPartitioner, GreedyPartitioner,
 from repro.platform import cool_board
 
 PARTITIONERS = [
-    MilpPartitioner(backend="scipy"),
-    MilpPartitioner(backend="bnb"),
+    MilpPartitioner(),
     MilpHeuristicPartitioner(),
     GreedyPartitioner(),
     GeneticPartitioner(GaConfig(population=24, generations=25, seed=7)),

@@ -1,12 +1,11 @@
-"""Hardware/software partitioning: MILP, branch-and-bound, heuristics, GA."""
+"""Hardware/software partitioning: MILP (HiGHS), MILP+heuristic, greedy, GA."""
 
 from .base import (PartitioningProblem, PartitionResult, Partitioner,
                    evaluate_mapping)
 from .feasibility import (FeasibilityReport, area_usage, check_feasibility,
                           memory_words_needed)
-from .milp import MilpError, MilpFormulation, MilpPartitioner, build_formulation
-from .bnb import BnbStats, solve_bnb
-from .scipy_backend import solve_milp
+from .milp import (MilpError, MilpFormulation, MilpPartitioner,
+                   build_formulation, solve_milp)
 from .heuristic import GreedyPartitioner, MilpHeuristicPartitioner
 from .genetic import GaConfig, GeneticPartitioner
 
@@ -14,7 +13,7 @@ __all__ = [
     "PartitioningProblem", "PartitionResult", "Partitioner",
     "evaluate_mapping", "FeasibilityReport", "area_usage",
     "check_feasibility", "memory_words_needed", "MilpError",
-    "MilpFormulation", "MilpPartitioner", "build_formulation", "BnbStats",
-    "solve_bnb", "solve_milp", "GreedyPartitioner",
+    "MilpFormulation", "MilpPartitioner", "build_formulation", "solve_milp",
+    "GreedyPartitioner",
     "MilpHeuristicPartitioner", "GaConfig", "GeneticPartitioner",
 ]

@@ -139,29 +139,18 @@ class MilpHeuristicPartitioner(Partitioner):
     def solve(self, problem: PartitioningProblem) -> dict[str, str]:
         import numpy as np
         from scipy.optimize import linprog
-        from scipy.sparse import csr_matrix
 
-        from .milp import build_formulation, extract_mapping
+        from .milp import _sparse, build_formulation, extract_mapping
 
         objective = "min_area" if problem.deadline is not None else "min_time"
         form, indexing = build_formulation(problem, objective)
 
-        def sparse(rows):
-            data, ri, ci = [], [], []
-            for i, row in enumerate(rows):
-                for j, coef in row.items():
-                    ri.append(i)
-                    ci.append(j)
-                    data.append(coef)
-            return csr_matrix((data, (ri, ci)),
-                              shape=(len(rows), form.n_vars))
-
         ub = np.asarray([1e9 if u == float("inf") else u for u in form.ub])
         result = linprog(
             c=np.asarray(form.c, dtype=float),
-            A_ub=sparse(form.a_ub) if form.a_ub else None,
+            A_ub=_sparse(form.a_ub, form.n_vars) if form.a_ub else None,
             b_ub=np.asarray(form.b_ub) if form.b_ub else None,
-            A_eq=sparse(form.a_eq) if form.a_eq else None,
+            A_eq=_sparse(form.a_eq, form.n_vars) if form.a_eq else None,
             b_eq=np.asarray(form.b_eq) if form.b_eq else None,
             bounds=np.column_stack([np.asarray(form.lb), ub]),
             method="highs",

@@ -22,16 +22,26 @@ Two objectives:
 * ``min_area`` (the canonical COOL objective): minimize total hardware
   area plus weighted communication, subject to a deadline;
 * ``min_time``: minimize the load bound ``T`` subject to area capacity.
+
+:func:`solve_milp` hands the program to HiGHS through
+:func:`scipy.optimize.milp`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+import numpy as np
+from scipy.optimize import Bounds, LinearConstraint, milp
+from scipy.sparse import csr_matrix
+
 from .base import PartitioningProblem, Partitioner
 
-__all__ = ["MilpFormulation", "build_formulation", "MilpPartitioner",
-           "MilpError"]
+__all__ = ["MilpFormulation", "build_formulation", "solve_milp",
+           "MilpPartitioner", "MilpError"]
+
+#: ``scipy.optimize.milp`` status of a proven-infeasible program.
+_INFEASIBLE = 2
 
 
 class MilpError(RuntimeError):
@@ -187,6 +197,49 @@ def build_formulation(problem: PartitioningProblem,
     return form, indexing
 
 
+def _sparse(rows: list[dict[int, float]], n_vars: int) -> csr_matrix:
+    data, row_idx, col_idx = [], [], []
+    for i, row in enumerate(rows):
+        for j, coef in row.items():
+            row_idx.append(i)
+            col_idx.append(j)
+            data.append(coef)
+    return csr_matrix((data, (row_idx, col_idx)),
+                      shape=(len(rows), n_vars))
+
+
+def solve_milp(form: MilpFormulation) -> np.ndarray | None:
+    """Return the optimal solution vector, or ``None`` if infeasible.
+
+    Any other HiGHS outcome (iteration or time limit, unbounded, solver
+    error) raises :class:`MilpError` naming the status: it says nothing
+    about whether the constraints can be met.
+    """
+    constraints = []
+    if form.a_ub:
+        constraints.append(LinearConstraint(
+            _sparse(form.a_ub, form.n_vars),
+            ub=np.asarray(form.b_ub, dtype=float)))
+    if form.a_eq:
+        rhs = np.asarray(form.b_eq, dtype=float)
+        constraints.append(LinearConstraint(
+            _sparse(form.a_eq, form.n_vars), lb=rhs, ub=rhs))
+
+    result = milp(
+        c=np.asarray(form.c, dtype=float),
+        constraints=constraints,
+        integrality=np.asarray(form.integrality),
+        bounds=Bounds(np.asarray(form.lb, dtype=float),
+                      np.asarray(form.ub, dtype=float)),
+    )
+    if result.status == _INFEASIBLE:
+        return None
+    if not result.success or result.x is None:
+        raise MilpError(f"HiGHS stopped with status {result.status}: "
+                        f"{result.message}")
+    return result.x
+
+
 def extract_mapping(solution, indexing: _Indexing) -> dict[str, str]:
     """Read the node -> resource mapping out of a solution vector."""
     mapping: dict[str, str] = {}
@@ -203,12 +256,11 @@ def extract_mapping(solution, indexing: _Indexing) -> dict[str, str]:
 class MilpPartitioner(Partitioner):
     """Partitioning by MILP, with a deadline-tightening outer loop.
 
+    Every round builds the program with :func:`build_formulation` and
+    solves it exactly with :func:`solve_milp` (HiGHS).
+
     Parameters
     ----------
-    backend:
-        ``"scipy"`` -- :func:`scipy.optimize.milp` (HiGHS);
-        ``"bnb"`` -- the pure-Python branch-and-bound of
-        :mod:`repro.partition.bnb`.
     objective:
         ``"auto"`` picks ``min_area`` when the problem has a deadline and
         ``min_time`` otherwise.
@@ -221,24 +273,14 @@ class MilpPartitioner(Partitioner):
         solution misses the requested deadline.
     """
 
-    def __init__(self, backend: str = "scipy", objective: str = "auto",
-                 comm_weight: float = 1.0, max_rounds: int = 10) -> None:
-        if backend not in ("scipy", "bnb"):
-            raise ValueError(f"unknown backend {backend!r}")
-        self.backend = backend
+    name = "milp"
+
+    def __init__(self, objective: str = "auto", comm_weight: float = 1.0,
+                 max_rounds: int = 10) -> None:
         self.objective = objective
         self.comm_weight = comm_weight
         self.max_rounds = max_rounds
-        self.name = f"milp[{backend}]"
         self._stats: dict = {}
-
-    # ------------------------------------------------------------------
-    def _solve_formulation(self, form: MilpFormulation):
-        if self.backend == "scipy":
-            from .scipy_backend import solve_milp
-            return solve_milp(form)
-        from .bnb import solve_bnb
-        return solve_bnb(form)
 
     def solve(self, problem: PartitioningProblem) -> dict[str, str]:
         from .base import evaluate_mapping
@@ -256,7 +298,7 @@ class MilpPartitioner(Partitioner):
         for round_no in range(rounds):
             form, indexing = build_formulation(
                 problem, objective, deadline, self.comm_weight)
-            solution = self._solve_formulation(form)
+            solution = solve_milp(form)
             self._stats["rounds"] = round_no + 1
             self._stats["variables"] = form.n_vars
             self._stats["binaries"] = form.n_binaries

@@ -110,7 +110,7 @@ class TestBatchRunner:
     def test_default_job_name_tracks_flow_default_partitioner(self):
         # partitioner=None means "whatever CoolFlow defaults to"; the
         # displayed algorithm must come from that same source of truth
-        # (the old code hardcoded "milp" while the flow used milp[scipy])
+        # (a hardcoded name drifts whenever the flow default is renamed)
         job = FlowJob(graph=four_band_equalizer(words=8),
                       arch=minimal_board())
         default_name = CoolFlow.default_partitioner().name

@@ -54,8 +54,8 @@ class TestFingerprints:
     def test_partitioner_fingerprint_covers_config(self):
         assert GreedyPartitioner().fingerprint() == \
             GreedyPartitioner().fingerprint()
-        assert MilpPartitioner(backend="scipy").fingerprint() != \
-            MilpPartitioner(backend="bnb").fingerprint()
+        assert MilpPartitioner(objective="min_time").fingerprint() != \
+            MilpPartitioner().fingerprint()
 
     def test_plain_value_fingerprints(self):
         assert fingerprint_of(None) == fingerprint_of(None)
