@@ -1,19 +1,29 @@
-"""Symbolic guard simplification at suite scale.
+"""Guard simplification at suite scale.
 
-Drives the guard engine over the same 52-design population as the
-controller-synthesis and verification benches (50-graph workload suite
-+ two larger random graphs) and persists the numbers to
-``BENCH_guard_simplify.json`` at the repo root:
+Drives the VHDL emitter's guard rewrite over the same 52-design
+population as the controller-synthesis and verification benches
+(50-graph workload suite + two larger random graphs) and persists the
+numbers to ``BENCH_guard_simplify.json`` at the repo root:
 
 * ``literals`` -- VHDL guard literal counts of every controller FSM,
-  baseline cascade vs the symbolic emitter (dead-branch pruning,
+  baseline cascade vs the rewritten one (dead-branch pruning,
   same-successor merging, factored covers, reachability don't-cares
   harvested from the composition's reachable step system).  Gated:
   the suite total must *strictly* drop and no single design may get
   worse.
-* ``verification`` -- the soundness gate: every controller rebuilt
-  with reachability-reduced guards re-proves trace equivalence to its
-  minimized STG through the production composition check.
+* ``rewrite`` -- the emitter's soundness gate: on every state of every
+  controller FSM and every valuation harvested there, the first
+  rewritten cover (:func:`repro.automata.simplify.simplified_state_covers`,
+  what ``fsm_to_vhdl(simplify=True)`` prints) the valuation satisfies
+  must pick the ``(successor, actions)`` of the original cascade's
+  first enabled transition, and no cover may fire where no transition
+  is enabled.  Also records ``max_support``, the widest per-state
+  frame (distinct condition signals) the rewrite's truth tables span.
+* ``verification`` -- every controller rebuilt by
+  :func:`repro.controllers.simplify_controller_guards` (literals
+  dropped against the same care sets, a rewrite the flow itself does
+  not run) re-proves trace equivalence to its minimized STG through
+  the production composition check.
 * ``cosim`` -- golden-model gate on a sample of designs: the full
   ``CoolFlow`` (its codegen stage always simplifies) must co-simulate to exactly
   the golden interpreter's outputs.
@@ -31,6 +41,7 @@ from pathlib import Path
 
 from bench_controller_synthesis import _suite_designs
 from repro.automata import AutomataError
+from repro.automata.simplify import simplified_state_covers
 from repro.codegen import check_vhdl, fsm_to_vhdl, guard_literal_count
 from repro.controllers import (harvest_care_sets,
                                simplify_controller_guards,
@@ -52,6 +63,46 @@ SUITE_SEED = 7
 COSIM_DESIGNS = 6
 
 
+def _first_cover(covers, ids):
+    """The ``(dst, actions)`` of the first cover ``ids`` satisfies."""
+    for cover, dst, actions in covers:
+        if any(all((var in ids) == polarity for var, polarity in cube)
+               for cube in cover):
+            return dst, actions
+    return None
+
+
+def _first_enabled(automaton, state, ids):
+    """The ``(dst, actions)`` of the cascade's first enabled transition."""
+    for t in automaton.out(state):
+        if ids.issuperset(t.conditions):
+            return t.dst, t.actions
+    return None
+
+
+def check_rewrite(controller, care) -> dict:
+    """Every harvested valuation of every state: rewrite == cascade."""
+    states = valuations = mismatches = max_support = 0
+    for fsm in controller.fsms:
+        automaton = fsm.to_automaton()
+        care_of = care.get(fsm.name, {})
+        for index, name in enumerate(automaton.state_names):
+            states += 1
+            max_support = max(max_support, len(
+                {var for t in automaton.out(index) for var in t.conditions}))
+            observed = care_of.get(name)
+            if not observed:
+                continue
+            covers = simplified_state_covers(automaton, index, observed)
+            for valuation in observed:
+                ids = automaton.symbols.ids_of(valuation)
+                valuations += 1
+                mismatches += (_first_cover(covers, ids)
+                               != _first_enabled(automaton, index, ids))
+    return {"states": states, "valuations": valuations,
+            "mismatches": mismatches, "max_support": max_support}
+
+
 def measure(n_graphs: int = DEFAULT_GRAPHS, seed: int = SUITE_SEED) -> dict:
     designs = []
     for graph, schedule in _suite_designs(n_graphs, seed):
@@ -59,6 +110,8 @@ def measure(n_graphs: int = DEFAULT_GRAPHS, seed: int = SUITE_SEED) -> dict:
         designs.append((graph, mini, synthesize_system_controller(mini)))
 
     per_design = []
+    rewrite = {"states": 0, "valuations": 0, "mismatches": 0,
+               "max_support": 0}
     rejected_vhdl = 0
     care_fallbacks = []
     emit_baseline_s = 0.0
@@ -83,6 +136,11 @@ def measure(n_graphs: int = DEFAULT_GRAPHS, seed: int = SUITE_SEED) -> dict:
         after = sum(map(guard_literal_count, simplified.values()))
         rejected_vhdl += sum(bool(check_vhdl(text))
                              for text in simplified.values())
+        checked = check_rewrite(controller, care)
+        for key in ("states", "valuations", "mismatches"):
+            rewrite[key] += checked[key]
+        rewrite["max_support"] = max(rewrite["max_support"],
+                                     checked["max_support"])
 
         # on a harvest fallback `care` is {}: pass it through verbatim
         # so simplify does NOT silently re-harvest (guards stay
@@ -135,6 +193,7 @@ def measure(n_graphs: int = DEFAULT_GRAPHS, seed: int = SUITE_SEED) -> dict:
             "emit_baseline_s": round(emit_baseline_s, 6),
             "emit_simplified_s": round(emit_simplified_s, 6),
         },
+        "rewrite": rewrite,
         "verification": {
             "reverified": sum(d["reverified"] for d in per_design),
             "designs": len(per_design),
@@ -150,6 +209,7 @@ def measure(n_graphs: int = DEFAULT_GRAPHS, seed: int = SUITE_SEED) -> dict:
 def check(payload: dict) -> None:
     """The guard-simplification gate (shared by pytest and the CLI)."""
     literals = payload["literals"]
+    rewrite = payload["rewrite"]
     verification = payload["verification"]
     cosim = payload["cosim"]
 
@@ -159,6 +219,8 @@ def check(payload: dict) -> None:
         "no design may end up with more guard literals"
     assert literals["rejected_vhdl"] == 0, \
         "every simplified VHDL file must pass the structural checker"
+    assert rewrite["valuations"] > 0 and rewrite["mismatches"] == 0, \
+        "a rewritten cascade picks a different branch than the original"
     assert verification["reverified"] == verification["designs"], \
         "a simplified controller failed re-verification against its STG"
     assert cosim["golden_ok"] == cosim["designs"], \
@@ -170,7 +232,8 @@ def report(payload: dict) -> str:
     literals = payload["literals"]
     verification = payload["verification"]
     cosim = payload["cosim"]
-    lines = ["Symbolic guard simplification at suite scale:"]
+    rewrite = payload["rewrite"]
+    lines = ["Guard simplification at suite scale:"]
     lines.append(f"  suite               : {suite['graphs']} designs")
     lines.append(f"  VHDL guard literals : {literals['before']} -> "
                  f"{literals['after']} "
@@ -178,8 +241,12 @@ def report(payload: dict) -> str:
                  f"{literals['designs_reduced']}/{suite['graphs']} designs "
                  f"reduced, 0 worse)")
     lines.append(f"  emitter wall-clock  : baseline "
-                 f"{literals['emit_baseline_s'] * 1e3:7.1f} ms | symbolic "
+                 f"{literals['emit_baseline_s'] * 1e3:7.1f} ms | rewritten "
                  f"{literals['emit_simplified_s'] * 1e3:7.1f} ms")
+    lines.append(f"  rewritten cascades  : {rewrite['mismatches']} "
+                 f"mismatches over {rewrite['valuations']} valuations of "
+                 f"{rewrite['states']} states (widest frame "
+                 f"{rewrite['max_support']} signals)")
     lines.append(f"  re-verification     : "
                  f"{verification['reverified']}/{verification['designs']} "
                  f"equivalent (care fallbacks "
@@ -200,7 +267,7 @@ def test_guard_simplify_benchmark(benchmark, run_once):
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
-        description="Symbolic guard simplification at suite scale")
+        description="Guard simplification at suite scale")
     parser.add_argument("--graphs", type=int, default=DEFAULT_GRAPHS,
                         help="workload suite size (default %(default)s)")
     parser.add_argument("--seed", type=int, default=SUITE_SEED,

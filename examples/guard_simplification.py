@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Symbolic guard simplification: before/after VHDL cascades.
+"""Guard simplification: before/after VHDL cascades.
 
 Synthesizes the 4-band equalizer's communicating controllers, harvests
 the reachability don't-cares from the composition product (every input
@@ -8,9 +8,10 @@ environment), and emits each controller FSM twice:
 
 * the baseline priority cascade -- every transition spells its full
   conjunction of done-flag literals out;
-* the symbolic cascade -- dead branches pruned, same-successor
-  branches merged by guard disjunction, every guard re-covered by the
-  ESPRESSO-lite extractor against the don't-cares.  A wait on a flag
+* the rewritten cascade -- dead branches pruned, same-successor
+  branches merged by guard disjunction, every guard re-covered from
+  the state's truth tables (ISOP, expand, irredundant) against the
+  don't-cares.  A wait on a flag
   that is provably already latched becomes an unconditional arm; a
   join whose first producer always finishes earlier drops that
   literal.
@@ -59,14 +60,14 @@ def main() -> None:
     controller = synthesize_system_controller(stg)
 
     care = harvest_care_sets(controller)
-    print("VHDL guard literals per controller FSM (baseline -> symbolic):")
+    print("VHDL guard literals per controller FSM (baseline -> rewritten):")
     total_before = total_after = 0
     for fsm in controller.fsms:
         baseline = fsm_to_vhdl(fsm)
-        symbolic = fsm_to_vhdl(fsm, simplify=True,
-                               care_of=care.get(fsm.name))
+        rewritten = fsm_to_vhdl(fsm, simplify=True,
+                                care_of=care.get(fsm.name))
         before = guard_literal_count(baseline)
-        after = guard_literal_count(symbolic)
+        after = guard_literal_count(rewritten)
         total_before += before
         total_after += after
         print(f"  {fsm.name:<12} {before:>3} -> {after:>3}")
@@ -78,12 +79,12 @@ def main() -> None:
     # wait on done_x is provably already latched -> unconditional arm
     seq = controller.sequencers["dsp0"]
     baseline = fsm_to_vhdl(seq)
-    symbolic = fsm_to_vhdl(seq, simplify=True, care_of=care[seq.name])
+    rewritten = fsm_to_vhdl(seq, simplify=True, care_of=care[seq.name])
     state = seq.states[3]  # the repeated wait
     print(f"\nbaseline cascade of seq_dsp0 state {state!r}:")
     print("\n".join(cascade_of(baseline, state)))
-    print(f"\nsymbolic cascade of the same state (wait already proven):")
-    print("\n".join(cascade_of(symbolic, state)))
+    print("\nrewritten cascade of the same state (wait already proven):")
+    print("\n".join(cascade_of(rewritten, state)))
 
     reduced, stats = simplify_controller_guards(controller, care_sets=care)
     check = verify_composition(stg, reduced, graph=graph)

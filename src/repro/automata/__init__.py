@@ -14,7 +14,6 @@ from .minimize import (PartitionRefinement, minimize_automaton, quotient,
 from .product import (CompositionConfig, ProductEnvironment,
                       SynchronousComposition, internal_signals,
                       reachable_automaton, synchronous_product)
-from .simplify import state_care_node
 from .symbolic import (ClassVerdict, LazyStepSystem, SymbolicEquivalence,
                        reachable_set_summary, symbolic_trace_equivalence)
 
@@ -26,7 +25,6 @@ __all__ = [
     "BisimResult", "distinguishing_trace", "weak_bisimilar",
     "CompositionConfig", "ProductEnvironment", "SynchronousComposition",
     "internal_signals", "reachable_automaton", "synchronous_product",
-    "state_care_node",
     "ClassVerdict", "LazyStepSystem", "SymbolicEquivalence",
     "reachable_set_summary", "symbolic_trace_equivalence",
 ]

@@ -17,8 +17,9 @@ This package is the single substrate both are thin views over:
   partition-refinement minimizer (worklist-driven, Hopcroft-style
   "process the split block" scheduling);
 * :mod:`repro.automata.simplify` -- the per-state cascade rewrite the
-  VHDL emitter uses to print compact guards (negated literals and
-  OR-terms exist only in the emitted text, never in the kernel);
+  VHDL emitter uses to print compact guards, computed on each state's
+  truth tables (negated literals and OR-terms exist only in the
+  emitted text, never in the kernel);
 * :mod:`repro.automata.executor` -- the one step/trace executor pair:
   token (marked-graph) semantics for STGs, sequential prioritized
   Mealy semantics for controller FSMs;

@@ -13,8 +13,8 @@ Emitted style:
   including the first unconditional transition, which becomes the
   ``else`` arm; transitions behind it can never fire and are elided
   with an explicit comment instead of silently vanishing.
-* With ``simplify=True`` the cascade is rebuilt through the symbolic
-  guard engine (:mod:`repro.symbolic`): dead branches are pruned,
+* With ``simplify=True`` the cascade is rebuilt from per-state truth
+  tables (:mod:`repro.automata.simplify`): dead branches are pruned,
   branches picking the same (successor, actions) outcome merge by
   guard disjunction, and every branch guard is re-emitted as a
   factored sum-of-products -- negated literals (``sig = '0'``) and
@@ -41,7 +41,6 @@ import re
 from ..automata.simplify import simplified_state_covers
 from ..controllers.fsm import Fsm, encode_states
 from ..hls.rtl import RtlDatapath
-from ..symbolic import BddEngine
 
 __all__ = ["fsm_to_vhdl", "datapath_to_vhdl", "fsm_guard_literals",
            "guard_literal_count", "HEADER"]
@@ -159,7 +158,6 @@ def _simplified_arms(fsm: Fsm, care_of=None):
     are omitted -- the caller falls back to the default arm.
     """
     automaton = fsm.to_automaton()
-    engine = BddEngine()
     name_of = automaton.symbols.name_of
     arms: dict[str, list] = {}
     for index, state in enumerate(automaton.state_names):
@@ -172,7 +170,7 @@ def _simplified_arms(fsm: Fsm, care_of=None):
                          for var, positive in cube) for cube in cover),
              automaton.name_of(dst), automaton.symbols.names_of(actions))
             for cover, dst, actions in simplified_state_covers(
-                automaton, index, engine, observed)]
+                automaton, index, observed)]
         live, _shadowed = _split_live_cascade(transitions)
         original_literals = _live_literals(live)
         rewritten_literals = sum(len(cube) for cover, _, _ in simplified
@@ -188,10 +186,10 @@ def fsm_to_vhdl(fsm: Fsm, encoding: str = "binary",
                 simplify: bool = False, care_of=None) -> str:
     """Emit a two-process synthesizable architecture for ``fsm``.
 
-    ``simplify=True`` routes every state's cascade through the symbolic
-    guard engine (see the module docstring); ``care_of`` optionally
-    supplies reachability care sets (state name -> iterable of observed
-    input valuations, e.g. from
+    ``simplify=True`` routes every state's cascade through the
+    truth-table guard rewrite (see the module docstring); ``care_of``
+    optionally supplies reachability care sets (state name -> iterable
+    of observed input valuations, e.g. from
     :func:`repro.controllers.harvest_care_sets`) whose complement is
     exploited as don't-care freedom.
     """

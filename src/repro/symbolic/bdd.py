@@ -1,30 +1,25 @@
-"""Hash-consed reduced ordered BDDs over the kernel's signal IDs.
+"""Hash-consed reduced ordered BDDs over integer variables.
 
 One :class:`BddEngine` owns a forest of ROBDD nodes.  Variables are
-plain non-negative integers -- in kernel use they are the dense symbol
-IDs an :class:`~repro.automata.SymbolTable` interns -- and the variable
+plain non-negative integers -- in the relational layer they are the
+interleaved current/next bits of a
+:class:`~repro.symbolic.relation.VariablePairing` -- and the variable
 order is fixed to ascending numeric ID.  A fixed order makes every
-function *canonical by construction*: two guards that denote the same
-boolean function resolve to the same node index no matter how they were
-built, so equality, implication and tautology checks are O(1)-ish
-lookups instead of SAT-shaped searches.
+function *canonical by construction*: two functions that are equal
+resolve to the same node index no matter how they were built, so
+equality is a pointer comparison.
 
 Nodes are hash-consed through a unique table and all binary operations
 route through :meth:`BddEngine.ite` with a computed table, so repeated
-guard algebra (the minimizer OR-merging transitions into the same
-successor block, the emitter building effective cascade guards) stays
-near-linear in the number of *distinct* subproblems.
+algebra stays near-linear in the number of *distinct* subproblems.
 
 The engine deliberately has no complement edges and no garbage
-collector: guard forests in this repo are thousands of nodes at the
-very largest, and dropping the whole engine frees everything.
+collector: dropping the whole engine frees everything.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Iterable
-
-from ..fingerprint import content_hash
+from typing import Iterable
 
 __all__ = ["BddError", "BddEngine", "FALSE", "TRUE"]
 
@@ -50,7 +45,7 @@ class BddEngine:
     """
 
     __slots__ = ("_var", "_low", "_high", "_unique", "_ite_cache",
-                 "_var_nodes", "_ite_calls", "_ite_hits")
+                 "_var_nodes")
 
     def __init__(self) -> None:
         # index-aligned node arrays; slots 0/1 are the terminals
@@ -60,9 +55,6 @@ class BddEngine:
         self._unique: dict[tuple[int, int, int], int] = {}
         self._ite_cache: dict[tuple[int, int, int], int] = {}
         self._var_nodes: dict[int, int] = {}
-        #: non-terminal ite calls / computed-table hits, for stats()
-        self._ite_calls = 0
-        self._ite_hits = 0
 
     # ------------------------------------------------------------------
     # construction
@@ -91,13 +83,6 @@ class BddEngine:
             node = self.and_(node, self.literal(variable, positive))
         return node
 
-    def conj(self, variables: Iterable[int]) -> int:
-        """Conjunction of positive literals (the kernel's plain guard)."""
-        node = TRUE
-        for variable in sorted(set(variables)):
-            node = self.and_(node, self.var(variable))
-        return node
-
     def disj(self, nodes: Iterable[int]) -> int:
         out = FALSE
         for node in nodes:
@@ -118,10 +103,8 @@ class BddEngine:
         if g == TRUE and h == FALSE:
             return f
         key = (f, g, h)
-        self._ite_calls += 1
         cached = self._ite_cache.get(key)
         if cached is not None:
-            self._ite_hits += 1
             return cached
         var = self._var
         level = min(var[f], var[g], var[h])
@@ -145,7 +128,7 @@ class BddEngine:
         return self.ite(f, self.not_(g), g)
 
     def diff(self, f: int, g: int) -> int:
-        """``f and not g`` (the cover algorithms' workhorse)."""
+        """``f and not g``."""
         return self.ite(f, self.not_(g), FALSE)
 
     # ------------------------------------------------------------------
@@ -171,12 +154,6 @@ class BddEngine:
 
         return walk(f)
 
-    def top_var(self, f: int) -> int | None:
-        """The smallest (top-most) variable of ``f``; None on terminals."""
-        self._check(f)
-        level = self._var[f]
-        return None if level == _TERMINAL_LEVEL else level
-
     def support(self, f: int) -> frozenset[int]:
         """Every variable ``f`` actually depends on."""
         self._check(f)
@@ -192,27 +169,6 @@ class BddEngine:
             stack.append(self._low[node])
             stack.append(self._high[node])
         return frozenset(out)
-
-    # ------------------------------------------------------------------
-    # decision procedures
-    # ------------------------------------------------------------------
-    def implies(self, f: int, g: int) -> bool:
-        """Does ``f -> g`` hold universally?"""
-        return self.diff(f, g) == FALSE
-
-    def equivalent(self, f: int, g: int) -> bool:
-        """Canonical representation makes this a pointer comparison."""
-        self._check(f)
-        self._check(g)
-        return f == g
-
-    def is_tautology(self, f: int) -> bool:
-        self._check(f)
-        return f == TRUE
-
-    def is_false(self, f: int) -> bool:
-        self._check(f)
-        return f == FALSE
 
     def eval(self, f: int, true_variables) -> bool:
         """Evaluate under the valuation ``v -> (v in true_variables)``."""
@@ -241,55 +197,6 @@ class BddEngine:
             stack.append(self._low[node])
             stack.append(self._high[node])
         return len(seen)
-
-    def fingerprint(self, f: int,
-                    name_of: Callable[[int], str] | None = None) -> str:
-        """Stable content hash of the function ``f`` denotes.
-
-        Serializes the reachable DAG in a deterministic depth-first
-        numbering; with ``name_of`` the variables are rendered by name,
-        so fingerprints agree across engines whose interning order
-        differs (two automata over the same signal names hash alike).
-        """
-        self._check(f)
-        index: dict[int, int] = {FALSE: 0, TRUE: 1}
-        rows: list[tuple] = []
-
-        def walk(node: int) -> int:
-            known = index.get(node)
-            if known is not None:
-                return known
-            low = walk(self._low[node])
-            high = walk(self._high[node])
-            variable = self._var[node]
-            label = name_of(variable) if name_of is not None else variable
-            index[node] = len(index)
-            rows.append((label, low, high))
-            return index[node]
-
-        root = walk(f)
-        return content_hash(("bdd", root, tuple(rows)))
-
-    def __len__(self) -> int:
-        """Total nodes ever built (terminals included)."""
-        return len(self._var)
-
-    def stats(self) -> dict:
-        """Observability counters for verify-regression diagnosis.
-
-        ``nodes`` counts every node ever hash-consed (terminals
-        included, nothing is ever garbage-collected), ``unique_table``
-        is the live unique-table population, and ``ite_hit_rate`` is
-        the computed-table hit fraction over the non-terminal ``ite``
-        calls so far (1.0-worthy workloads re-derive nothing).
-        """
-        return {
-            "nodes": len(self._var),
-            "unique_table": len(self._unique),
-            "ite_calls": self._ite_calls,
-            "ite_hit_rate": (round(self._ite_hits / self._ite_calls, 4)
-                             if self._ite_calls else 0.0),
-        }
 
     # ------------------------------------------------------------------
     def _mk(self, variable: int, low: int, high: int) -> int:

@@ -30,8 +30,7 @@ algebra those objects need on top of :class:`~repro.symbolic.bdd.BddEngine`:
   count.
 
 Everything routes through the owning engine's memoized ``ite``/``_mk``,
-so repeated subproblems stay shared and the node/hit-rate counters in
-:meth:`BddEngine.stats` cover this layer too.
+so repeated subproblems stay shared.
 """
 
 from __future__ import annotations

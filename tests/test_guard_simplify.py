@@ -8,13 +8,17 @@ valuation, and the rebuilt controller must still prove equivalent to
 its STG (the paper's headline claim, now on simplified guards).
 
 The emitter-level rewrite (``fsm_to_vhdl(simplify=True)``) is checked
-in ``tests/test_codegen.py`` and ``tests/test_verify_differential.py``.
+in ``tests/test_codegen.py`` and ``tests/test_verify_differential.py``;
+its output over this suite is pinned byte for byte below.
 The population is a 20-design ``workload_suite`` -- the same randomized
 harness the kernel-equivalence tests use.
 """
 
+import hashlib
+
 import pytest
 
+from repro.codegen import fsm_to_vhdl
 from repro.controllers import (harvest_care_sets,
                                simplify_controller_guards,
                                synthesize_system_controller,
@@ -81,3 +85,26 @@ def test_suite_reduces_literals_somewhere():
         total_before += stats["literals_before"]
         total_after += stats["literals_after"]
     assert total_after < total_before
+
+
+#: sha256 of the concatenated ``fsm_to_vhdl(simplify=True)`` texts of
+#: every controller FSM of ``SUITE``, as emitted by the BDD-based cover
+#: extractor this rewrite replaced.
+SUITE_VHDL_SHA256 = \
+    "7a8df995a76e0557a3b81f9515e889ac9a65cd6ea5820d86be673504a99bcd85"
+
+
+def test_simplified_vhdl_is_pinned():
+    """The truth-table guard rewrite emits the very bytes of the BDD one."""
+    digest = hashlib.sha256()
+    fsms = 0
+    for spec in SUITE:
+        _graph, stg = suite_design(spec)
+        controller = synthesize_system_controller(stg)
+        care = harvest_care_sets(controller)
+        for fsm in controller.fsms:
+            digest.update(fsm_to_vhdl(fsm, simplify=True,
+                                      care_of=care.get(fsm.name)).encode())
+            fsms += 1
+    assert fsms == 80
+    assert digest.hexdigest() == SUITE_VHDL_SHA256
