@@ -90,6 +90,32 @@ class TestCovers:
     A = cube_table(2, ((0, True),))
     AB = cube_table(2, ((0, True), (1, True)))
 
+    @staticmethod
+    def random_table(rng, nvars, density):
+        """A random truth table over ``nvars`` variables, row by row."""
+        return sum(1 << minterm for minterm in range(1 << nvars)
+                   if rng.random() < density)
+
+    @staticmethod
+    def cover_holds(cover, minterm):
+        """Whether some cube of ``cover`` holds on one minterm."""
+        return any(all(bool(minterm >> var & 1) == polarity
+                       for var, polarity in cube) for cube in cover)
+
+    def test_isop_stays_in_interval(self):
+        rng = random.Random(11)
+        for _ in range(150):
+            nvars = rng.randint(1, 4)
+            onset = self.random_table(rng, nvars, 0.4)
+            upper = onset | self.random_table(rng, nvars, 0.2)
+            cubes = isop(nvars, onset, upper)
+            for minterm in range(1 << nvars):
+                covered = self.cover_holds(cubes, minterm)
+                if onset >> minterm & 1:
+                    assert covered
+                if covered:
+                    assert upper >> minterm & 1
+
     def test_isop_rejects_empty_interval(self):
         with pytest.raises(ValueError):
             isop(2, cube_table(2, ()), self.A)
@@ -103,6 +129,19 @@ class TestCovers:
         cubes = irredundant_cover(
             2, [((0, True),), ((0, True), (1, True))], self.A)
         assert cubes == (((0, True),),)
+
+    def test_minimal_cover_agrees_on_care_rows(self):
+        rng = random.Random(23)
+        for _ in range(150):
+            nvars = rng.randint(1, 4)
+            onset = self.random_table(rng, nvars, 0.4)
+            dc = self.random_table(rng, nvars, 0.25) & ~onset
+            cover = minimal_cover(nvars, onset, dc)
+            for minterm in range(1 << nvars):
+                if dc >> minterm & 1:
+                    continue  # don't-care row: anything goes
+                assert self.cover_holds(cover, minterm) \
+                    == bool(onset >> minterm & 1)
 
     def test_minimal_cover_exploits_dont_cares(self):
         # onset a&b, don't care everything with b false -> cover is just a
