@@ -64,15 +64,11 @@ def datapath_area_clbs(rtl: RtlDatapath, fpga: Fpga) -> int:
     return max(1, ceil(area))
 
 
-def controller_area_clbs(n_states: int, fpga: Fpga,
-                         one_hot: bool = False) -> int:
-    """CLB cost of a controller FSM with ``n_states`` states."""
+def controller_area_clbs(n_states: int, fpga: Fpga) -> int:
+    """CLB cost of a binary-encoded controller FSM with ``n_states`` states."""
     if n_states <= 0:
         return 0
-    if one_hot:
-        flops = n_states
-    else:
-        flops = max(1, ceil(log2(max(n_states, 2))))
+    flops = max(1, ceil(log2(max(n_states, 2))))
     area = flops * fpga.register_clbs_per_bit \
         + n_states * fpga.controller_clbs_per_state
     return max(1, ceil(area))

@@ -1,8 +1,8 @@
 """High-level synthesis drivers: per node and per shared resource.
 
 :func:`synthesize_node` runs the full OSCAR-style pipeline for one task
-node: DFG expansion, FU allocation, scheduling (list or force-directed),
-left-edge binding, RTL assembly, CLB pricing.
+node: DFG expansion, one functional unit per used category, ALAP-priority
+list scheduling, left-edge binding, RTL assembly, CLB pricing.
 
 :func:`synthesize_resource` implements the *hardware sharing* the
 paper's data-path controllers exist for: all nodes mapped to one FPGA
@@ -20,13 +20,12 @@ from dataclasses import dataclass, field
 from ..graph.partition import Partition
 from ..graph.taskgraph import TaskGraph, TaskNode
 from ..platform.fpgas import Fpga
-from .allocation import allocate_for_latency, allocate_minimal
 from .area import controller_area_clbs, datapath_area_clbs
 from .binding import Binding, bind
-from .dfg import Dfg, HlsError
+from .dfg import Dfg
 from .expand import expand_node
 from .rtl import RtlDatapath, RtlFu, build_rtl
-from .schedule import HlsSchedule, force_directed_schedule, list_schedule_ops
+from .schedule import HlsSchedule, allocate_minimal, list_schedule_ops
 
 __all__ = ["HlsResult", "SharedDatapathResult", "synthesize_node",
            "synthesize_resource"]
@@ -55,10 +54,7 @@ class HlsResult:
                 "registers": self.rtl.register_count}
 
 
-def synthesize_node(node: TaskNode, fpga: Fpga,
-                    target_latency: int | None = None,
-                    scheduler: str = "list",
-                    fu_allocation: dict[str, int] | None = None) -> HlsResult:
+def synthesize_node(node: TaskNode, fpga: Fpga) -> HlsResult:
     """Synthesize one task node into an RTL datapath on ``fpga``."""
     dfg = expand_node(node)
     if len(dfg) == 0:
@@ -69,20 +65,8 @@ def synthesize_node(node: TaskNode, fpga: Fpga,
         return HlsResult(node.name, dfg, empty_schedule, empty_binding,
                          rtl, 1)
 
-    if fu_allocation is None:
-        if target_latency is None:
-            fu_allocation = allocate_minimal(dfg)
-        else:
-            fu_allocation = allocate_for_latency(
-                dfg, fpga.latency_for, fpga.area_for, target_latency)
-
-    if scheduler == "list":
-        schedule = list_schedule_ops(dfg, fpga.latency_for, fu_allocation)
-    elif scheduler == "force_directed":
-        schedule = force_directed_schedule(dfg, fpga.latency_for)
-    else:
-        raise HlsError(f"unknown scheduler {scheduler!r}")
-
+    schedule = list_schedule_ops(dfg, fpga.latency_for,
+                                 allocate_minimal(dfg))
     binding = bind(schedule)
     rtl = build_rtl(node.name, node.width, schedule, binding)
     area = datapath_area_clbs(rtl, fpga)
@@ -122,9 +106,7 @@ class SharedDatapathResult:
 
 
 def synthesize_resource(graph: TaskGraph, partition: Partition,
-                        resource: str, fpga: Fpga,
-                        target_latency: int | None = None
-                        ) -> SharedDatapathResult:
+                        resource: str, fpga: Fpga) -> SharedDatapathResult:
     """Synthesize the shared datapath of one hardware resource."""
     result = SharedDatapathResult(resource)
     node_names = partition.nodes_on(resource)
@@ -135,8 +117,7 @@ def synthesize_resource(graph: TaskGraph, partition: Partition,
     for name in node_names:
         node = graph.node(name)
         width = max(width, node.width)
-        result.node_results[name] = synthesize_node(
-            node, fpga, target_latency=target_latency)
+        result.node_results[name] = synthesize_node(node, fpga)
 
     # shared FU set: per-category maximum over the nodes; the mux in
     # front of a shared unit must accept every node's sources

@@ -1,9 +1,9 @@
 """Operation scheduling for high-level synthesis.
 
-The OSCAR-era algorithm set: ASAP and ALAP for mobility analysis,
-resource-constrained **list scheduling** as the workhorse, and
-**force-directed scheduling** (Paulin/Knight style, simplified to
-distribution-graph forces) for latency-constrained allocation studies.
+The flow's one HLS path: :func:`allocate_minimal` gives every used
+category one functional unit, and resource-constrained **list
+scheduling** orders the operations by ALAP urgency.  ASAP and ALAP
+schedules supply that urgency and the mobility analysis.
 
 A schedule maps every DFG operation to a start step; an operation of
 category ``c`` occupies one unit of the ``c`` functional-unit pool for
@@ -17,8 +17,8 @@ from dataclasses import dataclass
 
 from .dfg import Dfg, HlsError
 
-__all__ = ["HlsSchedule", "asap_schedule", "alap_schedule", "list_schedule_ops",
-           "force_directed_schedule"]
+__all__ = ["HlsSchedule", "asap_schedule", "alap_schedule",
+           "allocate_minimal", "list_schedule_ops"]
 
 
 @dataclass
@@ -84,22 +84,23 @@ def asap_schedule(dfg: Dfg, latency_of) -> HlsSchedule:
     return HlsSchedule(dfg, start, table)
 
 
-def alap_schedule(dfg: Dfg, latency_of,
-                  deadline: int | None = None) -> HlsSchedule:
-    """Latest-start schedule meeting ``deadline`` (default: ASAP length)."""
+def alap_schedule(dfg: Dfg, latency_of) -> HlsSchedule:
+    """Latest-start schedule within the ASAP length."""
     table = _latency_table(dfg, latency_of)
-    horizon = deadline if deadline is not None \
-        else asap_schedule(dfg, latency_of).length
+    horizon = asap_schedule(dfg, latency_of).length
     start: dict[int, int] = {}
     for uid in reversed(dfg.topological_order()):
         op = dfg.ops[uid]
         latest = horizon - table[op.category]
         for succ in dfg.successors(uid):
             latest = min(latest, start[succ] - table[op.category])
-        if latest < 0:
-            raise HlsError(f"deadline {horizon} infeasible for op {uid}")
         start[uid] = latest
     return HlsSchedule(dfg, start, table)
+
+
+def allocate_minimal(dfg: Dfg) -> dict[str, int]:
+    """One functional unit per category present in the DFG."""
+    return {category: 1 for category in dfg.categories()}
 
 
 def list_schedule_ops(dfg: Dfg, latency_of,
@@ -117,20 +118,18 @@ def list_schedule_ops(dfg: Dfg, latency_of,
 
     start: dict[int, int] = {}
     finished: dict[int, int] = {}
-    remaining = {uid: len(op.inputs) for uid, op in dfg.ops.items()}
-    ready = sorted([uid for uid, k in remaining.items() if k == 0],
+    pending = {uid: len(op.inputs) for uid, op in dfg.ops.items()}
+    ready = sorted([uid for uid, k in pending.items() if k == 0],
                    key=lambda u: (priority[u], u))
     busy_until: dict[str, list[int]] = {
         cat: [0] * fu_limits[cat] for cat in table}
 
     step = 0
-    pending = dict(remaining)
     guard = 0
     while ready or len(finished) < len(dfg.ops):
         guard += 1
         if guard > 10 * (len(dfg.ops) + 1) * (max(table.values(), default=1) + 1):
             raise HlsError("list scheduler failed to make progress")
-        progressed = False
         for uid in list(ready):
             op = dfg.ops[uid]
             data_ready = max((finished[d] for d in op.inputs), default=0)
@@ -149,74 +148,5 @@ def list_schedule_ops(dfg: Dfg, latency_of,
                 if pending[succ] == 0:
                     ready.append(succ)
             ready.sort(key=lambda u: (priority[u], u))
-            progressed = True
         step += 1
-        if not progressed and not ready and len(finished) < len(dfg.ops):
-            continue
     return HlsSchedule(dfg, start, table)
-
-
-def force_directed_schedule(dfg: Dfg, latency_of,
-                            deadline: int | None = None) -> HlsSchedule:
-    """Simplified force-directed scheduling (distribution-graph forces).
-
-    Operations are placed one at a time into the step of their mobility
-    window that minimizes the category's expected concurrency -- the
-    classic latency-constrained FU-minimizing heuristic.
-    """
-    table = _latency_table(dfg, latency_of)
-    asap = asap_schedule(dfg, latency_of)
-    horizon = deadline if deadline is not None else asap.length
-    alap = alap_schedule(dfg, latency_of, horizon)
-
-    start: dict[int, int] = {}
-    # distribution graph: expected usage per (category, step)
-    distribution: dict[tuple[str, int], float] = {}
-
-    def window(uid: int) -> tuple[int, int]:
-        lo = asap.start[uid] if uid not in start else start[uid]
-        hi = alap.start[uid] if uid not in start else start[uid]
-        return lo, hi
-
-    for uid, op in dfg.ops.items():
-        lo, hi = asap.start[uid], alap.start[uid]
-        weight = 1.0 / (hi - lo + 1)
-        for s in range(lo, hi + 1):
-            for k in range(table[op.category]):
-                key = (op.category, s + k)
-                distribution[key] = distribution.get(key, 0.0) + weight
-
-    # place operations most-constrained first (smallest mobility)
-    order = sorted(dfg.ops,
-                   key=lambda u: (alap.start[u] - asap.start[u], u))
-    for uid in order:
-        op = dfg.ops[uid]
-        lo = max([asap.start[uid]]
-                 + [start[d] + table[dfg.ops[d].category]
-                    for d in op.inputs if d in start])
-        hi = alap.start[uid]
-        if lo > hi:
-            hi = lo  # dependencies squeezed the window; extend horizon
-        best_step, best_force = lo, float("inf")
-        for s in range(lo, hi + 1):
-            force = sum(distribution.get((op.category, s + k), 0.0)
-                        for k in range(table[op.category]))
-            if force < best_force:
-                best_step, best_force = s, force
-        start[uid] = best_step
-        # update the distribution: this op is now fixed
-        old_lo, old_hi = asap.start[uid], alap.start[uid]
-        weight = 1.0 / (old_hi - old_lo + 1)
-        for s in range(old_lo, old_hi + 1):
-            for k in range(table[op.category]):
-                distribution[(op.category, s + k)] -= weight
-        for k in range(table[op.category]):
-            key = (op.category, best_step + k)
-            distribution[key] = distribution.get(key, 0.0) + 1.0
-
-    schedule = HlsSchedule(dfg, start, table)
-    problems = [p for p in schedule.validate() if "starts before" in p]
-    if problems:
-        raise HlsError("force-directed schedule broke dependencies:\n  "
-                       + "\n  ".join(problems))
-    return schedule

@@ -79,6 +79,16 @@ class Fpga:
                 raise PlatformError(
                     f"fpga {self.name!r}: unknown categories in {table_name}: "
                     f"{sorted(unknown)}")
+        for op, cycles in self.latency:
+            if cycles < 1:
+                raise PlatformError(
+                    f"fpga {self.name!r}: latency of {op!r} must be at "
+                    f"least 1 cycle, got {cycles}")
+        for op, clbs in self.area:
+            if clbs < 0:
+                raise PlatformError(
+                    f"fpga {self.name!r}: area of {op!r} must be "
+                    f"non-negative, got {clbs}")
 
     @property
     def latency_table(self) -> dict[str, int]:

@@ -57,6 +57,21 @@ class TestFpga:
         with pytest.raises(PlatformError):
             Fpga("f", "X", 0, 1e6)
 
+    def test_zero_latency_rejected(self):
+        """A 0-cycle operator would let dependent ops share one step."""
+        with pytest.raises(PlatformError, match=r"'f'.*'mac'"):
+            Fpga("f", "X", 100, 1e6, latency=(("mac", 0),))
+
+    def test_negative_latency_rejected(self):
+        """A negative latency would stall the HLS list scheduler."""
+        with pytest.raises(PlatformError, match=r"'f'.*'mac'"):
+            Fpga("f", "X", 100, 1e6, latency=(("mac", -1),))
+
+    def test_negative_area_rejected(self):
+        """A negative operator area would shrink datapath CLB prices."""
+        with pytest.raises(PlatformError, match=r"'f'.*'mac'"):
+            Fpga("f", "X", 100, 1e6, area=(("mac", -50),))
+
     def test_role_flags(self):
         assert xc4005().is_hardware and not xc4005().is_software
 
