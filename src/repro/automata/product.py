@@ -102,11 +102,17 @@ class SynchronousComposition:
         #: per-component consumed broadcast channels
         self.consumed: list[set[str]] = [set() for _ in self.components]
         self.actions_log: list[tuple[str, ...]] = []
+        #: ``(held, external actions)`` of the last quiet cycle, or None
+        self._quiet: tuple[frozenset[str], tuple[str, ...]] | None = None
 
     @property
     def state_names(self) -> tuple[str, ...]:
         return tuple(c.name_of(s)
                      for c, s in zip(self.components, self.states))
+
+    def state_name(self, index: int) -> str:
+        """Current state name of component ``index``."""
+        return self.components[index].name_of(self.states[index])
 
     def configuration(self) -> tuple:
         """Hashable snapshot of the composite configuration."""
@@ -144,11 +150,31 @@ class SynchronousComposition:
         ``pulses`` are latched into the flag register before stepping;
         ``held`` signals are visible this cycle only (e.g. ``restart``).
         Returns the externally visible actions in emission order.
-        """
-        if pulses:
-            self.flags.update(pulses)
-        inputs = self.flags | self.internal | set(held or ())
 
+        Quiet cycles repeat without stepping.  A cycle is *quiet* when
+        it leaves the configuration (states, flags, internal latches,
+        consumed sets) as it found it after latching its pulses.  The
+        composition keeps the last quiet cycle's ``held`` set and
+        external actions.  While the configuration stays put, a cycle
+        whose pulses latch no new flag and whose ``held`` set is equal
+        sees exactly the same inputs, so it returns (and logs) the same
+        actions again.  :meth:`reset` and configuration restores drop
+        the record; so does any cycle that is not quiet.
+        """
+        grew = False
+        if pulses:
+            size = len(self.flags)
+            self.flags.update(pulses)
+            grew = len(self.flags) != size
+        held = frozenset(held or ())
+        quiet = self._quiet
+        if quiet is not None and not grew and quiet[0] == held:
+            if quiet[1]:
+                self.actions_log.append(quiet[1])
+            return list(quiet[1])
+        inputs = self.flags | self.internal | held
+
+        changed = False
         emitted: list[str] = []
         for index, (component, runner) in enumerate(
                 zip(self.components, self._runners)):
@@ -156,16 +182,20 @@ class SynchronousComposition:
             state = self.states[index]
             new_state, out_ids = runner.step(
                 state, component.symbols.ids_of(visible))
-            if state == component.initial and new_state != component.initial:
-                self.consumed[index] |= self._consume_once
-            self.states[index] = new_state
+            if new_state != state:
+                changed = True
+                if state == component.initial:
+                    self.consumed[index] |= self._consume_once
+                self.states[index] = new_state
             emitted.extend(component.symbols.names_of(out_ids))
 
         external: list[str] = []
         for action in emitted:
             if action == self.config.clear_action:
+                changed = changed or bool(self.flags)
                 self.flags.clear()
             elif action in self._internal:
+                changed = changed or action not in self.internal
                 self.internal.add(action)
             else:
                 external.append(action)
@@ -174,9 +204,12 @@ class SynchronousComposition:
         if flush is not None:
             name = self.components[flush].name_of(self.states[flush])
             if name in self.config.flush_states:
+                changed = changed or bool(self.internal) \
+                    or any(self.consumed)
                 self.internal.clear()
                 for consumed in self.consumed:
                     consumed.clear()
+        self._quiet = None if changed else (held, tuple(external))
         if external:
             self.actions_log.append(tuple(external))
         return external
@@ -357,6 +390,7 @@ def _restore(composition: SynchronousComposition, config_key: tuple) -> None:
     composition.flags = set(flags)
     composition.internal = set(internal)
     composition.consumed = [set(c) for c in consumed]
+    composition._quiet = None
     # the scratch composition is replayed once per (state, letter) edge;
     # nothing reads its log during materialization, so don't grow it
     composition.actions_log.clear()

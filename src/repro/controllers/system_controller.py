@@ -239,7 +239,7 @@ class ControllerHarness:
     # ------------------------------------------------------------------
     @property
     def phase_state(self) -> str:
-        return self._composition.state_names[0]
+        return self._composition.state_name(0)
 
     @property
     def seq_states(self) -> dict[str, str]:

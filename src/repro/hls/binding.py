@@ -80,10 +80,11 @@ def bind(schedule: HlsSchedule) -> Binding:
             fu_of[uid] = (category, index)
 
     # register binding on value lifetimes
+    successor_map = dfg.successor_map()
     intervals = []
     for uid, op in dfg.ops.items():
         born = schedule.start[uid] + schedule.latency_of[op.category]
-        successors = dfg.successors(uid)
+        successors = successor_map[uid]
         if successors:
             dies = max(schedule.start[s] for s in successors) + 1
         else:

@@ -46,8 +46,17 @@ class Dfg:
     def __len__(self) -> int:
         return len(self.ops)
 
-    def successors(self, uid: int) -> list[int]:
-        return [o.uid for o in self.ops.values() if uid in o.inputs]
+    def successor_map(self) -> dict[int, list[int]]:
+        """Every op's distinct readers, in ascending uid order.
+
+        One pass over the ops; callers that walk many ops build it once
+        instead of scanning the whole DFG per op.
+        """
+        succs: dict[int, list[int]] = {uid: [] for uid in self.ops}
+        for op in self.ops.values():
+            for dep in dict.fromkeys(op.inputs):
+                succs[dep].append(op.uid)
+        return succs
 
     def categories(self) -> dict[str, int]:
         """Operation count per category."""
@@ -57,11 +66,8 @@ class Dfg:
         return counts
 
     def topological_order(self) -> list[int]:
-        indeg = {uid: len(op.inputs) for uid, op in self.ops.items()}
-        succs: dict[int, list[int]] = {uid: [] for uid in self.ops}
-        for op in self.ops.values():
-            for dep in op.inputs:
-                succs[dep].append(op.uid)
+        indeg = {uid: len(set(op.inputs)) for uid, op in self.ops.items()}
+        succs = self.successor_map()
         ready = sorted(uid for uid, d in indeg.items() if d == 0)
         order: list[int] = []
         while ready:

@@ -88,11 +88,12 @@ def alap_schedule(dfg: Dfg, latency_of) -> HlsSchedule:
     """Latest-start schedule within the ASAP length."""
     table = _latency_table(dfg, latency_of)
     horizon = asap_schedule(dfg, latency_of).length
+    successors = dfg.successor_map()
     start: dict[int, int] = {}
     for uid in reversed(dfg.topological_order()):
         op = dfg.ops[uid]
         latest = horizon - table[op.category]
-        for succ in dfg.successors(uid):
+        for succ in successors[uid]:
             latest = min(latest, start[succ] - table[op.category])
         start[uid] = latest
     return HlsSchedule(dfg, start, table)
@@ -118,11 +119,18 @@ def list_schedule_ops(dfg: Dfg, latency_of,
 
     start: dict[int, int] = {}
     finished: dict[int, int] = {}
-    pending = {uid: len(op.inputs) for uid, op in dfg.ops.items()}
-    ready = sorted([uid for uid, k in pending.items() if k == 0],
-                   key=lambda u: (priority[u], u))
+    successors = dfg.successor_map()
+    # distinct inputs: a value read twice has its reader listed once
+    pending = {uid: len(set(op.inputs)) for uid, op in dfg.ops.items()}
+    #: ready op -> step at which its last input has finished
+    data_ready = {uid: 0 for uid, k in pending.items() if k == 0}
+    ready = sorted(data_ready, key=lambda u: (priority[u], u))
     busy_until: dict[str, list[int]] = {
         cat: [0] * fu_limits[cat] for cat in table}
+
+    def earliest(uid: int) -> int:
+        """First step ``uid`` could start at, given the FU bookings so far."""
+        return max(data_ready[uid], min(busy_until[dfg.ops[uid].category]))
 
     step = 0
     guard = 0
@@ -131,22 +139,25 @@ def list_schedule_ops(dfg: Dfg, latency_of,
         if guard > 10 * (len(dfg.ops) + 1) * (max(table.values(), default=1) + 1):
             raise HlsError("list scheduler failed to make progress")
         for uid in list(ready):
-            op = dfg.ops[uid]
-            data_ready = max((finished[d] for d in op.inputs), default=0)
-            if data_ready > step:
+            if data_ready[uid] > step:
                 continue
+            op = dfg.ops[uid]
             pool = busy_until[op.category]
-            fu = min(range(len(pool)), key=lambda i: pool[i])
+            fu = pool.index(min(pool))
             if pool[fu] > step:
                 continue
             start[uid] = step
             finished[uid] = step + table[op.category]
             pool[fu] = finished[uid]
             ready.remove(uid)
-            for succ in dfg.successors(uid):
+            for succ in successors[uid]:
                 pending[succ] -= 1
                 if pending[succ] == 0:
+                    data_ready[succ] = max(finished[d]
+                                           for d in dfg.ops[succ].inputs)
                     ready.append(succ)
             ready.sort(key=lambda u: (priority[u], u))
-        step += 1
+        # nothing starts before the next input or FU frees up: skip the
+        # steps in between, which could schedule nothing
+        step = max(step + 1, min(map(earliest, ready), default=0))
     return HlsSchedule(dfg, start, table)

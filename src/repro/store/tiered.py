@@ -45,8 +45,10 @@ __all__ = ["CacheTier", "PersistentCache", "TieredCache",
 #: or the fingerprint definition changes incompatibly.  Version 2:
 #: ``CompositionCheck`` dropped its sampled-tier, BDD and fallback fields.
 #: Version 3: ``Transition`` dropped its ``guard`` slot (pickled ``Stg``
-#: outputs carry their cached kernel automaton).
-PIPELINE_CACHE_SCHEMA = 3
+#: outputs carry their cached kernel automaton).  Version 4: the
+#: ``hls_results`` artifact is fingerprinted through
+#: ``SharedDatapathResult.fingerprint()`` instead of structurally.
+PIPELINE_CACHE_SCHEMA = 4
 
 #: Highest pickle protocol guaranteed on every supported interpreter;
 #: pinned so records written by different Python patch versions stay

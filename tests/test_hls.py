@@ -1,6 +1,10 @@
 """Unit + property tests for the high-level synthesis substrate."""
 
+import dataclasses
 import hashlib
+import os
+import subprocess
+import sys
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -110,6 +114,20 @@ class TestSchedulers:
     def test_missing_fu_limit_rejected(self, fir_dfg):
         with pytest.raises(HlsError):
             list_schedule_ops(fir_dfg, xc4005().latency_for, {})
+
+    def test_op_reading_one_value_twice(self):
+        # regression: the reader of a value read twice waited for two
+        # predecessor releases but got one, so scheduling never finished
+        dfg = Dfg("square")
+        a = dfg.add_op("add")
+        square = dfg.add_op("mul", (a, a))
+        dfg.add_op("add", (square, a, square))
+        fpga = xc4005()
+        schedule = list_schedule_ops(dfg, fpga.latency_for,
+                                     allocate_minimal(dfg))
+        assert schedule.validate(allocate_minimal(dfg)) == []
+        assert schedule.start == {0: 0, 1: 1, 2: 1 + fpga.latency_for("mul")}
+        assert dfg.successor_map() == {0: [1, 2], 1: [2], 2: []}
 
 
 class TestAllocation:
@@ -228,6 +246,61 @@ class TestSynthesizeResource:
 #: HLS refactoring or speed-up must keep it.
 SUITE_HLS_SHA256 = \
     "75070d2721789aae2a87ea0a3fc00bf27336f006f4047c2db41b6920bcd3bae7"
+
+
+def suite_hls_results(count=6):
+    """``synthesize_resource`` results of the first test-suite designs."""
+    results = []
+    for spec in workload_suite(20, seed=5)[:count]:
+        graph = spec.build()
+        board = minimal_board()
+        partition = GreedyPartitioner().partition(
+            PartitioningProblem(graph, board)).partition
+        results.extend(synthesize_resource(graph, partition, f.name, f)
+                       for f in board.fpgas)
+    return [r for r in results if r.node_results]
+
+
+class TestResultFingerprint:
+    def test_independent_syntheses_agree(self):
+        first, second = suite_hls_results(), suite_hls_results()
+        assert len(first) >= 3
+        for a, b in zip(first, second):
+            assert a is not b
+            assert a.fingerprint() == b.fingerprint()
+        assert len({r.fingerprint() for r in first}) == len(first)
+
+    def test_stable_across_hash_seeds(self):
+        script = ("import sys; sys.path[:0] = sys.argv[1:]\n"
+                  "from test_hls import suite_hls_results\n"
+                  "print([r.fingerprint() for r in suite_hls_results(3)])")
+        here = os.path.dirname(os.path.abspath(__file__))
+        src = os.path.join(os.path.dirname(here), "src")
+        expected = [r.fingerprint() for r in suite_hls_results(3)]
+        for seed in ("0", "1", "12345"):
+            env = dict(os.environ, PYTHONHASHSEED=seed)
+            printed = subprocess.run(
+                [sys.executable, "-c", script, here, src], env=env,
+                capture_output=True, text=True, check=True).stdout
+            assert printed == f"{expected}\n", seed
+
+    def test_one_node_area_changes_it(self):
+        result = suite_hls_results(1)[0]
+        before = result.fingerprint()
+        name = sorted(result.node_results)[0]
+        node = result.node_results[name]
+        result.node_results[name] = dataclasses.replace(
+            node, area_clbs=node.area_clbs + 1)
+        assert result.fingerprint() != before
+
+    def test_one_schedule_start_changes_it(self):
+        result = suite_hls_results(1)[0]
+        before = result.fingerprint()
+        schedule = next(r.schedule for r in result.node_results.values()
+                        if r.schedule.start)
+        uid = max(schedule.start)
+        schedule.start[uid] += 1
+        assert result.fingerprint() != before
 
 
 def test_suite_hls_output_is_pinned():

@@ -3,8 +3,9 @@
 The unit tests in ``tests/test_hls.py`` schedule FIR lane chains, where
 no value has more than one consumer.  Here hypothesis draws DFGs of
 1-24 operations over ``add/mul/mac/div/cmp`` (XC4005 latencies 1-8
-cycles), each operation reading up to three distinct earlier ones, and
-one to three functional units per used category.  For every such DFG
+cycles), each operation reading up to three earlier values (one value
+may be read more than once), and one to three functional units per used
+category.  For every such DFG
 
 * :func:`repro.hls.list_schedule_ops` validates against the FU limits
   and is no shorter than the critical path;
@@ -14,8 +15,10 @@ one to three functional units per used category.  For every such DFG
   step when nothing consumes it.
 
 The lifetimes are recomputed here from the schedule, independently of
-the binder.  The example budget follows the active hypothesis profile
-(``tests/conftest.py``): 100 examples under ``dev``, 600 under ``ci``.
+the binder.  A second property checks :meth:`repro.hls.Dfg.successor_map`
+against a scan of every op's inputs.  The example budget follows the
+active hypothesis profile (``tests/conftest.py``): 100 examples under
+``dev``, 600 under ``ci``.
 """
 
 from hypothesis import example, given, settings
@@ -35,9 +38,9 @@ def dags(draw):
     """``(ops, fu_limits)``: ops are ``(category, inputs)`` in uid order."""
     ops = []
     for uid in range(draw(st.integers(1, 24))):
-        inputs = draw(st.sets(st.integers(0, uid - 1),
-                              max_size=min(3, uid))) if uid else set()
-        ops.append((draw(st.sampled_from(CATEGORIES)), tuple(sorted(inputs))))
+        inputs = draw(st.lists(st.integers(0, uid - 1),
+                               max_size=3)) if uid else []
+        ops.append((draw(st.sampled_from(CATEGORIES)), tuple(inputs)))
     used = sorted({category for category, _ in ops})
     limits = {category: draw(st.integers(1, 3)) for category in used}
     return tuple(ops), limits
@@ -70,6 +73,8 @@ def lifetimes(schedule) -> dict[int, tuple[int, int]]:
 # value 0 is read at step 1 and again at step 4; value 1 is born at 2
 @example(case=((("add", ()), ("add", (0,)), ("mul", (1,)), ("add", (0, 2))),
                {"add": 1, "mul": 1}))
+# value 0 is read twice by one op
+@example(case=((("add", ()), ("mul", (0, 0))), {"add": 1, "mul": 1}))
 def test_schedule_and_binding_on_general_dags(case):
     ops, limits = case
     latency_of = xc4005().latency_for
@@ -91,3 +96,12 @@ def test_schedule_and_binding_on_general_dags(case):
         values.sort()
         for (_, end, first), (start, _, second) in zip(values, values[1:]):
             assert start >= end, (register, first, second)
+
+
+@PROPERTY
+@given(dags())
+def test_successor_map_matches_a_scan(case):
+    dfg = build_dfg(case[0])
+    scan = {uid: [op.uid for op in dfg.ops.values() if uid in op.inputs]
+            for uid in dfg.ops}
+    assert dfg.successor_map() == scan
