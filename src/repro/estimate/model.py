@@ -12,11 +12,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import ceil
 
+from ..graph.partition import IO_RESOURCE
 from ..graph.taskgraph import DataEdge, TaskGraph, TaskNode
 from ..platform.architecture import TargetArchitecture
 from . import communication, hardware, software
 
-__all__ = ["CostModel", "NodeCost"]
+__all__ = ["CostModel", "NodeCost", "ScheduleTables"]
 
 
 @dataclass(frozen=True)
@@ -42,6 +43,25 @@ class NodeCost:
         raise KeyError(f"no area estimate of {self.node!r} on {fpga!r}")
 
 
+@dataclass(frozen=True)
+class ScheduleTables:
+    """Mapping-independent inputs of the list scheduler, built once per model.
+
+    A schedule for any mapping reads its latencies and edge costs from
+    here instead of resolving them through the graph on every call.
+    """
+
+    #: node names in the graph's topological order
+    order: tuple
+    #: node -> ``((src, edge name, write ticks, read ticks), ...)`` by port
+    in_rows: dict
+    #: node -> ``((dst, transfer ticks), ...)`` in edge insertion order
+    out_rows: dict
+    #: ``(node, resource)`` -> execution latency in bus ticks; I/O nodes
+    #: appear only under :data:`repro.graph.partition.IO_RESOURCE`
+    latency: dict
+
+
 class CostModel:
     """Per-(node, resource) execution/area/communication estimates.
 
@@ -55,6 +75,7 @@ class CostModel:
         self.arch = arch
         self._node_cache: dict[str, NodeCost] = {}
         self._edge_cache: dict[str, int] = {}
+        self._schedule_tables: ScheduleTables | None = None
 
     # ------------------------------------------------------------------
     def _to_ticks(self, cycles: int, clock_hz: float) -> int:
@@ -109,6 +130,31 @@ class CostModel:
 
     def read_ticks(self, edge: DataEdge) -> int:
         return communication.read_cycles(edge, self.arch)
+
+    def schedule_tables(self) -> ScheduleTables:
+        """The list scheduler's per-graph tables (computed on first use)."""
+        if self._schedule_tables is not None:
+            return self._schedule_tables
+        graph = self.graph
+        order = tuple(graph.topological_order())
+        in_rows: dict[str, tuple] = {}
+        out_rows: dict[str, tuple] = {}
+        latency: dict[tuple[str, str], int] = {}
+        for node in graph.nodes:
+            name = node.name
+            in_rows[name] = tuple(
+                (e.src, e.name, self.write_ticks(e), self.read_ticks(e))
+                for e in graph.in_edges(name))
+            out_rows[name] = tuple((e.dst, self.transfer_ticks(e))
+                                   for e in graph.out_edges(name))
+            if node.is_io:
+                latency[name, IO_RESOURCE] = self.latency(name, IO_RESOURCE)
+            else:
+                for resource, ticks in self.node_cost(name).latency_ticks:
+                    latency[name, resource] = ticks
+        self._schedule_tables = ScheduleTables(order, in_rows, out_rows,
+                                               latency)
+        return self._schedule_tables
 
     # ------------------------------------------------------------------
     def software_bound(self, processor: str | None = None) -> int:

@@ -81,7 +81,7 @@ class TaskNode:
     @property
     def is_io(self) -> bool:
         """True for nodes handled by the I/O controller."""
-        return self.is_input or self.is_output
+        return self.kind in ("input", "output")
 
     @property
     def bits(self) -> int:

@@ -89,7 +89,7 @@ class GreedyPartitioner(Partitioner):
                 software, key=lambda v: -model.latency(v, home)
             )[: self.candidates_per_round]
 
-            best_move, best_gain, best_ratio = None, 0, -1.0
+            best_move, best_ratio = None, -1.0
             for v in candidates:
                 for f in hw_names:
                     if model.area(v, f) > area_left[f]:
@@ -104,13 +104,12 @@ class GreedyPartitioner(Partitioner):
                     gain = best_makespan - trial_schedule.makespan
                     ratio = gain / max(model.area(v, f), 1)
                     if gain > 0 and ratio > best_ratio:
-                        best_move, best_gain, best_ratio = (v, f), gain, ratio
+                        best_move, best_ratio = (v, f), ratio
             if best_move is None:
                 break
             v, f = best_move
             mapping[v] = f
             area_left[f] -= model.area(v, f)
-            best_makespan -= best_gain
             _, schedule, report = evaluate_mapping(problem, mapping)
             self._stats["evaluations"] += 1
             best_makespan = schedule.makespan
@@ -185,6 +184,8 @@ class MilpHeuristicPartitioner(Partitioner):
 
         # repair: evict cheapest-gain nodes from over-full FPGAs
         for fpga in arch.fpgas:
+            if fpga.name == home:
+                continue  # nowhere to evict to: the result stays infeasible
             def used() -> int:
                 return sum(model.area(v, fpga.name) for v, r in mapping.items()
                            if r == fpga.name)

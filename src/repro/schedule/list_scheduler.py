@@ -11,116 +11,139 @@ task granularity.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from bisect import bisect_right
+from heapq import heapify, heappop, heappush
 
 from ..estimate.model import CostModel
 from ..graph.partition import Partition
-from .asap_alap import _edge_delay, _latency  # shared cost helpers
 from .schedule import Schedule, ScheduleEntry, ScheduleError, TransferEntry
 
 __all__ = ["list_schedule"]
 
 
-@dataclass
 class _Timeline:
-    """Busy intervals of one exclusive resource, kept sorted."""
+    """Busy time of one exclusive resource as sorted disjoint intervals.
 
-    busy: list[tuple[int, int]] = field(default_factory=list)
+    Every booking is at least one tick long and lands where nothing is
+    booked, and a booking that touches a neighbour is fused with it, so
+    the intervals stay disjoint, their ends are sorted along with their
+    starts, and back-to-back work is one interval.  First fit depends
+    only on the union of the busy time, so fusing changes no slot.
+    """
 
-    def earliest_slot(self, after: int, duration: int) -> int:
-        """First start >= after such that [start, start+duration) is free."""
+    def __init__(self) -> None:
+        self.starts: list[int] = []
+        self.ends: list[int] = []
+
+    def book(self, after: int, duration: int) -> int:
+        """Reserve the first free [start, start+duration) with start >=
+        after and return its start."""
+        starts, ends = self.starts, self.ends
         start = after
-        for b_start, b_end in self.busy:
-            if b_end <= start:
-                continue
-            if b_start >= start + duration:
-                break
-            start = b_end
+        i = bisect_right(ends, after)  # first interval ending after ``after``
+        n = len(starts)
+        while i < n and starts[i] < start + duration:
+            start = ends[i]
+            i += 1
+        end = start + duration
+        if i and ends[i - 1] == start:
+            if i < n and starts[i] == end:
+                ends[i - 1] = ends[i]
+                del starts[i], ends[i]
+            else:
+                ends[i - 1] = end
+        elif i < n and starts[i] == end:
+            starts[i] = start
+        else:
+            starts.insert(i, start)
+            ends.insert(i, end)
         return start
-
-    def reserve(self, start: int, duration: int) -> None:
-        self.busy.append((start, start + duration))
-        self.busy.sort()
-
-
-def _priorities(partition: Partition, model: CostModel) -> dict[str, int]:
-    """Critical-path-to-sink length of every node (higher = schedule first)."""
-    graph = partition.graph
-    prio: dict[str, int] = {}
-    for name in reversed(graph.topological_order()):
-        lat = _latency(model, partition, name)
-        downstream = 0
-        for edge in graph.out_edges(name):
-            downstream = max(downstream,
-                             _edge_delay(model, partition, edge)
-                             + prio[edge.dst])
-        prio[name] = lat + downstream
-    return prio
 
 
 def list_schedule(partition: Partition, model: CostModel) -> Schedule:
     """Compute a static schedule for a coloured partitioning graph.
 
-    Deterministic: ties between equal-priority ready nodes break on the
-    node name, so repeated runs produce identical schedules (important
-    for reproducible STGs and memory maps downstream).
+    The topological order, the per-node in-edge rows ``(src, edge,
+    write ticks, read ticks)`` and out-edge rows ``(dst, transfer
+    ticks)`` and the ``(node, resource)`` latencies are mapping-
+    independent, so they come from :meth:`CostModel.schedule_tables`,
+    computed once per model; each call only reads the mapping.  A node's
+    priority is its critical-path-to-sink length, and the ready nodes
+    wait in a heap keyed ``(-priority, name)``: ties between
+    equal-priority nodes break on the (unique) node name, so repeated
+    runs produce identical schedules (important for reproducible STGs
+    and memory maps downstream).
     """
     graph = partition.graph
     if model.graph is not graph:
         raise ScheduleError("cost model was built for a different graph")
 
-    prio = _priorities(partition, model)
+    tables = model.schedule_tables()
+    in_rows, out_rows = tables.in_rows, tables.out_rows
+    where = {n: partition.resource_of(n) for n in tables.order}
+    latency = {n: tables.latency[n, r] for n, r in where.items()}
+
+    prio: dict[str, int] = {}
+    for name in reversed(tables.order):
+        resource = where[name]
+        downstream = 0
+        for dst, transfer in out_rows[name]:
+            delay = prio[dst] if where[dst] == resource \
+                else transfer + prio[dst]
+            if delay > downstream:
+                downstream = delay
+        prio[name] = latency[name] + downstream
+
     schedule = Schedule(partition)
+    entries, transfers = schedule.entries, schedule.transfers
     timelines: dict[str, _Timeline] = {}
     bus = _Timeline()
+    ends: dict[str, int] = {}
 
-    def timeline(resource: str) -> _Timeline:
-        if resource not in timelines:
-            timelines[resource] = _Timeline()
-        return timelines[resource]
-
-    remaining_preds = {n: len(graph.in_edges(n)) for n in graph.node_names}
-    ready = [n for n, k in remaining_preds.items() if k == 0]
+    remaining_preds = {n: len(in_rows[n]) for n in tables.order}
+    ready = [(-prio[n], n) for n, k in remaining_preds.items() if k == 0]
+    heapify(ready)
 
     while ready:
-        ready.sort(key=lambda n: (-prio[n], n))
-        node = ready.pop(0)
-        resource = partition.resource_of(node)
-        latency = _latency(model, partition, node)
+        _, node = heappop(ready)
+        resource = where[node]
+        duration = latency[node]
 
         earliest = 0
         pending_reads: list[tuple[str, int, int]] = []  # (edge, write_end, read_ticks)
-        for edge in graph.in_edges(node):
-            producer = schedule.entry(edge.src)
-            if partition.resource_of(edge.src) == resource:
-                earliest = max(earliest, producer.end)
+        for src, edge_name, write_ticks, read_ticks in in_rows[node]:
+            producer_end = ends[src]
+            if where[src] == resource:
+                if producer_end > earliest:
+                    earliest = producer_end
                 continue
             # cut edge: write burst after the producer finished ...
-            write_ticks = model.write_ticks(edge)
-            write_start = bus.earliest_slot(producer.end, write_ticks)
-            bus.reserve(write_start, write_ticks)
-            schedule.add_transfer(TransferEntry(
-                edge.name, "write", write_start, write_start + write_ticks))
+            write_start = bus.book(producer_end, write_ticks)
+            transfers.append(TransferEntry(
+                edge_name, "write", write_start, write_start + write_ticks))
             # ... then a read burst for this consumer
-            pending_reads.append((edge.name, write_start + write_ticks,
-                                  model.read_ticks(edge)))
+            pending_reads.append((edge_name, write_start + write_ticks,
+                                  read_ticks))
 
         for edge_name, write_end, read_ticks in pending_reads:
-            read_start = bus.earliest_slot(write_end, read_ticks)
-            bus.reserve(read_start, read_ticks)
-            schedule.add_transfer(TransferEntry(
-                edge_name, "read", read_start, read_start + read_ticks))
-            earliest = max(earliest, read_start + read_ticks)
+            read_start = bus.book(write_end, read_ticks)
+            read_end = read_start + read_ticks
+            transfers.append(TransferEntry(edge_name, "read", read_start,
+                                           read_end))
+            if read_end > earliest:
+                earliest = read_end
 
-        line = timeline(resource)
-        start = line.earliest_slot(earliest, latency)
-        line.reserve(start, latency)
-        schedule.add(ScheduleEntry(node, resource, start, start + latency))
+        line = timelines.get(resource)
+        if line is None:
+            line = timelines[resource] = _Timeline()
+        start = line.book(earliest, duration)
+        entries[node] = ScheduleEntry(node, resource, start, start + duration)
+        ends[node] = start + duration
 
-        for edge in graph.out_edges(node):
-            remaining_preds[edge.dst] -= 1
-            if remaining_preds[edge.dst] == 0:
-                ready.append(edge.dst)
+        for dst, _ in out_rows[node]:
+            remaining_preds[dst] -= 1
+            if remaining_preds[dst] == 0:
+                heappush(ready, (-prio[dst], dst))
 
     if len(schedule.entries) != len(graph.node_names):
         missing = set(graph.node_names) - set(schedule.entries)

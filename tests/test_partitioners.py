@@ -1,5 +1,6 @@
 """Unit + integration tests for the partitioning algorithms."""
 
+import signal
 import sys
 
 import pytest
@@ -13,8 +14,9 @@ from repro.partition import (GaConfig, GeneticPartitioner, GreedyPartitioner,
                              check_feasibility, evaluate_mapping,
                              memory_words_needed, solve_milp)
 from repro.graph import all_software
-from repro.platform import cool_board, minimal_board
+from repro.platform import cool_board, minimal_board, multi_board
 from repro.schedule import validate_schedule
+from repro.workloads import workload_suite
 
 ALL_PARTITIONERS = [
     MilpPartitioner(),
@@ -159,6 +161,29 @@ class TestPartitioners:
         result = GreedyPartitioner().partition(problem)
         for fpga in problem.arch.fpgas:
             assert result.feasibility.area[fpga.name] <= fpga.clb_capacity
+
+    def test_milp_heuristic_without_processors_terminates(self):
+        # 700 CLBs of nodes on one 400-CLB FPGA and no processor to evict
+        # to: the repair must give up (in milliseconds; the alarm turns a
+        # repair loop that never ends into a failure) and report the
+        # result infeasible, as the greedy partitioner does
+        problem = PartitioningProblem(workload_suite(5, seed=1)[0].build(),
+                                      multi_board(n_processors=0, n_fpgas=1))
+
+        def timed_out(signum, frame):
+            raise TimeoutError("area repair did not terminate within 5 s")
+
+        previous = signal.signal(signal.SIGALRM, timed_out)
+        signal.alarm(5)
+        try:
+            result = MilpHeuristicPartitioner().partition(problem)
+        finally:
+            signal.alarm(0)
+            signal.signal(signal.SIGALRM, previous)
+        greedy = GreedyPartitioner().partition(problem)
+        assert result.feasibility.area == {"fpga0": 700}
+        assert not result.feasibility.feasible
+        assert result.feasibility.problems() == greedy.feasibility.problems()
 
     def test_genetic_deterministic_in_seed(self, equalizer_problem):
         a = GeneticPartitioner(GaConfig(population=10, generations=6,
