@@ -12,23 +12,29 @@ composition verifier runs on every flow:
   are computed exactly once and shared by every projection class.  No
   :class:`Automaton` is ever built, no symbol table is populated per
   transition, and there is no ``max_states`` bound.
-* :func:`symbolic_trace_equivalence` -- per observable class, a
-  determinized fixpoint over τ-closed element sets.  Both step systems
-  are deterministic per admissible input letter (every state has one
-  silent row and one row per deliverable pulse), so weak bisimilarity
-  coincides with weak trace equivalence (the determinacy argument of
-  :mod:`repro.automata.bisim`), and trace equivalence is decided
-  exactly by a joint breadth-first fixpoint over pairs of τ-closed
-  observation sets: the pair frontier is equivalent iff every reachable
-  pair enables the same observable labels on both sides.  τ-saturation
-  is a per-set transitive-closure fixpoint over the (deterministic)
-  silent rows; chain unrolling inserts the same pending-action
-  intermediate elements the explicit observation LTS uses, so timing
-  skew between the cycle-stepped controllers and the one-burst STG
-  stays invisible, exactly as weak equivalence demands.  On failure the
-  breadth-first parent links reconstruct the shortest distinguishing
-  trace -- the concrete ``?letter`` / ``!action`` counterexample the
-  explicit oracle reports.
+* :func:`symbolic_trace_equivalence` -- a determinized fixpoint over
+  τ-closed element sets, run once with every class visible (a step
+  labelled by its *sorted* visible action multiset: the STG stepper
+  reports firing order, the controller side sorts) and, only when that
+  pass fails, once per observable class.  Each class sees at most one
+  action per step, so its weak trace set is the all-visible one with
+  the other classes hidden: the joint pass holding proves every class,
+  and ``pairs_checked`` counts the pairs of every pass run.  Both step
+  systems are deterministic per admissible input letter (every state
+  has one silent row and one row per deliverable pulse), so weak
+  bisimilarity coincides with weak trace equivalence (the determinacy
+  argument of :mod:`repro.automata.bisim`), and trace equivalence is
+  decided exactly by a joint breadth-first fixpoint over pairs of
+  τ-closed observation sets: the pair frontier is equivalent iff every
+  reachable pair enables the same observable labels on both sides.
+  τ-saturation is a per-set transitive-closure fixpoint over the
+  (deterministic) silent rows; chain unrolling inserts the same
+  pending-action intermediate elements the explicit observation LTS
+  uses, so timing skew between the cycle-stepped controllers and the
+  one-burst STG stays invisible, exactly as weak equivalence demands.
+  On failure the breadth-first parent links reconstruct the shortest
+  distinguishing trace -- the concrete ``?letter`` / ``!action``
+  counterexample the explicit oracle reports.
 * :func:`reachable_set_summary` -- the reachable state-index set as a
   BDD characteristic function over a
   :class:`~repro.symbolic.relation.VariablePairing` block, with an
@@ -245,7 +251,7 @@ def reachable_set_summary(engine: BddEngine, system: LazyStepSystem,
 
 
 # ----------------------------------------------------------------------
-# the determinized per-class fixpoint
+# the determinized pair fixpoint: all-visible, then per class
 # ----------------------------------------------------------------------
 @dataclass(frozen=True)
 class ClassVerdict:
@@ -270,13 +276,19 @@ class ClassVerdict:
 
 @dataclass(frozen=True)
 class SymbolicEquivalence:
-    """Aggregate outcome of the symbolic tier over every class."""
+    """Aggregate outcome of the symbolic tier over every class.
+
+    ``verdicts`` is the single all-visible verdict when the joint pass
+    proved every class, else the per-class verdicts (``fallback``).
+    ``pairs_checked`` counts every pair explored, joint pass included.
+    """
 
     equivalent: bool
     verdicts: tuple[ClassVerdict, ...]
     left_states: int
     right_states: int
     pairs_checked: int
+    fallback: bool = False
 
 
 class _Side:
@@ -322,13 +334,14 @@ class _ClassView:
     Per element the view keeps the (unique -- the environment offers
     silence exactly once per state, so silent rows are deterministic)
     τ-successor in ``_tau`` and the observable edges in ``_obs``.
-    The class-restricted action view is memoized per *interned* action
-    tuple rather than per state: distinct states overwhelmingly share
-    the same few action tuples, so the per-element expansion reduces to
-    dictionary lookups.  Closed sets themselves are NOT memoized -- the
-    pair fixpoint visits each reachable set pair once and distinct
-    pairs carry distinct sets, so such a cache costs memory at the
-    60k-state scale designs without ever hitting.
+    The ``!action`` label is memoized per *interned* action tuple
+    rather than per state: distinct states overwhelmingly share the
+    same few action tuples, so the per-element expansion reduces to
+    dictionary lookups and every edge shares one label string.  Closed
+    sets themselves are NOT memoized -- the pair fixpoint visits each
+    reachable set pair once and distinct pairs carry distinct sets, so
+    such a cache costs memory at the 60k-state scale designs without
+    ever hitting.
     """
 
     __slots__ = ("side", "observable", "_tau", "_obs", "_visible")
@@ -344,7 +357,7 @@ class _ClassView:
         self._visible: dict[tuple, str | None] = {}
 
     def _visible_of(self, actions: tuple) -> str | None:
-        """The class-visible action of an interned action tuple."""
+        """The ``!action`` label of an interned action tuple, or None."""
         visible = [a for a in actions if a in self.observable]
         if len(visible) > 1:
             # the verifier's projection classes guarantee at most one
@@ -354,7 +367,7 @@ class _ClassView:
             raise AutomataError(
                 f"projection class admits two same-step observables "
                 f"{sorted(visible)!r} in {self.side.system.name!r}")
-        return visible[0] if visible else None
+        return OUTPUT_PREFIX + visible[0] if visible else None
 
     def _expand(self, eid: int) -> None:
         """Derive ``eid``'s τ-successor and observable edges.
@@ -379,12 +392,12 @@ class _ClassView:
             elif letter is not None and action is not None:
                 mid = side.mid(eid, row_index)
                 self._tau[mid] = self._NO_TAU
-                self._obs[mid] = ((OUTPUT_PREFIX + action, succ),)
+                self._obs[mid] = ((action, succ),)
                 out.append((letter, mid))
             elif letter is not None:
                 out.append((letter, succ))
             else:
-                out.append((OUTPUT_PREFIX + action, succ))
+                out.append((action, succ))
         self._tau[eid] = tau
         self._obs[eid] = tuple(out)
 
@@ -420,6 +433,36 @@ class _ClassView:
                     grouped[label] = {succ}
         return {label: self.closure(targets)
                 for label, targets in grouped.items()}
+
+
+class _AllVisibleView(_ClassView):
+    """One side's observation edges with every class visible at once.
+
+    A step's observable label is its sorted visible action multiset
+    (``+``-joined, as letters are), so one fixpoint over this view
+    decides all classes together.  The sort matters: the STG stepper
+    reports actions in firing order, the controller side interns them
+    sorted.  Two same-step members of one class still raise, as in
+    :class:`_ClassView`: hiding maps this view onto each class's view
+    only while every class sees at most one action per step.
+    """
+
+    __slots__ = ("_class_of",)
+
+    def __init__(self, side: _Side,
+                 classes: Sequence[tuple[str, frozenset[str]]]) -> None:
+        self._class_of = {action: index for index, (_label, members)
+                          in enumerate(classes) for action in members}
+        super().__init__(side, frozenset(self._class_of))
+
+    def _visible_of(self, actions: tuple) -> str | None:
+        visible = sorted(a for a in actions if a in self.observable)
+        owners = [self._class_of[a] for a in visible]
+        if len(set(owners)) < len(owners):
+            raise AutomataError(
+                f"projection class admits two same-step observables "
+                f"{visible!r} in {self.side.system.name!r}")
+        return OUTPUT_PREFIX + "+".join(visible) if visible else None
 
 
 def _check_class(label: str, left: _ClassView, right: _ClassView
@@ -467,16 +510,24 @@ def symbolic_trace_equivalence(
 
     Expands both systems fully (the joint fixpoint touches every
     reachable state anyway, and a fully expanded system is immutable),
-    then runs the determinized τ-closed pair fixpoint once per class.
-    Every class must agree for the systems to be equivalent; each
-    failing class carries its shortest distinguishing trace.
+    then runs the determinized τ-closed pair fixpoint once over the
+    all-visible view.  Each class's weak trace set is the image of the
+    all-visible one under hiding, so when that pass holds every class
+    holds.  Only when it fails does the fixpoint run once per class,
+    so that each failing class carries its shortest distinguishing
+    trace.
     """
     left.expand_all()
     right.expand_all()
     left_side = _Side(left)
     right_side = _Side(right)
+    joint = _check_class("all-visible", _AllVisibleView(left_side, classes),
+                         _AllVisibleView(right_side, classes))
+    if joint.equivalent:
+        return SymbolicEquivalence(True, (joint,), len(left), len(right),
+                                   joint.pairs)
     verdicts = []
-    pairs_checked = 0
+    pairs_checked = joint.pairs
     for label, observable in classes:
         verdict = _check_class(label, _ClassView(left_side, observable),
                                _ClassView(right_side, observable))
@@ -487,4 +538,5 @@ def symbolic_trace_equivalence(
         verdicts=tuple(verdicts),
         left_states=len(left),
         right_states=len(right),
-        pairs_checked=pairs_checked)
+        pairs_checked=pairs_checked,
+        fallback=True)

@@ -17,7 +17,11 @@ design, on every flow run, along one path:
    τ-closed pair fixpoint of
    :func:`repro.automata.symbolic_trace_equivalence` (weak
    bisimilarity coincides with weak trace equivalence on these
-   determinate systems -- see :mod:`repro.automata.symbolic`).  A
+   determinate systems -- see :mod:`repro.automata.symbolic`).  One
+   pass with every class visible at once (a step labelled by its
+   sorted visible actions) proves all classes together, since each
+   class's traces are that pass's traces with the other classes
+   hidden; only when it fails does the fixpoint run per class, so a
    failing class carries its shortest distinguishing trace.  The
    classes are:
 
@@ -113,7 +117,8 @@ class CompositionCheck:
     product_states: int = 0
     reference_states: int = 0
     projections_checked: int = 0
-    #: Determinized set pairs explored by the per-class fixpoints.
+    #: Determinized set pairs explored: the all-visible pass, plus the
+    #: per-class fixpoints when it fails and they run.
     pairs_checked: int = 0
     oracle: str | None = None
     mismatches: tuple[str, ...] = ()
@@ -536,12 +541,11 @@ def verify_composition(stg: Stg, controller: SystemController,
                        graph=None) -> CompositionCheck:
     """Check the communicating-controller composition against ``stg``.
 
-    Lazy step systems, the per-class pair fixpoint, the completion
-    check and -- when ``graph`` (a
-    :class:`~repro.graph.taskgraph.TaskGraph`) is given -- the
-    STG-vs-schedule sanity check; see the module docstring.  Raises
-    :class:`~repro.automata.AutomataError` only when the determinacy
-    contract of the pair fixpoint is violated.
+    Lazy step systems, the pair fixpoint, the completion check and --
+    when ``graph`` (a :class:`~repro.graph.taskgraph.TaskGraph`) is
+    given -- the STG-vs-schedule sanity check; see the module
+    docstring.  Raises :class:`~repro.automata.AutomataError` only when
+    the determinacy contract of the pair fixpoint is violated.
     """
     with obs_span("verify", kind="verify") as vspan:
         check = _verify(stg, controller, graph)
@@ -555,14 +559,19 @@ def verify_composition(stg: Stg, controller: SystemController,
 
 def _verify(stg: Stg, controller: SystemController,
             graph) -> CompositionCheck:
-    product_system = controller_step_system(controller)
-    reference_system = stg_step_system(stg)
-    reference_system.expand_all()
-    actions, bursts = _system_alphabet((reference_system, product_system))
-    classes = _observable_classes(actions, bursts,
-                                  _node_resources(controller))
-    result = symbolic_trace_equivalence(reference_system, product_system,
-                                        classes)
+    with obs_span("verify.expand", kind="verify"):
+        product_system = controller_step_system(controller)
+        reference_system = stg_step_system(stg)
+        reference_system.expand_all()
+        actions, bursts = _system_alphabet((reference_system,
+                                            product_system))
+        classes = _observable_classes(actions, bursts,
+                                      _node_resources(controller))
+    with obs_span("verify.fixpoint", kind="verify") as fspan:
+        result = symbolic_trace_equivalence(reference_system,
+                                            product_system, classes)
+        fspan.set("fallback", result.fallback)
+        fspan.set("pairs", result.pairs_checked)
 
     mismatches = [
         f"projection {verdict.label!r}: STG and controller composition "

@@ -48,7 +48,9 @@ __all__ = ["CacheTier", "PersistentCache", "TieredCache",
 #: outputs carry their cached kernel automaton).  Version 4: the
 #: ``hls_results`` artifact is fingerprinted through
 #: ``SharedDatapathResult.fingerprint()`` instead of structurally.
-PIPELINE_CACHE_SCHEMA = 4
+#: Version 5: ``CompositionCheck.pairs_checked`` counts the all-visible
+#: pass (plus the per-class fixpoints only when it fails).
+PIPELINE_CACHE_SCHEMA = 5
 
 #: Highest pickle protocol guaranteed on every supported interpreter;
 #: pinned so records written by different Python patch versions stay

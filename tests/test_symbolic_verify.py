@@ -265,6 +265,24 @@ def _ping_tampered():
 CLASSES = [("ack", frozenset({"ack"}))]
 
 
+def _burst(actions):
+    """Emits ``actions`` in the one step that consumes go."""
+    return _table_system("burst", {(0, GO): (1, actions),
+                                   (1, SILENT): (0, ())},
+                         {0: (GO,)})
+
+
+def _split():
+    """Emits a, then b one silent step later."""
+    return _table_system("split", {(0, GO): (1, ("a",)),
+                                   (1, SILENT): (2, ("b",)),
+                                   (2, SILENT): (0, ())},
+                         {0: (GO,)})
+
+
+TWO_CLASSES = [("A", frozenset({"a"})), ("B", frozenset({"b"}))]
+
+
 class TestLazyStepSystem:
     def test_interning_is_dense_and_shared(self):
         system = _ping_staged()
@@ -350,3 +368,48 @@ class TestSymbolicTraceEquivalence:
     def test_verdict_explain_for_equivalence(self):
         verdict = ClassVerdict("ack", True, 3)
         assert verdict.explain() == "weakly trace-equivalent"
+
+
+class TestAllVisiblePass:
+    def test_one_pass_proves_every_class(self):
+        result = symbolic_trace_equivalence(_burst(("a", "b")),
+                                            _burst(("a", "b")), TWO_CLASSES)
+        assert result.equivalent and not result.fallback
+        assert [v.label for v in result.verdicts] == ["all-visible"]
+        assert result.pairs_checked == result.verdicts[0].pairs > 0
+
+    def test_firing_order_within_a_step_is_invisible(self):
+        # the STG stepper reports firing order, the controller side
+        # sorts: the all-visible label must be the sorted multiset
+        result = symbolic_trace_equivalence(_burst(("b", "a")),
+                                            _burst(("a", "b")), TWO_CLASSES)
+        assert result.equivalent and not result.fallback
+
+    def test_burst_grouping_falls_back_to_the_classes(self):
+        # a+b in one step against a then b: the all-visible pass sees
+        # different labels, while each class sees one action either way
+        result = symbolic_trace_equivalence(_burst(("a", "b")), _split(),
+                                            TWO_CLASSES)
+        assert result.equivalent and result.fallback
+        assert [v.label for v in result.verdicts] == ["A", "B"]
+        assert all(v.equivalent for v in result.verdicts)
+        assert result.pairs_checked > sum(v.pairs for v in result.verdicts)
+
+    def test_fallback_keeps_the_class_counterexample(self):
+        result = symbolic_trace_equivalence(_ping_fused(), _ping_tampered(),
+                                            CLASSES + TWO_CLASSES)
+        assert result.fallback and not result.equivalent
+        assert [v.equivalent for v in result.verdicts] == [False, True, True]
+        assert result.verdicts[0].counterexample == ("?go", "!ack")
+
+    def test_two_same_step_members_of_a_class_still_raise(self):
+        from repro.automata.symbolic import _AllVisibleView, _Side
+        system = _burst(("a", "b"))
+        system.expand_all()
+        classes = [("AB", frozenset({"a", "b"})), ("C", frozenset({"c"}))]
+        view = _AllVisibleView(_Side(system), classes)
+        with pytest.raises(AutomataError, match="two same-step observables"):
+            view.successors(view.closure((0,)))
+        with pytest.raises(AutomataError, match="two same-step observables"):
+            symbolic_trace_equivalence(_burst(("a", "b")),
+                                       _burst(("a", "b")), classes)

@@ -13,7 +13,14 @@ must hold:
   depends on it -- are rejected by both, each with a counterexample
   trace.
 
-A third property drives the production emitter the codegen stage
+A third property checks the verifier's all-visible pass against the
+per-class fixpoints it stands in for: on generated designs and their
+seeded mutations, whenever the one pass with every class visible holds,
+every per-class check holds too, and the production verdict still
+equals the oracle's.  A pinned mutant covers the fallback to the
+per-class checks.
+
+A fourth property drives the production emitter the codegen stage
 runs: every FSM of the synthesized controller, emitted with
 ``fsm_to_vhdl(simplify=True)`` over its harvested care sets, must pass
 the VHDL checker, spend no more guard literals than the default
@@ -34,12 +41,19 @@ from hypothesis import strategies as st
 
 from test_codegen import _case_arm, _interpret_arm
 
+from repro.automata import symbolic_trace_equivalence
+from repro.automata.symbolic import (_AllVisibleView, _check_class,
+                                     _ClassView, _Side)
 from repro.codegen import (check_vhdl, fsm_guard_literals, fsm_to_vhdl,
                            guard_literal_count)
 from repro.controllers import (Fsm, SystemController, harvest_care_sets,
                                synthesize_system_controller,
                                verify_composition)
-from repro.controllers.verify import explicit_oracle
+from repro.controllers.verify import (_node_resources, _observable_classes,
+                                      _system_alphabet,
+                                      controller_step_system,
+                                      explicit_oracle, stg_step_system)
+from repro.obs import Tracer, activate
 from repro.estimate import CostModel
 from repro.graph import from_mapping
 from repro.platform import cool_board, minimal_board
@@ -195,6 +209,106 @@ def test_seeded_mutations_are_rejected_by_both(spec, board, mapping,
             check.mismatches
         assert any(" possible only in " in m
                    for m in reference.mismatches), reference.mismatches
+
+
+def step_systems(stg, controller):
+    """(STG system, controller system, classes) as the verifier builds
+    them."""
+    reference = stg_step_system(stg)
+    reference.expand_all()
+    product = controller_step_system(controller)
+    actions, bursts = _system_alphabet((reference, product))
+    return reference, product, _observable_classes(
+        actions, bursts, _node_resources(controller))
+
+
+def joint_and_class_verdicts(stg, controller):
+    """The all-visible pass and every per-class pass, each run alone."""
+    reference, product, classes = step_systems(stg, controller)
+    left, right = _Side(reference), _Side(product)
+    joint = _check_class("all-visible", _AllVisibleView(left, classes),
+                         _AllVisibleView(right, classes))
+    return joint, [_check_class(label, _ClassView(left, observable),
+                                _ClassView(right, observable))
+                   for label, observable in classes]
+
+
+@PROPERTY
+@given(spec=specs, board=boards, mapping=mappings,
+       pick=st.integers(min_value=0, max_value=1_000))
+@example(spec=ChainSpec(seed=0, length=1), board="minimal", mapping=0,
+         pick=0)
+@example(spec=ForkJoinSpec(seed=1, branches=3, depth=1), board="cool",
+         mapping="round_robin", pick=3)
+def test_all_visible_pass_implies_every_class(spec, board, mapping, pick):
+    graph, stg, controller = implement(spec, board, mapping)
+    candidates = [controller, drop_start(controller, pick),
+                  drop_done_literal(controller, pick)]
+    for candidate in filter(None, candidates):
+        joint, per_class = joint_and_class_verdicts(stg, candidate)
+        assert joint.pairs > 0
+        if joint.equivalent:
+            assert all(v.equivalent for v in per_class), per_class
+        check = verify_composition(stg, candidate, graph=graph)
+        reference = explicit_oracle(stg, candidate, graph=graph)
+        assert reference.oracle == "agrees"
+        assert check.equivalent == reference.equivalent
+        assert sum(m.startswith("projection ") for m in check.mismatches) \
+            == sum(not v.equivalent for v in per_class)
+
+
+#: The verdict texts of one seeded mutant, as the per-class fixpoints
+#: report them with no all-visible pass in front.
+PINNED_MUTANT_MISMATCHES = (
+    "projection 'fpga0': STG and controller composition are not weakly "
+    "trace-equivalent (trace !reset_fpga0 !start_n0 is possible only in "
+    "the controller composition)",
+    "projection 'io': STG and controller composition are not weakly "
+    "trace-equivalent (trace !reset_io !start_in0 !read_in0__to__n0_p0 "
+    "is possible only in the controller composition)",
+    "projection 'write_in0__to__n0_p0': STG and controller composition "
+    "are not weakly trace-equivalent (trace ?done_n0 is possible only in "
+    "the controller composition)",
+)
+
+
+def test_mutant_falls_back_to_the_per_class_verdicts():
+    graph, stg, controller = implement(ChainSpec(seed=0, length=1),
+                                       "minimal", 0)
+    mutant = drop_done_literal(controller, 0)
+    tracer = Tracer()
+    with activate(tracer):
+        check = verify_composition(stg, mutant, graph=graph)
+    assert check.mismatches == PINNED_MUTANT_MISMATCHES
+    result = symbolic_trace_equivalence(*step_systems(stg, mutant))
+    assert result.fallback and not result.equivalent
+    assert len(result.verdicts) == check.projections_checked == 3
+    joint, per_class = joint_and_class_verdicts(stg, mutant)
+    assert not joint.equivalent
+    assert result.verdicts == tuple(per_class)
+    assert check.pairs_checked == result.pairs_checked \
+        == joint.pairs + sum(v.pairs for v in per_class)
+    fixpoint, = [s for s in tracer.spans() if s.name == "verify.fixpoint"]
+    assert fixpoint.attributes == {"fallback": True,
+                                   "pairs": check.pairs_checked}
+    assert any(s.name == "verify.expand" for s in tracer.spans())
+
+
+def test_proved_design_takes_the_all_visible_pass_alone():
+    graph, stg, controller = implement(
+        ForkJoinSpec(seed=1, branches=3, depth=1), "cool", "round_robin")
+    tracer = Tracer()
+    with activate(tracer):
+        check = verify_composition(stg, controller, graph=graph)
+    result = symbolic_trace_equivalence(*step_systems(stg, controller))
+    assert check.equivalent and result.equivalent and not result.fallback
+    assert [v.label for v in result.verdicts] == ["all-visible"]
+    assert check.pairs_checked == result.pairs_checked \
+        == result.verdicts[0].pairs > 0
+    assert check.projections_checked > 1
+    fixpoint, = [s for s in tracer.spans() if s.name == "verify.fixpoint"]
+    assert fixpoint.attributes == {"fallback": False,
+                                   "pairs": check.pairs_checked}
 
 
 @PROPERTY
