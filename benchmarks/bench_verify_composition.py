@@ -6,7 +6,7 @@ workload suite + two larger random graphs), plus -- at full suite size
 -- the 200/500-node scale designs, and persists the numbers to
 ``BENCH_verify_composition.json`` at the repo root:
 
-* ``production`` -- the one production path (lazy step systems, pair
+* ``production`` -- the one production path (step systems, pair
   fixpoint, completion and schedule sanity): how many designs were
   *proved* trace-equivalent to their minimized STG under every
   admissible environment and every stream length (restart loop

@@ -109,7 +109,7 @@ KERNEL_BUILDER_METHODS: dict[str, frozenset[str]] = {
 #: writing it does not breach immutability.
 #:
 #: The composition verifier deliberately keeps its caches OFF the
-#: kernel classes: ``LazyStepSystem`` owns its interned rows, and the
+#: kernel classes: ``StepSystem`` owns its interned rows, and the
 #: fingerprint-keyed step-system cache is module state in
 #: ``repro.controllers.verify`` -- neither hangs new memo slots on
 #: ``Automaton``/``Stg``/``Fsm``, so no new entries (and no

@@ -11,10 +11,10 @@ from .encoding import encode_automaton, encode_names
 from .executor import Firing, SequentialRunner, TokenExecutor
 from .minimize import (PartitionRefinement, minimize_automaton, quotient,
                        refine_partition)
-from .product import (CompositionConfig, ProductEnvironment,
+from .product import (CompositionConfig, ProductEnvironment, StepSystem,
                       SynchronousComposition, internal_signals,
                       reachable_automaton, synchronous_product)
-from .symbolic import (ClassVerdict, LazyStepSystem, SymbolicEquivalence,
+from .symbolic import (ClassVerdict, SymbolicEquivalence,
                        reachable_set_summary, symbolic_trace_equivalence)
 
 __all__ = [
@@ -23,8 +23,8 @@ __all__ = [
     "SequentialRunner", "TokenExecutor", "PartitionRefinement",
     "minimize_automaton", "quotient", "refine_partition",
     "BisimResult", "distinguishing_trace", "weak_bisimilar",
-    "CompositionConfig", "ProductEnvironment", "SynchronousComposition",
-    "internal_signals", "reachable_automaton", "synchronous_product",
-    "ClassVerdict", "LazyStepSystem", "SymbolicEquivalence",
+    "CompositionConfig", "ProductEnvironment", "StepSystem",
+    "SynchronousComposition", "internal_signals", "reachable_automaton",
+    "synchronous_product", "ClassVerdict", "SymbolicEquivalence",
     "reachable_set_summary", "symbolic_trace_equivalence",
 ]

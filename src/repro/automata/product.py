@@ -12,10 +12,16 @@ module gives that composition a kernel-level home:
   composition flushes.  This is the execution model of
   :class:`repro.controllers.ControllerHarness` and of the co-simulated
   controller.
-* :func:`synchronous_product` -- the materialized product automaton:
-  explicit BFS over reachable composite configurations with transitions
-  labelled by external input pulses, so the composed behaviour can be
-  minimized, fingerprinted and compared like any other automaton.
+* :class:`StepSystem` -- the one breadth-first explorer of a
+  deterministic stepper under a :class:`ProductEnvironment` letter
+  policy: dense state indices and interned step rows.  The composition
+  verifier proves equivalence on it directly.
+* :func:`reachable_automaton` -- a step system converted into an
+  :class:`~repro.automata.core.Automaton`, and
+  :func:`synchronous_product`, the materialized product automaton of a
+  composition built on it, with transitions labelled by external input
+  pulses, so the composed behaviour can be minimized, fingerprinted and
+  compared like any other automaton.
 
 The composition semantics is deliberately exactly the synthesized
 hardware's: per-cycle lockstep, one-cycle channel delay, latch-and-hold
@@ -24,16 +30,15 @@ flags, per-component consume-once broadcast channels.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
-from typing import Callable, Hashable, Iterable, Sequence
+from typing import Callable, Hashable, Iterable, Iterator, Sequence
 
 from .core import Automaton, AutomataError, AutomatonBuilder
 from .executor import SequentialRunner
 
 __all__ = ["CompositionConfig", "SynchronousComposition",
            "composition_stepper", "internal_signals", "ProductEnvironment",
-           "reachable_automaton", "synchronous_product"]
+           "StepSystem", "reachable_automaton", "synchronous_product"]
 
 
 def internal_signals(components: Sequence[Automaton]) -> tuple[str, ...]:
@@ -245,6 +250,97 @@ class ProductEnvironment:
         return None
 
 
+class StepSystem:
+    """The reachable step graph of a deterministic stepper.
+
+    The constructor explores every configuration a ``step(config,
+    letter) -> (successor, actions)`` function reaches from
+    ``initial_config`` breadth-first, under the letters ``environment``
+    admits per state (default: no letters at all).  A state is the pair
+    ``(config, env_state)`` and gets a dense index in
+    distance-then-discovery order, so the numbering is deterministic.
+    Each state keeps its step rows ``(letter_id, actions,
+    successor)`` in the environment's letter order; letters and action
+    tuples are interned, so rows share them.  The step function runs
+    once per (state, letter).  A built system is read-only and so safe
+    to share across threads.
+
+    Raises :class:`AutomataError` when ``max_states`` is given and the
+    reachable set exceeds it.
+    """
+
+    __slots__ = ("name", "_keys", "_rows", "_letters")
+
+    def __init__(self, name: str, initial_config: Hashable,
+                 step: Callable[[Hashable, frozenset],
+                                tuple[Hashable, tuple[str, ...]]],
+                 environment: ProductEnvironment | None = None,
+                 max_states: int | None = None) -> None:
+        self.name = name
+        environment = environment or ProductEnvironment()
+        initial_key = (initial_config, environment.initial_state())
+        index: dict[tuple, int] = {initial_key: 0}
+        keys: list[tuple] = [initial_key]
+        rows: list[tuple] = []
+        letters: list[frozenset] = []
+        letter_index: dict[frozenset, int] = {}
+        #: action tuples recur massively (every silent self-loop, every
+        #: done-pulse wait): intern them so rows share one object
+        interned: dict[tuple, tuple] = {}
+        while len(rows) < len(keys):
+            config, env_state = keys[len(rows)]
+            out = []
+            for letter in environment.letters(env_state, config):
+                letter = frozenset(letter)
+                letter_id = letter_index.get(letter)
+                if letter_id is None:
+                    letter_id = letter_index[letter] = len(letters)
+                    letters.append(letter)
+                successor_config, actions = step(config, letter)
+                successor = (successor_config,
+                             environment.advance(env_state, letter, actions))
+                succ = index.get(successor)
+                if succ is None:
+                    if max_states is not None and len(keys) >= max_states:
+                        raise AutomataError(
+                            f"product exceeds {max_states} composite "
+                            f"states")
+                    succ = index[successor] = len(keys)
+                    keys.append(successor)
+                actions = tuple(actions)
+                out.append((letter_id, interned.setdefault(actions, actions),
+                            succ))
+            rows.append(tuple(out))
+        self._keys = keys
+        self._rows = rows
+        self._letters = letters
+
+    def __len__(self) -> int:
+        """The number of reachable states."""
+        return len(self._keys)
+
+    def key_of(self, state: int) -> tuple:
+        """The ``(config, env_state)`` identity of ``state``."""
+        return self._keys[state]
+
+    def letter_of(self, letter_id: int) -> frozenset:
+        return self._letters[letter_id]
+
+    @property
+    def n_letters(self) -> int:
+        return len(self._letters)
+
+    def rows(self, state: int) -> tuple:
+        """The step rows of ``state``: ``(letter_id, actions, succ)``."""
+        return self._rows[state]
+
+    def iter_rows(self) -> Iterator[tuple[int, int, tuple, int]]:
+        """``(state, letter_id, actions, successor)`` over every row."""
+        for state, row in enumerate(self._rows):
+            for letter_id, actions, succ in row:
+                yield state, letter_id, actions, succ
+
+
 def reachable_automaton(name: str, initial_config: Hashable,
                         step: Callable[[Hashable, frozenset],
                                        tuple[Hashable, tuple[str, ...]]],
@@ -252,63 +348,40 @@ def reachable_automaton(name: str, initial_config: Hashable,
                         environment: ProductEnvironment | None = None,
                         label_of: Callable[[Hashable, int], str] | None = None,
                         max_states: int = 4096) -> Automaton:
-    """Materialize the reachable step-transition system of a stepper.
+    """Materialize the :class:`StepSystem` of a stepper as an automaton.
 
-    Generic BFS over the configurations a deterministic ``step(config,
-    letter) -> (successor, actions)`` function reaches from
-    ``initial_config`` under an input alphabet.  Configurations are
-    discovered breadth-first, so state indices are stable distance-then-
-    discovery ranks and the result is deterministic.  Both the
-    composition product (:func:`synchronous_product`) and the STG
-    reference explorer of the composition verifier are views over this
-    one materializer.
+    Same state indices as the step system, states labelled
+    ``label_of(config, index)`` (default ``s<index>``), one transition
+    per step row: the letter as its conditions, the step's actions as
+    its actions.  Both the composition product
+    (:func:`synchronous_product`) and the explicit oracle of the
+    composition verifier are views over this one materializer.
 
     ``environment`` decides the letters admissible in each state
-    (default: the fixed ``letters`` alphabet everywhere); its state is
-    folded into the explored state identity.  The two alphabet sources
-    are mutually exclusive -- an environment policy owns its letters
-    entirely, so passing both is rejected rather than silently
-    preferring one.  Raises :class:`AutomataError` when the reachable
-    set exceeds ``max_states``.
+    (default: the fixed ``letters`` alphabet everywhere).  The two
+    alphabet sources are mutually exclusive -- an environment policy
+    owns its letters entirely, so passing both is rejected rather than
+    silently preferring one.  Raises :class:`AutomataError` when the
+    reachable set exceeds ``max_states``.
     """
     if environment is None:
         environment = ProductEnvironment(letters)
     elif letters:
         raise AutomataError("pass either a fixed letters alphabet or an "
                             "environment policy, not both")
-
-    def state_label(key: tuple, index: int) -> str:
-        if label_of is not None:
-            return label_of(key[0], index)
-        return f"s{index}"
-
-    initial_key = (initial_config, environment.initial_state())
-    labels: dict[tuple, str] = {initial_key: state_label(initial_key, 0)}
+    system = StepSystem(name, initial_config, step, environment, max_states)
     builder = AutomatonBuilder(name)
-    builder.add_state(labels[initial_key], key=initial_key)
-    pending: deque[tuple] = deque([initial_key])
-    transitions: list[tuple[str, str, frozenset, tuple[str, ...]]] = []
-    while pending:
-        key = pending.popleft()
-        config, env_state = key
-        for letter in environment.letters(env_state, config):
-            letter = frozenset(letter)
-            successor_config, actions = step(config, letter)
-            successor = (successor_config,
-                         environment.advance(env_state, letter, actions))
-            if successor not in labels:
-                if len(labels) >= max_states:
-                    raise AutomataError(
-                        f"product exceeds {max_states} composite states")
-                labels[successor] = state_label(successor, len(labels))
-                builder.add_state(labels[successor], key=successor)
-                pending.append(successor)
-            transitions.append((labels[key], labels[successor],
-                                letter, tuple(actions)))
-    for src, dst, letter, actions in transitions:
-        builder.add_transition(src, dst, conditions=sorted(letter),
+    labels = []
+    for index in range(len(system)):
+        key = system.key_of(index)
+        labels.append(label_of(key[0], index) if label_of is not None
+                      else f"s{index}")
+        builder.add_state(labels[index], key=key)
+    for state, letter_id, actions, succ in system.iter_rows():
+        builder.add_transition(labels[state], labels[succ],
+                               conditions=sorted(system.letter_of(letter_id)),
                                actions=actions)
-    return builder.build(initial=labels[initial_key])
+    return builder.build(initial=labels[0])
 
 
 def composition_stepper(components: Sequence[Automaton],
@@ -318,16 +391,16 @@ def composition_stepper(components: Sequence[Automaton],
                                                    tuple[tuple, tuple]]]:
     """``(initial configuration, step function)`` over a scratch composition.
 
-    The step contract of :func:`reachable_automaton`: given a
-    configuration key and an input letter, run one composition cycle
-    (``held`` signals delivered level-style, the rest latched) and
-    return the successor configuration plus the external actions.  Both
-    the materializing product below and the lazy step systems of the
-    symbolic verification tier (:mod:`repro.automata.symbolic`) drive
-    the same scratch composition through this one function, so the two
-    tiers cannot diverge on cycle semantics.  The returned step closes
-    over one scratch composition and is therefore not thread-safe;
-    callers that publish explored systems must finish exploring first.
+    The step contract of :class:`StepSystem`: given a configuration
+    key and an input letter, run one composition cycle (``held``
+    signals delivered level-style, the rest latched) and return the
+    successor configuration plus the external actions.  The
+    materializing product below, the verifier's step systems and the
+    explicit oracle all drive the same scratch composition through
+    this one function, so they cannot diverge on cycle semantics.  The
+    returned step closes over one scratch composition and is therefore
+    not thread-safe; a :class:`StepSystem` calls it only while it is
+    being built.
     """
     scratch = SynchronousComposition(components, config)
     held = frozenset(held)

@@ -4,19 +4,17 @@ The explicit composition oracle materializes both sides of the check as
 :class:`~repro.automata.core.Automaton` objects and hands them to the
 τ-saturating bisimulation -- which caps at a state bound and makes the
 largest designs the long pole.  This module is the unbounded check the
-composition verifier runs on every flow:
+composition verifier runs on every flow, over the
+:class:`~repro.automata.product.StepSystem` of each side (dense state
+indices, interned ``(letter, actions, successor)`` step rows, no
+:class:`Automaton` built and no state bound):
 
-* :class:`LazyStepSystem` -- an on-the-fly interned step-transition
-  system.  States are discovered and densely numbered as the check
-  needs them; per state the ``(letter, actions, successor)`` step rows
-  are computed exactly once and shared by every projection class.  No
-  :class:`Automaton` is ever built, no symbol table is populated per
-  transition, and there is no ``max_states`` bound.
 * :func:`symbolic_trace_equivalence` -- a determinized fixpoint over
-  τ-closed element sets, run once with every class visible (a step
-  labelled by its *sorted* visible action multiset: the STG stepper
-  reports firing order, the controller side sorts) and, only when that
-  pass fails, once per observable class.  Each class sees at most one
+  τ-closed element sets over one observation view, run once with
+  every class visible (a step labelled by its *sorted* visible action
+  multiset: the STG stepper reports firing order, the controller side
+  sorts) and, only when that pass fails, once per observable class
+  (the same view over that one class).  Each class sees at most one
   action per step, so its weak trace set is the all-visible one with
   the other classes hidden: the joint pass holding proves every class,
   and ``pairs_checked`` counts the pairs of every pass run.  Both step
@@ -55,15 +53,15 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import Callable, Hashable, Iterable, Sequence
+from typing import Iterable, Sequence
 
 from ..symbolic import FALSE, TRUE, BddEngine, VariablePairing, \
     reachable_states
 from .bisim import INPUT_PREFIX, OUTPUT_PREFIX
 from .core import AutomataError
-from .product import ProductEnvironment
+from .product import StepSystem
 
-__all__ = ["LazyStepSystem", "ClassVerdict", "SymbolicEquivalence",
+__all__ = ["ClassVerdict", "SymbolicEquivalence",
            "symbolic_trace_equivalence", "reachable_set_summary",
            "MAX_PAIR_FIXPOINT"]
 
@@ -72,118 +70,6 @@ __all__ = ["LazyStepSystem", "ClassVerdict", "SymbolicEquivalence",
 #: compares, so hitting this bound means the inputs violate the
 #: determinacy contract -- raise instead of filling memory.
 MAX_PAIR_FIXPOINT = 2_000_000
-
-
-class LazyStepSystem:
-    """Demand-driven interned step graph of a deterministic stepper.
-
-    The lazily-explored twin of
-    :func:`repro.automata.product.reachable_automaton`: same
-    ``step(config, letter) -> (successor_config, actions)`` contract,
-    same :class:`~repro.automata.product.ProductEnvironment` letter
-    policy, same state identity ``(config, env_state)`` -- but states
-    are interned to dense indices on first visit and step rows are
-    tuples of ``(letter_id, action_names, successor_index)``, so
-    nothing automaton-shaped (symbol tables, transition objects,
-    labels) is ever allocated and there is no state bound.
-
-    Expansion mutates (``rows`` interns successors); a fully
-    :meth:`expand_all`-ed system is read-only afterwards and therefore
-    safe to share across threads, which is what the verifier's
-    fingerprint cache relies on.
-    """
-
-    __slots__ = ("name", "_step", "_environment", "_index", "_keys",
-                 "_rows", "_letters", "_letter_index", "_actions_interned")
-
-    def __init__(self, name: str, initial_config: Hashable,
-                 step: Callable[[Hashable, frozenset],
-                                tuple[Hashable, tuple[str, ...]]],
-                 environment: ProductEnvironment | None = None) -> None:
-        self.name = name
-        self._step = step
-        self._environment = environment or ProductEnvironment()
-        initial_key = (initial_config, self._environment.initial_state())
-        self._index: dict[tuple, int] = {initial_key: 0}
-        self._keys: list[tuple] = [initial_key]
-        self._rows: list[tuple | None] = [None]
-        self._letters: list[frozenset] = []
-        self._letter_index: dict[frozenset, int] = {}
-        #: action tuples recur massively (every silent self-loop, every
-        #: done-pulse wait): intern them so rows share one object
-        self._actions_interned: dict[tuple, tuple] = {}
-
-    def __len__(self) -> int:
-        """States discovered so far (all of them after expand_all)."""
-        return len(self._keys)
-
-    def key_of(self, state: int) -> tuple:
-        """The ``(config, env_state)`` identity of ``state``."""
-        return self._keys[state]
-
-    def letter_of(self, letter_id: int) -> frozenset:
-        return self._letters[letter_id]
-
-    @property
-    def n_letters(self) -> int:
-        return len(self._letters)
-
-    def rows(self, state: int) -> tuple:
-        """The step rows of ``state``: ``(letter_id, actions, succ)``.
-
-        Computed once (the step function runs exactly once per
-        (state, letter)) and cached; interns any newly discovered
-        successor states.
-        """
-        row = self._rows[state]
-        if row is None:
-            config, env_state = self._keys[state]
-            out = []
-            for letter in self._environment.letters(env_state, config):
-                letter = frozenset(letter)
-                letter_id = self._letter_index.get(letter)
-                if letter_id is None:
-                    letter_id = len(self._letters)
-                    self._letters.append(letter)
-                    self._letter_index[letter] = letter_id
-                successor_config, actions = self._step(config, letter)
-                successor = (successor_config,
-                             self._environment.advance(env_state, letter,
-                                                       actions))
-                succ = self._index.get(successor)
-                if succ is None:
-                    succ = len(self._keys)
-                    self._index[successor] = succ
-                    self._keys.append(successor)
-                    self._rows.append(None)
-                actions = tuple(actions)
-                actions = self._actions_interned.setdefault(actions, actions)
-                out.append((letter_id, actions, succ))
-            row = tuple(out)
-            self._rows[state] = row
-        return row
-
-    def expand_all(self) -> int:
-        """Breadth-first expansion of every reachable state.
-
-        Deterministic: states are numbered in distance-then-discovery
-        order under the environment's (deterministic) letter order, the
-        same ranks :func:`~repro.automata.product.reachable_automaton`
-        assigns.  Returns the number of reachable states.
-        """
-        cursor = 0
-        while cursor < len(self._keys):
-            self.rows(cursor)
-            cursor += 1
-        return cursor
-
-    def iter_rows(self) -> Iterable[tuple[int, int, tuple, int]]:
-        """``(state, letter_id, actions, successor)`` over expanded rows."""
-        for state, row in enumerate(self._rows):
-            if row is None:
-                continue
-            for letter_id, actions, succ in row:
-                yield state, letter_id, actions, succ
 
 
 # ----------------------------------------------------------------------
@@ -210,7 +96,7 @@ def _interval_below(engine: BddEngine, pairing: VariablePairing,
     return node
 
 
-def reachable_set_summary(engine: BddEngine, system: LazyStepSystem,
+def reachable_set_summary(engine: BddEngine, system: StepSystem,
                           relational_check: bool = False
                           ) -> tuple[int, int, int]:
     """The system's reachable index set as a characteristic function.
@@ -292,32 +178,27 @@ class SymbolicEquivalence:
 
 
 class _Side:
-    """Per-system element space shared by every projection class.
+    """Per-system element space shared by every fixpoint pass.
 
     Elements are either plain states (element id == state index) or
     *pending-action intermediates* ``(state, row)`` -- the point inside
     a two-label step where the input letter was consumed but the
     observable action not yet emitted.  Intermediate ids are interned
-    globally (class-independent keys), so their cubes and labels are
-    shared across classes too.
+    globally (class-independent keys), so every pass over the side
+    numbers them alike.
     """
 
-    __slots__ = ("system", "n_states", "_letter_labels", "_mid_index",
-                 "_next_eid")
+    __slots__ = ("system", "letter_labels", "_mid_index", "_next_eid")
 
-    def __init__(self, system: LazyStepSystem) -> None:
+    def __init__(self, system: StepSystem) -> None:
         self.system = system
-        self.n_states = len(system)
-        self._letter_labels: list[str | None] = []
+        letters = (sorted(system.letter_of(letter_id))
+                   for letter_id in range(system.n_letters))
+        #: ``?letter`` label per letter id; None for the silent letter
+        self.letter_labels = [INPUT_PREFIX + "+".join(names) if names
+                              else None for names in letters]
         self._mid_index: dict[tuple[int, int], int] = {}
-        self._next_eid = self.n_states
-
-    def letter_label(self, letter_id: int) -> str | None:
-        labels = self._letter_labels
-        while len(labels) <= letter_id:
-            names = sorted(self.system.letter_of(len(labels)))
-            labels.append(INPUT_PREFIX + "+".join(names) if names else None)
-        return labels[letter_id]
+        self._next_eid = len(system)
 
     def mid(self, state: int, row: int) -> int:
         eid = self._mid_index.get((state, row))
@@ -329,7 +210,16 @@ class _Side:
 
 
 class _ClassView:
-    """One side's single-label observation edges under one class.
+    """One side's observation edges with ``classes`` visible.
+
+    A step's observable label is ``!`` plus its sorted visible actions
+    ``+``-joined, as letters are.  The sort matters: the STG stepper
+    reports actions in firing order, the controller side interns them
+    sorted.  With every class visible one fixpoint decides all classes
+    together; a per-class pass is the view over ``[(label, members)]``.
+    Two same-step members of one class raise: hiding maps the
+    all-visible view onto each class's view only while every class
+    sees at most one action per step.
 
     Per element the view keeps the (unique -- the environment offers
     silence exactly once per state, so silent rows are deterministic)
@@ -344,30 +234,33 @@ class _ClassView:
     ever hitting.
     """
 
-    __slots__ = ("side", "observable", "_tau", "_obs", "_visible")
+    __slots__ = ("side", "_class_of", "_tau", "_obs", "_visible")
 
     #: ``_tau`` sentinel: the element has no silent successor.
     _NO_TAU = -1
 
-    def __init__(self, side: _Side, observable: frozenset[str]) -> None:
+    def __init__(self, side: _Side,
+                 classes: Sequence[tuple[str, frozenset[str]]]) -> None:
         self.side = side
-        self.observable = observable
+        self._class_of = {action: index for index, (_label, members)
+                          in enumerate(classes) for action in members}
         self._tau: dict[int, int] = {}
         self._obs: dict[int, tuple] = {}
         self._visible: dict[tuple, str | None] = {}
 
     def _visible_of(self, actions: tuple) -> str | None:
         """The ``!action`` label of an interned action tuple, or None."""
-        visible = [a for a in actions if a in self.observable]
-        if len(visible) > 1:
+        class_of = self._class_of
+        visible = sorted(a for a in actions if a in class_of)
+        if len({class_of[a] for a in visible}) < len(visible):
             # the verifier's projection classes guarantee at most one
-            # observable action per step (same-step observables are
+            # member per step (same-step members are
             # order-indistinguishable); a class violating that is a
             # caller bug, not a verdict
             raise AutomataError(
                 f"projection class admits two same-step observables "
-                f"{sorted(visible)!r} in {self.side.system.name!r}")
-        return OUTPUT_PREFIX + visible[0] if visible else None
+                f"{visible!r} in {self.side.system.name!r}")
+        return OUTPUT_PREFIX + "+".join(visible) if visible else None
 
     def _expand(self, eid: int) -> None:
         """Derive ``eid``'s τ-successor and observable edges.
@@ -382,7 +275,7 @@ class _ClassView:
         tau = self._NO_TAU
         for row_index, (letter_id, actions, succ) in \
                 enumerate(side.system.rows(eid)):
-            letter = side.letter_label(letter_id)
+            letter = side.letter_labels[letter_id]
             if actions in visible_of:
                 action = visible_of[actions]
             else:
@@ -435,39 +328,13 @@ class _ClassView:
                 for label, targets in grouped.items()}
 
 
-class _AllVisibleView(_ClassView):
-    """One side's observation edges with every class visible at once.
-
-    A step's observable label is its sorted visible action multiset
-    (``+``-joined, as letters are), so one fixpoint over this view
-    decides all classes together.  The sort matters: the STG stepper
-    reports actions in firing order, the controller side interns them
-    sorted.  Two same-step members of one class still raise, as in
-    :class:`_ClassView`: hiding maps this view onto each class's view
-    only while every class sees at most one action per step.
-    """
-
-    __slots__ = ("_class_of",)
-
-    def __init__(self, side: _Side,
-                 classes: Sequence[tuple[str, frozenset[str]]]) -> None:
-        self._class_of = {action: index for index, (_label, members)
-                          in enumerate(classes) for action in members}
-        super().__init__(side, frozenset(self._class_of))
-
-    def _visible_of(self, actions: tuple) -> str | None:
-        visible = sorted(a for a in actions if a in self.observable)
-        owners = [self._class_of[a] for a in visible]
-        if len(set(owners)) < len(owners):
-            raise AutomataError(
-                f"projection class admits two same-step observables "
-                f"{visible!r} in {self.side.system.name!r}")
-        return OUTPUT_PREFIX + "+".join(visible) if visible else None
-
-
-def _check_class(label: str, left: _ClassView, right: _ClassView
+def _check_class(label: str, left_side: _Side, right_side: _Side,
+                 classes: Sequence[tuple[str, frozenset[str]]]
                  ) -> ClassVerdict:
-    """Joint breadth-first fixpoint over pairs of τ-closed sets."""
+    """Joint breadth-first fixpoint over pairs of τ-closed sets, with
+    ``classes`` visible on both sides."""
+    left = _ClassView(left_side, classes)
+    right = _ClassView(right_side, classes)
     start = (left.closure((0,)), right.closure((0,)))
     seen: dict[tuple, int] = {start: 0}
     parents: list[tuple[int, str | None]] = [(-1, None)]
@@ -503,40 +370,29 @@ def _check_class(label: str, left: _ClassView, right: _ClassView
 
 
 def symbolic_trace_equivalence(
-        left: LazyStepSystem, right: LazyStepSystem,
+        left: StepSystem, right: StepSystem,
         classes: Sequence[tuple[str, frozenset[str]]]
         ) -> SymbolicEquivalence:
     """Weak trace equivalence of two step systems, per projection class.
 
-    Expands both systems fully (the joint fixpoint touches every
-    reachable state anyway, and a fully expanded system is immutable),
-    then runs the determinized τ-closed pair fixpoint once over the
-    all-visible view.  Each class's weak trace set is the image of the
+    Runs the determinized τ-closed pair fixpoint once with every class
+    visible.  Each class's weak trace set is the image of the
     all-visible one under hiding, so when that pass holds every class
     holds.  Only when it fails does the fixpoint run once per class,
     so that each failing class carries its shortest distinguishing
     trace.
     """
-    left.expand_all()
-    right.expand_all()
-    left_side = _Side(left)
-    right_side = _Side(right)
-    joint = _check_class("all-visible", _AllVisibleView(left_side, classes),
-                         _AllVisibleView(right_side, classes))
+    sides = (_Side(left), _Side(right))
+    joint = _check_class("all-visible", *sides, classes)
     if joint.equivalent:
         return SymbolicEquivalence(True, (joint,), len(left), len(right),
                                    joint.pairs)
-    verdicts = []
-    pairs_checked = joint.pairs
-    for label, observable in classes:
-        verdict = _check_class(label, _ClassView(left_side, observable),
-                               _ClassView(right_side, observable))
-        verdicts.append(verdict)
-        pairs_checked += verdict.pairs
+    verdicts = tuple(_check_class(label, *sides, [(label, observable)])
+                     for label, observable in classes)
     return SymbolicEquivalence(
         equivalent=all(v.equivalent for v in verdicts),
-        verdicts=tuple(verdicts),
+        verdicts=verdicts,
         left_states=len(left),
         right_states=len(right),
-        pairs_checked=pairs_checked,
+        pairs_checked=joint.pairs + sum(v.pairs for v in verdicts),
         fallback=True)

@@ -50,7 +50,7 @@ CareSets = dict
 def harvest_care_sets(controller: SystemController) -> CareSets:
     """Every input valuation each FSM can see, per state, reachably.
 
-    Walks the step rows of the lazily explored composition
+    Walks the step rows of the composition's step system
     (:func:`repro.controllers.verify.controller_step_system` -- the
     same exploration the verifier proves equivalence on,
     shared through its fingerprint cache): for a step out of a
@@ -59,7 +59,7 @@ def harvest_care_sets(controller: SystemController) -> CareSets:
     -- the visibility rule of
     :meth:`repro.automata.SynchronousComposition.cycle`, where latched
     pulses and held command signals are equally visible in the cycle
-    they arrive.  The lazy system has no state bound, so the harvest
+    they arrive.  The step system has no state bound, so the harvest
     covers every design the verifier proves.
     """
     components, _config = controller_composition(controller)

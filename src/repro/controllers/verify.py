@@ -7,12 +7,13 @@ exactly the scheduled behaviour the STG specifies.
 :func:`verify_composition` proves that claim for every synthesized
 design, on every flow run, along one path:
 
-1. Both sides are explored as :class:`~repro.automata.LazyStepSystem`
-   step systems under the *admissible environment closure*: per state,
-   the environment may stay silent, deliver the done pulse of any
-   in-flight node (started, completion not yet reported), or -- once
-   the activation completed -- pulse ``restart``.  Nothing
-   automaton-shaped is materialized and there is **no state bound**.
+1. Both sides are explored breadth-first into a
+   :class:`~repro.automata.StepSystem` under the *admissible
+   environment closure*: per state, the environment may stay silent,
+   deliver the done pulse of any in-flight node (started, completion
+   not yet reported), or -- once the activation completed -- pulse
+   ``restart``.  Nothing automaton-shaped is materialized and there is
+   **no state bound**.
 2. Equivalence is decided per observable class by the determinized
    τ-closed pair fixpoint of
    :func:`repro.automata.symbolic_trace_equivalence` (weak
@@ -50,7 +51,8 @@ that withholds that pulse.
 
 :func:`explicit_oracle` is the independent reference the tests and
 benchmarks compare against: both sides materialized by
-:func:`repro.automata.reachable_automaton` from the same steppers and
+:func:`repro.automata.reachable_automaton` (the same step systems,
+converted to automata, under its state bound) from the same steppers and
 compared per class by explicit **weak bisimulation**
 (:func:`repro.automata.weak_bisimilar`).  The flow never calls it.
 
@@ -67,9 +69,8 @@ import threading
 from collections import OrderedDict
 from dataclasses import dataclass
 
-from ..automata import (LazyStepSystem, SynchronousComposition,
-                        TokenExecutor, symbolic_trace_equivalence,
-                        weak_bisimilar)
+from ..automata import (StepSystem, SynchronousComposition, TokenExecutor,
+                        symbolic_trace_equivalence, weak_bisimilar)
 from ..automata.product import (ProductEnvironment, composition_stepper,
                                 reachable_automaton)
 from ..obs import span as obs_span
@@ -100,7 +101,7 @@ _SANITY_MAX_CYCLES = 100_000
 class CompositionCheck:
     """Outcome of one composed-controller vs. STG equivalence check.
 
-    ``tier`` is ``"symbolic"`` for :func:`verify_composition` (lazy step
+    ``tier`` is ``"symbolic"`` for :func:`verify_composition` (step
     systems + pair fixpoint: every admissible environment, every stream
     length) and ``"bisimulation"`` for :func:`explicit_oracle`.
     ``oracle`` is None on production checks; :func:`explicit_oracle`
@@ -181,8 +182,8 @@ def _controller_stepper(controller: SystemController):
     """``(initial, step, environment)`` of the harness composition.
 
     One scratch composition under the admissible closure, with
-    ``restart`` delivered level-style; both the lazy step system and
-    the explicit oracle's automaton are explored from it.
+    ``restart`` delivered level-style; both the step system and the
+    explicit oracle's automaton are explored from it.
     """
     components, config = controller_composition(controller)
     phase = components[0]  # phase-first ordering set by controller_composition
@@ -228,19 +229,17 @@ def _stg_stepper(stg: Stg):
     return executor.snapshot(), step, _AdmissibleEnvironment(completed)
 
 
-#: Fingerprint-keyed memo of *fully expanded* controller step systems:
-#: the verifier and the guard don't-care harvester need the same
-#: exploration in one flow run.  Only fully expanded systems are
-#: published (expansion drives a single scratch composition, so a
-#: half-explored system is not shareable); once expanded they are
-#: read-only and therefore safe to share across threads.
-_STEP_SYSTEM_CACHE: "OrderedDict[str, LazyStepSystem]" = OrderedDict()
+#: Fingerprint-keyed memo of controller step systems: the verifier and
+#: the guard don't-care harvester need the same exploration in one flow
+#: run.  A built step system is read-only and therefore safe to share
+#: across threads.
+_STEP_SYSTEM_CACHE: "OrderedDict[str, StepSystem]" = OrderedDict()
 _STEP_SYSTEM_CACHE_MAX = 8
 _STEP_SYSTEM_CACHE_LOCK = threading.Lock()
 
 
-def controller_step_system(controller: SystemController) -> LazyStepSystem:
-    """The harness composition as a fully expanded lazy step system.
+def controller_step_system(controller: SystemController) -> StepSystem:
+    """The harness composition as a step system.
 
     States are dense indices in distance-then-discovery order and step
     rows plain tuples, with no state bound and no automaton
@@ -252,9 +251,8 @@ def controller_step_system(controller: SystemController) -> LazyStepSystem:
         if cached is not None:
             _STEP_SYSTEM_CACHE.move_to_end(key)
             return cached
-    system = LazyStepSystem("controller_composition",
-                            *_controller_stepper(controller))
-    system.expand_all()
+    system = StepSystem("controller_composition",
+                        *_controller_stepper(controller))
     with _STEP_SYSTEM_CACHE_LOCK:
         _STEP_SYSTEM_CACHE[key] = system
         while len(_STEP_SYSTEM_CACHE) > _STEP_SYSTEM_CACHE_MAX:
@@ -262,20 +260,19 @@ def controller_step_system(controller: SystemController) -> LazyStepSystem:
     return system
 
 
-def stg_step_system(stg: Stg) -> LazyStepSystem:
+def stg_step_system(stg: Stg) -> StepSystem:
     """The STG's token-semantics step system under the same closure.
 
-    Not cached: the verifier expands it exactly once per check, and
-    the backing executor makes a half-shared system unsafe.
+    Not cached: the verifier builds it exactly once per check.
     """
-    return LazyStepSystem(f"{stg.name}_steps", *_stg_stepper(stg))
+    return StepSystem(f"{stg.name}_steps", *_stg_stepper(stg))
 
 
 # ----------------------------------------------------------------------
 # projection classes
 # ----------------------------------------------------------------------
 def _system_alphabet(systems) -> tuple[set[str], list[frozenset[str]]]:
-    """External actions + co-emission bursts of expanded step systems."""
+    """External actions + co-emission bursts of step systems."""
     actions: set[str] = set()
     bursts: list[frozenset[str]] = []
     seen: set[tuple] = set()
@@ -402,8 +399,8 @@ def _completion_mismatches(reference_completes: bool,
             if not completes]
 
 
-def _system_has_restart(system: LazyStepSystem) -> bool:
-    """Does any reachable state of the expanded system admit restart?
+def _system_has_restart(system: StepSystem) -> bool:
+    """Does any reachable state of the system admit restart?
 
     Letters are interned on first use, so the restart letter exists in
     the system's alphabet iff some reachable (completed) configuration
@@ -541,7 +538,7 @@ def verify_composition(stg: Stg, controller: SystemController,
                        graph=None) -> CompositionCheck:
     """Check the communicating-controller composition against ``stg``.
 
-    Lazy step systems, the pair fixpoint, the completion check and --
+    Step systems, the pair fixpoint, the completion check and --
     when ``graph`` (a :class:`~repro.graph.taskgraph.TaskGraph`) is
     given -- the STG-vs-schedule sanity check; see the module
     docstring.  Raises :class:`~repro.automata.AutomataError` only when
@@ -562,7 +559,6 @@ def _verify(stg: Stg, controller: SystemController,
     with obs_span("verify.expand", kind="verify"):
         product_system = controller_step_system(controller)
         reference_system = stg_step_system(stg)
-        reference_system.expand_all()
         actions, bursts = _system_alphabet((reference_system,
                                             product_system))
         classes = _observable_classes(actions, bursts,
@@ -607,7 +603,7 @@ def explicit_oracle(stg: Stg, controller: SystemController,
 
     Both sides are materialized by
     :func:`~repro.automata.reachable_automaton` from the same steppers
-    the lazy step systems explore, then compared per observable class
+    the step systems explore, then compared per observable class
     by :func:`~repro.automata.weak_bisimilar` (kernel partition
     refinement on the τ-saturated disjoint union), followed by the
     same completion and schedule sanity checks.  The result has

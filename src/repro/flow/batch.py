@@ -243,6 +243,17 @@ def _run_job(job: FlowJob, stage_cache: CacheTier | None) -> FlowResult:
                     deadline=job.deadline)
 
 
+def _check_sweep_args(shards: int | None, max_workers: int | None,
+                     job_timeout: float | None) -> None:
+    """Reject sweep arguments with :class:`ValueError`: counts below 1
+    and a non-positive ``job_timeout`` (``None`` is always allowed)."""
+    for name, value in (("shards", shards), ("max_workers", max_workers)):
+        if value is not None and value < 1:
+            raise ValueError(f"{name} must be >= 1, got {value}")
+    if job_timeout is not None and job_timeout <= 0:
+        raise ValueError(f"job_timeout must be positive, got {job_timeout}")
+
+
 def _run_outcome(job: FlowJob, stage_cache: CacheTier | None = None,
                  job_timeout: float | None = None) -> JobOutcome:
     """Run one job with per-job failure isolation and the budget rule
@@ -270,8 +281,9 @@ class BatchRunner:
     Parameters
     ----------
     max_workers:
-        Worker process count of the ``"shard"`` backend; ``None`` uses
-        the CPU count.  Rejected on the serial backend, which has none.
+        Worker process count of the ``"shard"`` backend, at least 1;
+        ``None`` uses the CPU count.  Rejected on the serial backend,
+        which has none.
     backend:
         ``"serial"`` (the default) or ``"shard"`` (map-reduce over
         worker processes, see :mod:`repro.flow.shard`).  Setting
@@ -303,8 +315,8 @@ class BatchRunner:
         sweep then continues with the next job (a job that never returns
         therefore stalls its sweep or shard).
     shards:
-        Shard count of the ``"shard"`` backend (defaults to
-        ``max_workers``, falling back to the CPU count).
+        Shard count of the ``"shard"`` backend, at least 1 (defaults
+        to ``max_workers``, falling back to the CPU count).
     """
 
     def __init__(self, max_workers: int | None = None,
@@ -330,11 +342,7 @@ class BatchRunner:
             raise ValueError("stage_cache= cannot be shared with shard "
                              "worker processes (each keeps its own "
                              "cache); share stage results with store=")
-        if shards is not None and shards < 1:
-            raise ValueError(f"shards must be >= 1, got {shards}")
-        if job_timeout is not None and job_timeout <= 0:
-            raise ValueError(f"job_timeout must be positive, got "
-                             f"{job_timeout}")
+        _check_sweep_args(shards, max_workers, job_timeout)
         self.max_workers = max_workers
         self.backend = backend
         l2, self.store_path = _normalize_store(store)

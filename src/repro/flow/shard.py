@@ -59,8 +59,8 @@ from ..platform.architecture import TargetArchitecture
 from ..store import ArtifactStore, PersistentCache, TieredCache
 from ..workloads.generators import WorkloadSpec
 from .batch import (DesignPoint, ExplorationResult, FlowJob, JobOutcome,
-                    ProgressCallback, _guarded, _run_outcome,
-                    design_point_of, payload_check)
+                    ProgressCallback, _check_sweep_args, _guarded,
+                    _run_outcome, design_point_of, payload_check)
 from .pipeline import CacheTier, StageCache
 
 __all__ = ["ShardError", "JobPayload", "JobSummary", "Shard",
@@ -436,7 +436,11 @@ def sharded_sweep(jobs: Sequence[FlowJob], shards: int | None = None,
     a later run -- any process, any shard count -- warm-starts from it.
     Results stay bit-identical to a storeless serial sweep; the merged
     ``stats.cache`` grows nested ``l1``/``l2`` views.
+
+    ``shards`` and ``max_workers`` must be at least 1 and
+    ``job_timeout`` positive when given (:class:`ValueError`).
     """
+    _check_sweep_args(shards, max_workers, job_timeout)
     jobs = list(jobs)
     total = len(jobs)
     with obs_span("sharded_sweep", kind="flow", backend="shard",

@@ -12,7 +12,7 @@ exception on the flow's hot path.
   racing on the same key write byte-identical records (the encoding is
   canonical), so either winner is valid.
 * **Self-verifying records** -- see :mod:`repro.store.record`: magic,
-  schema/version header, payload checksum.  Anything that fails
+  schema/version header, a checksum over every byte.  Anything that fails
   verification is moved to ``quarantine/`` (atomic rename, preserved
   for inspection) and reported as a miss.
 * **Size-bounded LRU eviction** -- an on-disk ``index.json`` tracks the

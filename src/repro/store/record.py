@@ -3,15 +3,17 @@
 One record is one self-verifying file::
 
     MAGIC | header length (4 bytes, big-endian) | header JSON | payload
+          | SHA-256 of every byte before it (32 bytes)
 
 The header is a canonical (sorted-keys) JSON object carrying the store
-schema version, the record's content key, the payload size and its
-SHA-256 -- everything :func:`decode_record` needs to prove the bytes on
-disk are the bytes that were written.  Any violation (bad magic,
-truncated header or payload, checksum mismatch, undecodable JSON)
-raises :class:`RecordError`; the store reacts by *quarantining* the
-file, never by crashing the flow (a corrupt cache entry is a miss, not
-an error).
+schema version, the record's content key, the payload schema and size
+and the writer's ``meta``.  The trailing digest covers the magic, the
+header and the payload alike, so :func:`decode_record` proves that
+every byte on disk is a byte that was written.  Any violation (bad
+magic, truncated header or payload, checksum mismatch, undecodable
+JSON) raises :class:`RecordError`; the store reacts by *quarantining*
+the file, never by crashing the flow (a corrupt cache entry is a miss,
+not an error).
 
 Because the header serialization is canonical, two writers encoding the
 same ``(key, schema, payload, meta)`` produce byte-identical records --
@@ -40,9 +42,10 @@ MAGIC = b"repro-store\x00"
 #: Version of the record format itself (header layout + checksum).
 #: Bumped when the container format changes; the *payload* schema is the
 #: separate per-record ``schema`` field owned by the writer.
-STORE_SCHEMA_VERSION = 1
+STORE_SCHEMA_VERSION = 2
 
 _HEADER_LENGTH_BYTES = 4
+_DIGEST_BYTES = hashlib.sha256().digest_size
 
 
 class RecordError(ValueError):
@@ -70,13 +73,13 @@ def encode_record(key: str, payload: bytes, schema: int,
         "key": key,
         "schema": schema,
         "size": len(payload),
-        "sha256": hashlib.sha256(payload).hexdigest(),
         "meta": dict(meta or {}),
     }
     header_bytes = json.dumps(header, sort_keys=True,
                               separators=(",", ":")).encode("utf-8")
-    return (MAGIC + len(header_bytes).to_bytes(_HEADER_LENGTH_BYTES, "big")
+    body = (MAGIC + len(header_bytes).to_bytes(_HEADER_LENGTH_BYTES, "big")
             + header_bytes + bytes(payload))
+    return body + hashlib.sha256(body).digest()
 
 
 def decode_record(blob: bytes) -> StoreRecord:
@@ -99,18 +102,18 @@ def decode_record(blob: bytes) -> StoreRecord:
         raise RecordError("header is not a JSON object")
     try:
         key, schema = header["key"], header["schema"]
-        size, sha256 = header["size"], header["sha256"]
-        record_format = header["format"]
+        size, record_format = header["size"], header["format"]
     except KeyError as exc:
         raise RecordError(f"header missing field {exc}") from None
     if record_format != STORE_SCHEMA_VERSION:
         raise RecordError(f"record format {record_format} != "
                           f"{STORE_SCHEMA_VERSION}")
-    payload = blob[header_end:]
+    body_end = len(blob) - _DIGEST_BYTES
+    payload = blob[header_end:body_end]
     if len(payload) != size:
         raise RecordError(f"payload size {len(payload)} != declared {size} "
                           f"(torn write)")
-    if hashlib.sha256(payload).hexdigest() != sha256:
-        raise RecordError("payload checksum mismatch (corrupt record)")
+    if hashlib.sha256(blob[:body_end]).digest() != blob[body_end:]:
+        raise RecordError("record checksum mismatch (corrupt record)")
     return StoreRecord(key=key, schema=schema, payload=payload,
                        meta=header.get("meta", {}))

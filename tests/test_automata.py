@@ -4,7 +4,7 @@ import pytest
 
 from repro.automata import (AutomataError, AutomatonBuilder,
                             CompositionConfig, ProductEnvironment,
-                            SequentialRunner, SymbolTable,
+                            SequentialRunner, StepSystem, SymbolTable,
                             SynchronousComposition, TokenExecutor,
                             encode_names, internal_signals,
                             minimize_automaton, reachable_automaton,
@@ -407,6 +407,24 @@ class TestReachableAutomaton:
             reachable_automaton(
                 "counter", 0, lambda c, letter: (c + 1, ()),
                 letters=[frozenset()], max_states=10)
+
+    def test_state_bound_is_inclusive(self):
+        # a ten-state ring fits a bound of exactly ten, not of nine
+        def ring(config, letter):
+            return (config + 1) % 10, ()
+
+        automaton = reachable_automaton("ring", 0, ring,
+                                        letters=[frozenset()], max_states=10)
+        assert len(automaton) == 10
+        assert len(StepSystem("ring", 0, ring,
+                              ProductEnvironment([frozenset()]),
+                              max_states=10)) == 10
+        with pytest.raises(AutomataError, match="exceeds 9 composite"):
+            reachable_automaton("ring", 0, ring, letters=[frozenset()],
+                                max_states=9)
+        with pytest.raises(AutomataError, match="exceeds 9 composite"):
+            StepSystem("ring", 0, ring, ProductEnvironment([frozenset()]),
+                       max_states=9)
 
     def test_letters_and_environment_are_mutually_exclusive(self):
         with pytest.raises(AutomataError, match="not both"):

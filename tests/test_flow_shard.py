@@ -233,6 +233,21 @@ class TestShardBackendRunner:
         with pytest.raises(ValueError, match="shards"):
             BatchRunner(shards=0)
 
+    @pytest.mark.parametrize(
+        "bad", [{"shards": 0}, {"max_workers": 0}, {"max_workers": -2},
+                {"job_timeout": 0}],
+        ids=["shards=0", "max_workers=0", "max_workers=-2", "job_timeout=0"])
+    def test_bad_sweep_arguments_rejected_by_every_entry_point(self, bad):
+        # each entry point names the bad argument; zero must not
+        # silently stand for "all CPUs"
+        (name, _value), = bad.items()
+        with pytest.raises(ValueError, match=name):
+            map_reduce_sweep([], **bad)
+        with pytest.raises(ValueError, match=name):
+            sharded_sweep([], **bad)
+        with pytest.raises(ValueError, match=name):
+            BatchRunner(backend="shard", **bad)
+
     def test_runner_matches_serial_and_records_stats(self, jobs, serial):
         runner = BatchRunner(shards=2, max_workers=2)
         outcomes = runner.run(jobs)

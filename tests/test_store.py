@@ -242,6 +242,29 @@ class TestQuarantine:
         store.put(key, b"v1" * 100, schema=1)  # recompute republished
         assert store.get(key).payload == b"v1" * 100
 
+    def test_every_bit_flip_and_truncation_is_quarantined(self, tmp_path):
+        # the checksum must cover the header too: a flip in ``schema``
+        # or ``meta`` served as a valid record is silent corruption
+        store = ArtifactStore(tmp_path / "store")
+        key = key_of("every-bit")
+        store.put(key, bytes(range(96)), schema=5,
+                  meta={"stage": "hls",
+                        "outputs": ["hls_results", "datapaths"]})
+        path = self._object_path(store, key)
+        blob = path.read_bytes()
+        damaged = [blob[:cut] for cut in range(len(blob))]
+        for bit in range(8 * len(blob)):
+            flipped = bytearray(blob)
+            flipped[bit // 8] ^= 1 << bit % 8
+            damaged.append(bytes(flipped))
+        for count, bad in enumerate(damaged, start=1):
+            path.write_bytes(bad)
+            assert store.get(key) is None, bad
+            assert store.stats()["quarantined"] == count
+        path.write_bytes(blob)
+        record = store.get(key)
+        assert (record.schema, record.payload) == (5, bytes(range(96)))
+
 
 class TestEviction:
     def _age(self, store, key, mtime):

@@ -1,7 +1,7 @@
 """Unit tests for the symbolic verification tier's building blocks.
 
 Covers the relational algebra over the BDD engine
-(:mod:`repro.symbolic.relation`), the lazily interned step systems and
+(:mod:`repro.symbolic.relation`), the interned step systems and
 the determinized trace-equivalence fixpoint
 (:mod:`repro.automata.symbolic`) on toy systems small enough to check
 by hand -- including the concrete distinguishing-trace counterexample
@@ -13,8 +13,8 @@ import random
 
 import pytest
 
-from repro.automata import (AutomataError, ClassVerdict, LazyStepSystem,
-                            ProductEnvironment, reachable_set_summary,
+from repro.automata import (AutomataError, ClassVerdict, ProductEnvironment,
+                            StepSystem, reachable_set_summary,
                             symbolic_trace_equivalence)
 from repro.symbolic import (FALSE, TRUE, BddEngine, BddError,
                             VariablePairing, and_exists, exists, forall,
@@ -227,13 +227,13 @@ class _OfferEnv(ProductEnvironment):
 
 
 def _table_system(name, table, offers):
-    """A LazyStepSystem from ``(config, letter) -> (succ, actions)``.
+    """A StepSystem from ``(config, letter) -> (succ, actions)``.
 
     Unlisted (config, letter) pairs are silent self-loops.
     """
     def step(config, letter):
         return table.get((config, frozenset(letter)), (config, ()))
-    return LazyStepSystem(name, 0, step, _OfferEnv(offers))
+    return StepSystem(name, 0, step, _OfferEnv(offers))
 
 
 GO = frozenset({"go"})
@@ -283,11 +283,10 @@ def _split():
 TWO_CLASSES = [("A", frozenset({"a"})), ("B", frozenset({"b"}))]
 
 
-class TestLazyStepSystem:
+class TestStepSystem:
     def test_interning_is_dense_and_shared(self):
         system = _ping_staged()
-        assert len(system) == 1  # only the initial state before rows()
-        assert system.expand_all() == 3
+        assert len(system) == 3
         assert sorted(system.key_of(s)[0] for s in range(3)) == [0, 1, 2]
         # letters and action tuples are interned to shared objects
         letters = [system.letter_of(i) for i in range(system.n_letters)]
@@ -298,10 +297,8 @@ class TestLazyStepSystem:
 
     def test_rows_are_stable_and_deterministic(self):
         system = _ping_staged()
-        system.expand_all()
         assert system.rows(0) is system.rows(0)
         again = _ping_staged()
-        again.expand_all()
         assert [system.rows(s) for s in range(len(system))] == \
             [again.rows(s) for s in range(len(again))]
 
@@ -310,7 +307,6 @@ class TestReachableSetSummary:
     def test_relational_check_agrees_with_enumeration(self):
         engine = BddEngine()
         system = _ping_staged()
-        system.expand_all()
         node, size, iterations = reachable_set_summary(
             engine, system, relational_check=True)
         assert node not in (FALSE,)
@@ -326,7 +322,6 @@ class TestReachableSetSummary:
                                           (2, GO): (3, ()),
                                           (3, GO): (0, ())},
                                {0: (GO,), 1: (GO,), 2: (GO,), 3: (GO,)})
-        system.expand_all()
         node, size, _ = reachable_set_summary(engine, system)
         assert node == TRUE
         assert size == engine.size(TRUE)
@@ -403,11 +398,10 @@ class TestAllVisiblePass:
         assert result.verdicts[0].counterexample == ("?go", "!ack")
 
     def test_two_same_step_members_of_a_class_still_raise(self):
-        from repro.automata.symbolic import _AllVisibleView, _Side
+        from repro.automata.symbolic import _ClassView, _Side
         system = _burst(("a", "b"))
-        system.expand_all()
         classes = [("AB", frozenset({"a", "b"})), ("C", frozenset({"c"}))]
-        view = _AllVisibleView(_Side(system), classes)
+        view = _ClassView(_Side(system), classes)
         with pytest.raises(AutomataError, match="two same-step observables"):
             view.successors(view.closure((0,)))
         with pytest.raises(AutomataError, match="two same-step observables"):

@@ -1,23 +1,29 @@
 """Tests for verified composition: product-of-controllers ≡ minimized STG.
 
-Covers the production check on the bundled apps (lazy step systems +
-pair fixpoint, no state bound), the ``verify`` pipeline stage
+Covers the production check on the bundled apps (step systems + pair
+fixpoint, no state bound), the ``verify`` pipeline stage
 (FlowResult exposure + fingerprint caching) and the detector's teeth:
 every tampered, deadlocked and schedule-broken design must be rejected
 by both the production path and the explicit weak-bisimulation oracle,
 with a concrete distinguishing trace.
 """
 
+import hashlib
+import json
 import types
 
 import pytest
+
+from test_composition_properties import build_design
 
 from repro.apps import dct_stage, four_band_equalizer, fuzzy_controller
 from repro.automata import AutomataError, SynchronousComposition
 from repro.controllers import (Fsm, SystemController,
                                synthesize_system_controller,
                                verify_composition)
-from repro.controllers.verify import (_dependency_violations,
+from repro.automata.product import reachable_automaton
+from repro.controllers.verify import (_controller_stepper,
+                                      _dependency_violations, _stg_stepper,
                                       controller_step_system,
                                       explicit_oracle, stg_step_system)
 from repro.estimate import CostModel
@@ -28,6 +34,7 @@ from repro.platform import cool_board, minimal_board
 from repro.schedule import list_schedule
 from repro.stg import (StateKind, Stg, StgState, StgTransition, build_stg,
                        minimize_stg)
+from repro.workloads import workload_suite
 
 
 def implementation(graph, arch, hw_nodes=()):
@@ -94,7 +101,6 @@ class TestSymbolicTier:
     def test_restart_loop_is_part_of_the_product(self):
         _, mini, controller = implementation(*BUNDLED[0])
         reference = stg_step_system(mini)
-        reference.expand_all()
         for system in (controller_step_system(controller), reference):
             loops = [succ for _state, letter, _actions, succ
                      in system.iter_rows()
@@ -107,7 +113,6 @@ class TestSymbolicTier:
         # of back-to-back activations
         _, mini, controller = implementation(*BUNDLED[0])
         reference = stg_step_system(mini)
-        reference.expand_all()
         for system, view in ((controller_step_system(controller),
                               SynchronousComposition.component_states),
                              (reference, lambda snapshot: snapshot)):
@@ -267,11 +272,42 @@ class TestExplicitOracle:
         assert check.equivalent, check.mismatches
         assert check.tier == "bisimulation"
         assert check.oracle == "agrees"
-        # the materialized automata have the lazy systems' state counts
+        # the materialized automata have the step systems' state counts
         production = verify_composition(mini, controller, graph=graph)
         assert check.product_states == production.product_states
         assert check.reference_states == production.reference_states
         assert check.projections_checked == production.projections_checked
+
+    def test_suite_oracle_input_is_pinned(self):
+        # both sides' materialized automata and the oracle's verdict on
+        # the 20-design test suite: a change to how the step systems are
+        # explored or converted must keep every state, label and edge
+        digest = hashlib.sha256()
+        states = 0
+        for spec in workload_suite(20, seed=5):
+            graph, _board, _partition, schedule, _plan, controller = \
+                build_design(spec)
+            stg, _ = minimize_stg(build_stg(schedule))
+            for name, (initial, step, environment) in (
+                    ("controller_composition",
+                     _controller_stepper(controller)),
+                    (f"{stg.name}_steps", _stg_stepper(stg))):
+                automaton = reachable_automaton(name, initial, step,
+                                                environment=environment)
+                states += len(automaton)
+                digest.update(automaton.fingerprint().encode())
+            digest.update(json.dumps(
+                explicit_oracle(stg, controller, graph).summary(),
+                sort_keys=True).encode())
+        assert states == 2920
+        assert digest.hexdigest() == SUITE_ORACLE_SHA256
+
+
+#: sha256 of ``reachable_automaton(...).fingerprint()`` for both sides of
+#: every ``workload_suite(20, seed=5)`` design (greedily partitioned on
+#: ``minimal_board()``), followed by ``explicit_oracle(...).summary()``.
+SUITE_ORACLE_SHA256 = \
+    "5ce24653120f6106b6b1d9562ca14583ec4661bd6e42c948851f01c37aaa15b2"
 
 
 class TestTraceCheckHelpers:
@@ -362,7 +398,6 @@ mini, _ = minimize_stg(build_stg(schedule))
 controller = synthesize_system_controller(mini)
 product = controller_step_system(controller)
 reference = stg_step_system(mini)
-reference.expand_all()
 actions, bursts = _system_alphabet((reference, product))
 classes = _observable_classes(actions, bursts, _node_resources(controller))
 result = symbolic_trace_equivalence(reference, product, classes)

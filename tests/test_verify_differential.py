@@ -42,8 +42,7 @@ from hypothesis import strategies as st
 from test_codegen import _case_arm, _interpret_arm
 
 from repro.automata import symbolic_trace_equivalence
-from repro.automata.symbolic import (_AllVisibleView, _check_class,
-                                     _ClassView, _Side)
+from repro.automata.symbolic import _check_class, _Side
 from repro.codegen import (check_vhdl, fsm_guard_literals, fsm_to_vhdl,
                            guard_literal_count)
 from repro.controllers import (Fsm, SystemController, harvest_care_sets,
@@ -215,7 +214,6 @@ def step_systems(stg, controller):
     """(STG system, controller system, classes) as the verifier builds
     them."""
     reference = stg_step_system(stg)
-    reference.expand_all()
     product = controller_step_system(controller)
     actions, bursts = _system_alphabet((reference, product))
     return reference, product, _observable_classes(
@@ -226,11 +224,9 @@ def joint_and_class_verdicts(stg, controller):
     """The all-visible pass and every per-class pass, each run alone."""
     reference, product, classes = step_systems(stg, controller)
     left, right = _Side(reference), _Side(product)
-    joint = _check_class("all-visible", _AllVisibleView(left, classes),
-                         _AllVisibleView(right, classes))
-    return joint, [_check_class(label, _ClassView(left, observable),
-                                _ClassView(right, observable))
-                   for label, observable in classes]
+    return (_check_class("all-visible", left, right, classes),
+            [_check_class(label, left, right, [(label, observable)])
+             for label, observable in classes])
 
 
 @PROPERTY
