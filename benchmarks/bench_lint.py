@@ -3,11 +3,12 @@
 Writes ``BENCH_lint.json`` at the repo root:
 
 - the repository must lint **clean** (every surviving finding
-  suppressed or baselined, each with a written reason);
+  suppressed inline with a written reason, and no suppression stale:
+  ``LNT005``);
 - a seeded violation fixture must trip every rule family (the linter
   has teeth -- an engine regression that stops finding anything would
   otherwise look like a perfectly clean tree);
-- rule/family census, suppression + baseline counts and wall-clock.
+- rule/family census, suppression count and reasons, and wall-clock.
 
 CI runs this as a smoke (``--no-write``) next to the shard bit-identity
 smokes: the lint gate is the first line of defense for the determinism
@@ -24,10 +25,9 @@ from pathlib import Path
 REPO_ROOT = Path(__file__).resolve().parents[1]
 sys.path.insert(0, str(REPO_ROOT / "src"))
 
-from repro.analysis import Baseline, all_rules, lint_sources
+from repro.analysis import all_rules, lint_sources
 
 RESULTS_PATH = REPO_ROOT / "BENCH_lint.json"
-BASELINE_PATH = REPO_ROOT / "lint_baseline.json"
 
 EXPECTED_FAMILIES = ("DET", "FRZ", "OBS", "PKL", "PUR")
 
@@ -57,14 +57,12 @@ VIOLATION_FIXTURE = textwrap.dedent("""
 
 
 def measure():
-    baseline = Baseline.load(BASELINE_PATH) if BASELINE_PATH.is_file() \
-        else None
-    # repo-relative paths regardless of cwd, so baseline entries match
+    # repo-relative paths regardless of cwd
     sources = {
         str(file.relative_to(REPO_ROOT)): file.read_text(encoding="utf-8")
         for file in sorted((REPO_ROOT / "src").rglob("*.py"))}
     started = time.perf_counter()
-    result = lint_sources(sources, baseline=baseline)
+    result = lint_sources(sources)
     elapsed = time.perf_counter() - started
 
     fixture = lint_sources({"fixture.py": VIOLATION_FIXTURE})
@@ -80,8 +78,6 @@ def measure():
             "suppression_reasons": sorted(
                 suppression.reason
                 for _finding, suppression in result.suppressed),
-            "baselined": len(result.baselined),
-            "stale_baseline": len(result.stale_baseline),
         },
         "registry": {
             "rules": [rule.id for rule in all_rules()],
@@ -105,7 +101,6 @@ def check(payload):
             f"rule family {family} is not registered"
     assert all(reason for reason in repo["suppression_reasons"]), \
         "every inline suppression must carry a reason"
-    assert repo["stale_baseline"] == 0, "baseline has stale entries"
     fixture = payload["violation_fixture"]
     missing = [family for family in EXPECTED_FAMILIES
                if fixture["family_counts"].get(family, 0) == 0]
@@ -121,8 +116,7 @@ def report(payload):
         f"  {repo['files']} files, {repo['rules_run']} rules, "
         f"{repo['seconds']:.2f}s",
         f"  findings: {repo['findings']} (clean={repo['clean']}), "
-        f"suppressed: {repo['suppressed']}, "
-        f"baselined: {repo['baselined']}",
+        f"suppressed: {repo['suppressed']}",
         f"  violation fixture: {fixture['findings']} finding(s) across "
         f"{fixture['family_counts']}",
     ]

@@ -1,26 +1,18 @@
 """CLI entry point: ``python -m repro.analysis [paths...]``.
 
-Exit codes: 0 clean (all findings suppressed/baselined with reasons),
-1 findings remain, 2 usage error.  ``--write-baseline`` regenerates the
-baseline file from the current findings, carrying over the reasons of
-surviving entries; new entries get an empty reason that must be filled
-in before the gate passes again.
+Exit codes: 0 clean (every finding suppressed inline with a reason),
+1 findings remain, 2 usage error.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import shutil
-import subprocess
 import sys
 from pathlib import Path
 
-from .baseline import Baseline, write_baseline
 from .engine import lint_paths
-from .report import render_json, render_text, summary_line
-
-DEFAULT_BASELINE = "lint_baseline.json"
+from .report import render_json, render_text
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -28,51 +20,23 @@ def build_parser() -> argparse.ArgumentParser:
         prog="python -m repro.analysis",
         description="repro-lint: AST-based invariant linter (DET "
                     "determinism, PKL pickle-safety, FRZ immutability, "
-                    "PUR stage purity)")
+                    "PUR stage purity, OBS observability containment)")
     parser.add_argument("paths", nargs="*", default=["src"],
                         help="files or directories to lint (default: src)")
     parser.add_argument("--json", action="store_true",
                         help="emit a JSON report instead of text")
     parser.add_argument("--output", metavar="FILE",
                         help="also write the JSON report to FILE")
-    parser.add_argument("--baseline", metavar="FILE", default=None,
-                        help=f"baseline file of grandfathered findings "
-                             f"(default: {DEFAULT_BASELINE} when present)")
-    parser.add_argument("--no-baseline", action="store_true",
-                        help="ignore any baseline file")
-    parser.add_argument("--write-baseline", action="store_true",
-                        help="regenerate the baseline from current "
-                             "findings (reasons of surviving entries are "
-                             "kept; new entries need reasons written)")
     parser.add_argument("--rules", metavar="SELECT", default=None,
                         help="comma-separated families or rule IDs to "
                              "run (e.g. DET,PKL201); default: all")
     parser.add_argument("--verbose", action="store_true",
-                        help="also list suppressed/baselined findings")
-    parser.add_argument("--ruff", action="store_true",
-                        help="additionally run `ruff check` (error-level "
-                             "config from pyproject.toml) when ruff is "
-                             "installed; skipped silently otherwise")
+                        help="also list suppressed findings")
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-
-    baseline = None
-    baseline_path = args.baseline or DEFAULT_BASELINE
-    if not args.no_baseline and Path(baseline_path).is_file():
-        try:
-            baseline = Baseline.load(baseline_path)
-        except (json.JSONDecodeError, KeyError, OSError) as exc:
-            print(f"error: cannot read baseline {baseline_path}: {exc}",
-                  file=sys.stderr)
-            return 2
-    elif args.baseline and not Path(args.baseline).is_file() \
-            and not args.write_baseline:
-        print(f"error: baseline file {args.baseline} does not exist",
-              file=sys.stderr)
-        return 2
 
     missing = [p for p in args.paths if not Path(p).exists()]
     if missing:
@@ -81,19 +45,7 @@ def main(argv: list[str] | None = None) -> int:
         return 2
 
     rules = args.rules.split(",") if args.rules else None
-    result = lint_paths(args.paths, rules=rules, baseline=baseline)
-
-    if args.write_baseline:
-        sources = {
-            str(f): Path(f).read_text(encoding="utf-8")
-            for finding in result.findings
-            for f in [finding.path] if Path(f).is_file()}
-        count = write_baseline(result.findings, baseline_path, sources,
-                               previous=baseline)
-        print(f"wrote {count} baseline entr"
-              f"{'y' if count == 1 else 'ies'} to {baseline_path}; "
-              f"fill in every empty \"reason\" before the gate passes")
-        return 0
+    result = lint_paths(args.paths, rules=rules)
 
     if args.output:
         Path(args.output).write_text(
@@ -103,23 +55,7 @@ def main(argv: list[str] | None = None) -> int:
         print(json.dumps(render_json(result), indent=2))
     else:
         print(render_text(result, verbose=args.verbose))
-
-    status = 0 if result.clean else 1
-    if args.ruff:
-        ruff_status = _run_ruff(args.paths)
-        status = status or ruff_status
-    return status
-
-
-def _run_ruff(paths: list[str]) -> int:
-    """Run the pinned third-party pass when available; 0 when absent."""
-    ruff = shutil.which("ruff")
-    if ruff is None:
-        print("note: ruff not installed, skipping third-party pass "
-              "(CI runs it)", file=sys.stderr)
-        return 0
-    completed = subprocess.run([ruff, "check", *paths])
-    return 1 if completed.returncode else 0
+    return 0 if result.clean else 1
 
 
 if __name__ == "__main__":

@@ -7,8 +7,9 @@ Two passes over the analyzed tree:
    facts);
 2. **rules** -- every registered rule runs over every
    :class:`ModuleContext`; raw findings are then filtered through
-   inline suppressions (which must carry reasons) and the optional
-   baseline (grandfathered findings with written rationales).
+   inline suppressions, which must carry reasons.  A suppression that
+   silenced nothing is reported as ``LNT005``, once every rule it
+   names has run.
 
 The result is deterministic: files are visited in sorted path order,
 rules in ID order, findings sorted by location.  ``lint_sources`` runs
@@ -26,10 +27,9 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
-from .baseline import Baseline, line_text_of
 from .findings import Finding, Suppression, parse_suppressions
 from .project import ProjectIndex
-from .registry import Rule, rules_for
+from .registry import Rule, all_rules, rules_for
 
 __all__ = ["ModuleContext", "LintResult", "lint_paths", "lint_sources"]
 
@@ -138,10 +138,6 @@ class LintResult:
     #: Findings silenced by an inline suppression (kept for reporting).
     suppressed: list[tuple[Finding, Suppression]] = field(
         default_factory=list)
-    #: Findings matched by a baseline entry (grandfathered).
-    baselined: list[Finding] = field(default_factory=list)
-    #: Baseline entries that no longer match anything (stale).
-    stale_baseline: list[dict] = field(default_factory=list)
     files: int = 0
     seconds: float = 0.0
     rules_run: int = 0
@@ -177,18 +173,16 @@ def _python_files(paths: Sequence[str]) -> list[Path]:
 
 
 def lint_paths(paths: Sequence[str],
-               rules: Iterable[str] | None = None,
-               baseline: Baseline | None = None) -> LintResult:
+               rules: Iterable[str] | None = None) -> LintResult:
     """Lint every ``*.py`` under ``paths`` (files or directories)."""
     sources: dict[str, str] = {}
     for file in _python_files(paths):
         sources[str(file)] = file.read_text(encoding="utf-8")
-    return lint_sources(sources, rules=rules, baseline=baseline)
+    return lint_sources(sources, rules=rules)
 
 
 def lint_sources(sources: Mapping[str, str],
-                 rules: Iterable[str] | None = None,
-                 baseline: Baseline | None = None) -> LintResult:
+                 rules: Iterable[str] | None = None) -> LintResult:
     """Lint in-memory ``{path: source}`` modules (the testable core)."""
     started = time.perf_counter()
     selected: list[Rule] = rules_for(rules)
@@ -220,22 +214,34 @@ def lint_sources(sources: Mapping[str, str],
             raw.extend(selected_rule.body(module, index))
 
     kept: list[Finding] = []
+    live: set[Suppression] = set()
     for finding in sorted(set(raw)):
         covering = next(
             (s for s in suppressions.get(finding.path, ())
              if s.covers(finding)), None)
         if covering is not None:
             result.suppressed.append((finding, covering))
-        elif baseline is not None and baseline.matches(
-                finding, line_text_of(finding, sources)):
-            result.baselined.append(finding)
+            live.add(covering)
         else:
             kept.append(finding)
-    if baseline is not None:
-        result.stale_baseline = baseline.unmatched()
-        kept.extend(baseline.problems)
+    deselected = {r.id for r in all_rules()} - {r.id for r in selected}
+    for path, module_suppressions in suppressions.items():
+        kept.extend(_stale(path, suppression)
+                    for suppression in module_suppressions
+                    if suppression not in live
+                    and deselected.isdisjoint(suppression.rules))
 
     result.findings = sorted(set(kept))
     result.files = len(modules)
     result.seconds = time.perf_counter() - started
     return result
+
+
+def _stale(path: str, suppression: Suppression) -> Finding:
+    """``LNT005``: a suppression whose rules all ran and found nothing."""
+    return Finding(
+        path=path, line=suppression.comment_line, column=0, rule="LNT005",
+        message=f"suppression for {', '.join(suppression.rules)} silenced "
+                f"no finding on line {suppression.line} -- it is stale",
+        hint="delete it, or move it onto (or into the comment block "
+             "right above) the flagged line")

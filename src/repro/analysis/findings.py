@@ -2,8 +2,8 @@
 
 A :class:`Finding` is one rule violation at one source location.  Its
 sort order is stable (path, line, column, rule ID, message), so reports
-and baselines are deterministic -- the linter holds itself to the same
-DET discipline it enforces.
+are deterministic -- the linter holds itself to the same DET discipline
+it enforces.
 
 Inline suppressions use the form::
 
@@ -11,9 +11,10 @@ Inline suppressions use the form::
 
 The rule list is mandatory and every suppression must carry a written
 reason after the rule list (an optional ``--`` separator is allowed).
-A suppression comment on its own line applies to the *next* source
-line.  A reason-less suppression is itself reported (rule ``LNT001``)
-and suppresses nothing.
+A suppression comment on its own line applies to the first code line
+after its comment block, and the block's continuation lines are part
+of its reason.  A reason-less suppression is itself reported (rule
+``LNT001``) and suppresses nothing.
 """
 
 from __future__ import annotations
@@ -68,7 +69,7 @@ class Suppression:
         return finding.line == self.line and finding.rule in self.rules
 
 
-#: ``# repro-lint: ignore[RULE1,RULE2] -- reason`` (reason mandatory,
+#: ``# repro-lint: ignore[<RULE>,<RULE>] -- <reason>`` (reason mandatory,
 #: the ``--`` separator optional).
 SUPPRESSION_PATTERN = re.compile(
     r"#\s*repro-lint:\s*ignore\[(?P<rules>[A-Z0-9_,\s]+)\]"
@@ -82,8 +83,9 @@ def parse_suppressions(comments: dict[int, tuple[str, bool]], path: str,
     ``comments`` maps physical line numbers to ``(comment text,
     has_code_before)`` pairs, as collected by the engine's tokenizer
     pass.  A trailing comment binds to its own line; a comment alone on
-    its line binds to the next line.  Returns the suppressions plus
-    ``LNT001`` findings for reason-less ones.
+    its line binds to the first code line after its comment block, and
+    the block's continuation lines join its reason.  Returns the
+    suppressions plus ``LNT001`` findings for reason-less ones.
     """
     suppressions: list[Suppression] = []
     problems: list[Finding] = []
@@ -95,6 +97,21 @@ def parse_suppressions(comments: dict[int, tuple[str, bool]], path: str,
         rules = tuple(sorted(r.strip() for r in
                              match.group("rules").split(",") if r.strip()))
         reason = match.group("reason").strip()
+        applies_to = line
+        if not has_code_before:
+            # a comment-block suppression binds to the first code line
+            # after the block; the continuation lines up to the next
+            # suppression in the block carry the rest of its reason
+            applies_to = line + 1
+            joining = True
+            while applies_to in comments and not comments[applies_to][1]:
+                continuation = comments[applies_to][0]
+                joining = joining and not SUPPRESSION_PATTERN.search(
+                    continuation)
+                if joining:
+                    reason = f"{reason} {continuation.lstrip('#').strip()}"
+                applies_to += 1
+            reason = " ".join(reason.split())
         if not reason:
             problems.append(Finding(
                 path=path, line=line, column=0, rule="LNT001",
@@ -102,14 +119,6 @@ def parse_suppressions(comments: dict[int, tuple[str, bool]], path: str,
                         f"reason -- every ignore must say why",
                 hint="write `# repro-lint: ignore[RULE] -- <reason>`"))
             continue
-        if has_code_before:
-            applies_to = line
-        else:
-            # a comment-block suppression binds to the first code line
-            # after the block (continuation comment lines are skipped)
-            applies_to = line + 1
-            while applies_to in comments and not comments[applies_to][1]:
-                applies_to += 1
         suppressions.append(Suppression(line=applies_to, rules=rules,
                                         reason=reason, comment_line=line))
     return suppressions, problems

@@ -17,10 +17,7 @@ def summary_line(result: LintResult) -> str:
                          in result.family_counts().items()) or "none"
     return (f"repro-lint: {len(result.findings)} finding(s) [{families}] "
             f"in {result.files} file(s); "
-            f"{len(result.suppressed)} suppressed, "
-            f"{len(result.baselined)} baselined, "
-            f"{len(result.stale_baseline)} stale baseline entr"
-            f"{'y' if len(result.stale_baseline) == 1 else 'ies'} "
+            f"{len(result.suppressed)} suppressed "
             f"({result.rules_run} rules, {result.seconds:.2f}s)")
 
 
@@ -33,14 +30,6 @@ def render_text(result: LintResult, verbose: bool = False) -> str:
         for finding, suppression in result.suppressed:
             blocks.append(f"  {finding.location()}: {finding.rule} "
                           f"(reason: {suppression.reason})")
-    if verbose and result.baselined:
-        blocks.append("baselined findings:")
-        for finding in result.baselined:
-            blocks.append(f"  {finding.location()}: {finding.rule}")
-    for entry in result.stale_baseline:
-        blocks.append(f"stale baseline entry: {entry.get('rule')} at "
-                      f"{entry.get('path')} no longer matches -- remove it "
-                      f"or re-run with --write-baseline")
     blocks.append(summary_line(result))
     return "\n".join(blocks)
 
@@ -51,8 +40,6 @@ def render_json(result: LintResult) -> dict:
         "suppressed": [
             {**finding.to_json(), "reason": suppression.reason}
             for finding, suppression in result.suppressed],
-        "baselined": [finding.to_json() for finding in result.baselined],
-        "stale_baseline": list(result.stale_baseline),
         "rule_counts": result.rule_counts(),
         "family_counts": result.family_counts(),
         "files": result.files,

@@ -142,6 +142,11 @@ class Partitioner:
         Underscore-prefixed attributes are excluded: they hold run
         scratch state (counters, caches), not configuration.
         """
+        # repro-lint: ignore[DET102] -- vars(self) enumerates the
+        # partitioner's own config attributes, which are plain values
+        # with content-based reprs; the (key, repr) pairs are sorted
+        # before hashing, so the fingerprint is a pure function of
+        # configuration, not of dict order or process state
         config = tuple(sorted((k, repr(v)) for k, v in vars(self).items()
                               if not k.startswith("_")))
         return content_hash((type(self).__qualname__, self.name, config))

@@ -33,6 +33,17 @@ class GaConfig:
     memory_penalty: float = 10.0
     deadline_penalty: float = 5.0
 
+    def __post_init__(self) -> None:
+        for name, low in (("population", 1), ("tournament", 1),
+                          ("generations", 0), ("elite", 0)):
+            if getattr(self, name) < low:
+                raise ValueError(f"GaConfig.{name} must be >= {low}, "
+                                 f"got {getattr(self, name)}")
+        for name in ("crossover_rate", "mutation_rate"):
+            if not 0.0 <= getattr(self, name) <= 1.0:
+                raise ValueError(f"GaConfig.{name} must be in [0, 1], "
+                                 f"got {getattr(self, name)}")
+
 
 class GeneticPartitioner(Partitioner):
     """Evolve node -> resource mappings against the real scheduler."""
@@ -104,7 +115,8 @@ class GeneticPartitioner(Partitioner):
 
         best = min(population, key=fitness)
         stagnant = 0
-        for generation in range(cfg.generations):
+        generations_run = 0
+        for generations_run in range(1, cfg.generations + 1):
             graded = sorted(population, key=fitness)
             next_pop = graded[: cfg.elite]
             while len(next_pop) < cfg.population:
@@ -129,7 +141,7 @@ class GeneticPartitioner(Partitioner):
                 break  # converged
 
         self._stats = {
-            "generations_run": generation + 1,
+            "generations_run": generations_run,
             "fitness_evaluations": len(cache),
             "best_fitness": fitness(best),
         }

@@ -24,6 +24,10 @@ from .base import PartitioningProblem, Partitioner, evaluate_mapping
 
 __all__ = ["GreedyPartitioner", "MilpHeuristicPartitioner"]
 
+#: A relaxed node assignment whose largest LP value falls below this
+#: counts as fractional in :class:`MilpHeuristicPartitioner`'s stats.
+INTEGRALITY_THRESHOLD = 0.99
+
 
 def _best_processor(problem: PartitioningProblem) -> str:
     """Processor with the lowest serial software makespan."""
@@ -131,8 +135,7 @@ class MilpHeuristicPartitioner(Partitioner):
 
     name = "milp+heuristic"
 
-    def __init__(self, integrality_threshold: float = 0.99) -> None:
-        self.integrality_threshold = integrality_threshold
+    def __init__(self) -> None:
         self._stats: dict = {}
 
     def solve(self, problem: PartitioningProblem) -> dict[str, str]:
@@ -161,7 +164,7 @@ class MilpHeuristicPartitioner(Partitioner):
             for v in indexing.nodes:
                 top = max(result.x[indexing.x[(v, r)]]
                           for r in indexing.resources)
-                if top < self.integrality_threshold:
+                if top < INTEGRALITY_THRESHOLD:
                     fractional += 1
             self._stats = {"lp_status": "ok", "fractional_nodes": fractional}
             seed_mapping = relaxed

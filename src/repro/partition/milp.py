@@ -43,6 +43,12 @@ __all__ = ["MilpFormulation", "build_formulation", "solve_milp",
 #: ``scipy.optimize.milp`` status of a proven-infeasible program.
 _INFEASIBLE = 2
 
+#: Weight of communication ticks against CLBs in the min_area objective.
+COMM_WEIGHT = 1.0
+
+#: Rounds of :class:`MilpPartitioner`'s deadline-tightening loop.
+MAX_ROUNDS = 10
+
 
 class MilpError(RuntimeError):
     """Raised when no implementable partition can be derived."""
@@ -114,8 +120,7 @@ class _Indexing:
 def build_formulation(problem: PartitioningProblem,
                       objective: str = "min_area",
                       deadline: int | None = None,
-                      comm_weight: float = 1.0) -> tuple[MilpFormulation,
-                                                         _Indexing]:
+                      ) -> tuple[MilpFormulation, _Indexing]:
     """Build the MILP for ``problem``.
 
     ``deadline`` overrides ``problem.deadline`` (the outer tightening
@@ -145,7 +150,7 @@ def build_formulation(problem: PartitioningProblem,
                       if not graph.node(e.src).is_io
                       and not graph.node(e.dst).is_io]
     for e in internal_edges:
-        cost = comm_weight * model.transfer_ticks(e) \
+        cost = COMM_WEIGHT * model.transfer_ticks(e) \
             if objective == "min_area" else 0.0
         indexing.y[e.name] = form.add_var(f"y[{e.name}]", cost)
 
@@ -264,22 +269,17 @@ class MilpPartitioner(Partitioner):
     objective:
         ``"auto"`` picks ``min_area`` when the problem has a deadline and
         ``min_time`` otherwise.
-    comm_weight:
-        Weight of communication ticks against CLBs in the min_area
-        objective.
-    max_rounds:
-        Iterations of the deadline-tightening loop: the load-based MILP
-        deadline is reduced whenever the *real* list schedule of the MILP
-        solution misses the requested deadline.
+
+    The min_area objective runs up to :data:`MAX_ROUNDS` rounds of the
+    deadline-tightening loop: the load-based MILP deadline is reduced
+    whenever the *real* list schedule of the MILP solution misses the
+    requested deadline.
     """
 
     name = "milp"
 
-    def __init__(self, objective: str = "auto", comm_weight: float = 1.0,
-                 max_rounds: int = 10) -> None:
+    def __init__(self, objective: str = "auto") -> None:
         self.objective = objective
-        self.comm_weight = comm_weight
-        self.max_rounds = max_rounds
         self._stats: dict = {}
 
     def solve(self, problem: PartitioningProblem) -> dict[str, str]:
@@ -294,10 +294,9 @@ class MilpPartitioner(Partitioner):
         best_mapping: dict[str, str] | None = None
         target = problem.deadline
 
-        rounds = self.max_rounds if objective == "min_area" else 1
+        rounds = MAX_ROUNDS if objective == "min_area" else 1
         for round_no in range(rounds):
-            form, indexing = build_formulation(
-                problem, objective, deadline, self.comm_weight)
+            form, indexing = build_formulation(problem, objective, deadline)
             solution = solve_milp(form)
             self._stats["rounds"] = round_no + 1
             self._stats["variables"] = form.n_vars

@@ -286,9 +286,9 @@ class CoSimulation:
         here -- phase FSM done -> reset -> run, flag-register clear,
         ``go`` re-arming -- is the same one
         :func:`repro.controllers.verify.verify_composition` proves
-        equivalent to a fresh STG activation (the bisimulation tier's
-        restart loop), so streamed blocks compute exactly what cold
-        activations would.
+        equivalent to a fresh STG activation (the pair fixpoint follows
+        the ``restart`` edge on both sides), so streamed blocks compute
+        exactly what cold activations would.
         """
         results: list[SimResult] = []
         for index, block in enumerate(blocks):

@@ -17,10 +17,11 @@ Since the automaton-kernel refactor the semantics itself lives in
 :class:`repro.automata.TokenExecutor`; :class:`StgExecutor` is the
 name-level view of it.  It keeps two jobs: it is the reference
 semantics against which state minimization is verified (identical
-action traces for identical signal traces), and it *is* the
-system-controller model that steers the co-simulation
-(:mod:`repro.sim`), exactly the role the synthesized controller plays
-on the board.
+action traces for identical signal traces), and it replays the
+schedule-sanity check of :mod:`repro.controllers.verify`.  The
+co-simulation (:mod:`repro.sim`) does not run it: ``CoSimulation``
+drives the synthesized controllers through ``ControllerHarness``,
+exactly as the board does.
 """
 
 from __future__ import annotations

@@ -2,10 +2,9 @@
 
 Each rule gets a fixture pair: an offending snippet that must produce
 the finding and a corrected snippet that must come back clean.  On top
-of the per-rule pairs: suppression and baseline round-trips (including
-the mandatory-reason enforcement, LNT001/LNT004), engine determinism,
-and the meta-test that the linter gate passes on this repository
-itself.
+of the per-rule pairs: inline suppressions (the mandatory reason,
+LNT001, and stale suppressions, LNT005), engine determinism, and the
+meta-test that the linter gate passes on this repository itself.
 """
 
 import json
@@ -15,20 +14,14 @@ import sys
 import textwrap
 from pathlib import Path
 
-import pytest
-
-from repro.analysis import (Baseline, Finding, all_rules, lint_sources,
-                            parse_suppressions, render_json, rules_for,
-                            write_baseline)
-from repro.analysis.baseline import line_text_of
-from repro.analysis.engine import ModuleContext
+from repro.analysis import all_rules, lint_sources, render_json, rules_for
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
 
 
-def run(source, rules=None, baseline=None, path="mod.py"):
+def run(source, rules=None, path="mod.py"):
     sources = {path: textwrap.dedent(source)}
-    return lint_sources(sources, rules=rules, baseline=baseline), sources
+    return lint_sources(sources, rules=rules), sources
 
 
 def rule_ids(result):
@@ -401,7 +394,7 @@ class TestSanctionedIoCarveOut:
         assert rule_ids(result) == ["DET101"]
 
 
-# ------------------------------------------------- suppressions/baseline
+# ---------------------------------------------------------- suppressions
 class TestSuppressions:
     OFFENDING = """
         def labels(xs):
@@ -432,6 +425,24 @@ class TestSuppressions:
             """)
         assert result.clean
         assert len(result.suppressed) == 1
+        _finding, suppression = result.suppressed[0]
+        assert suppression.reason == \
+            "the order is rebuilt by the caller, so it cannot escape"
+
+    def test_stacked_block_suppressions_keep_their_own_reasons(self):
+        result, _ = run("""
+            def fingerprint(xs):
+                # repro-lint: ignore[DET101] -- order folds into a
+                # sorted tuple downstream
+                # repro-lint: ignore[DET102] -- ids stay in this process
+                return [id(x) for x in set(xs)]
+            """)
+        assert result.clean
+        reasons = {finding.rule: suppression.reason
+                   for finding, suppression in result.suppressed}
+        assert reasons == {
+            "DET101": "order folds into a sorted tuple downstream",
+            "DET102": "ids stay in this process"}
 
     def test_suppression_only_covers_named_rules(self):
         result, _ = run("""
@@ -442,50 +453,45 @@ class TestSuppressions:
         assert len(result.suppressed) == 1
 
 
-class TestBaseline:
-    OFFENDING = """
-        def labels(xs):
-            return [x for x in set(xs)]
-        """
+class TestStaleSuppression:
+    def test_stale_suppression_fails_the_gate(self):
+        result, _ = run("""
+            def labels(xs):
+                return [x for x in sorted(xs)]  # repro-lint: ignore[DET101] -- was a set once
+            """)
+        assert rule_ids(result) == ["LNT005"]
+        assert result.findings[0].line == 3
+        assert not result.suppressed
 
-    def test_round_trip(self, tmp_path):
-        result, sources = run(self.OFFENDING)
-        assert rule_ids(result) == ["DET101"]
-        baseline_path = tmp_path / "baseline.json"
-        write_baseline(result.findings, baseline_path, sources)
+    def test_misplaced_block_suppression_is_stale(self):
+        # a blank line ends the comment block: the suppression binds to
+        # the blank line, silences nothing and the finding stays
+        result, _ = run("""
+            def labels(xs):
+                # repro-lint: ignore[DET101] -- order cannot escape
 
-        data = json.loads(baseline_path.read_text())
-        assert data["findings"][0]["reason"] == ""
-        data["findings"][0]["reason"] = "grandfathered: order is display-only"
-        baseline_path.write_text(json.dumps(data))
+                return [x for x in set(xs)]
+            """)
+        assert sorted(rule_ids(result)) == ["DET101", "LNT005"]
 
-        again, _ = run(self.OFFENDING, baseline=Baseline.load(baseline_path))
-        assert again.clean
-        assert len(again.baselined) == 1
+    def test_suppression_naming_an_unselected_rule_is_not_judged(self):
+        source = """
+            def labels(xs):
+                return [x for x in sorted(xs)]  # repro-lint: ignore[DET101,PKL201] -- was a set once
+            """
+        for rules in (["PKL"], ["DET"]):
+            result, _ = run(source, rules=rules)
+            assert result.clean, rules
+        everything, _ = run(source)
+        assert rule_ids(everything) == ["LNT005"]
 
-    def test_reasonless_entry_fails_the_gate(self, tmp_path):
-        result, sources = run(self.OFFENDING)
-        baseline_path = tmp_path / "baseline.json"
-        write_baseline(result.findings, baseline_path, sources)
-        again, _ = run(self.OFFENDING, baseline=Baseline.load(baseline_path))
-        assert "LNT004" in rule_ids(again)
-
-    def test_edited_line_resurfaces_the_finding(self):
-        result, sources = run(self.OFFENDING)
-        entry = {"rule": "DET101", "path": "mod.py",
-                 "line_text": "return [x for x in set(osx)]",  # edited
-                 "reason": "no longer matches"}
-        again, _ = run(self.OFFENDING, baseline=Baseline([entry]))
-        assert rule_ids(again) == ["DET101"]
-        assert again.stale_baseline == [entry]
-
-    def test_matching_is_whitespace_insensitive(self):
-        result, sources = run(self.OFFENDING)
-        entry = {"rule": "DET101", "path": "mod.py",
-                 "line_text": "return [x  for x in   set(xs)]",
-                 "reason": "spacing differs, content matches"}
-        again, _ = run(self.OFFENDING, baseline=Baseline([entry]))
-        assert again.clean
+    def test_multi_rule_suppression_covering_one_rule_is_live(self):
+        result, _ = run("""
+            def labels(xs):
+                return [x for x in set(xs)]  # repro-lint: ignore[DET101,DET102] -- order and ids ok
+            """)
+        assert result.clean
+        assert [f.rule for f, _s in result.suppressed] == ["DET101"]
 
 
 # ------------------------------------------------------------ engine
@@ -554,6 +560,35 @@ class TestRepositoryGate:
         assert completed.returncode == 0, completed.stdout
         assert "0 finding(s)" in completed.stdout
 
+    def test_repo_suppressions_are_the_three_sanctioned_ones(self):
+        completed = subprocess.run(
+            [sys.executable, "-m", "repro.analysis", "src", "--json"],
+            cwd=REPO_ROOT, env=_linter_env(),
+            capture_output=True, text=True)
+        report = json.loads(completed.stdout)
+        assert report["findings"] == []
+        suppressed = {(entry["rule"], entry["path"]): entry["reason"]
+                      for entry in report["suppressed"]}
+        assert sorted(suppressed) == [
+            ("DET102", "src/repro/flow/pipeline.py"),
+            ("DET102", "src/repro/partition/base.py"),
+            ("FRZ303", "src/repro/automata/bisim.py")]
+        assert len(report["suppressed"]) == 3
+        assert suppressed[("FRZ303", "src/repro/automata/bisim.py")] == (
+            "sanctioned lazy memo: _obs_summary is registered in "
+            "KERNEL_MEMO_ATTRIBUTES, derived purely from frozen content "
+            "and invisible to equality and fingerprints")
+        assert suppressed[("DET102", "src/repro/flow/pipeline.py")] == (
+            "identity tokens are process-local by design: they key "
+            "same-process cache entries for unfingerprintable values and "
+            "never reach a shard payload or cross-process fingerprint")
+        assert suppressed[("DET102", "src/repro/partition/base.py")] == (
+            "vars(self) enumerates the partitioner's own config "
+            "attributes, which are plain values with content-based "
+            "reprs; the (key, repr) pairs are sorted before hashing, so "
+            "the fingerprint is a pure function of configuration, not of "
+            "dict order or process state")
+
     def test_seeded_violation_fails_the_gate(self, tmp_path):
         bad = tmp_path / "bad.py"
         bad.write_text(textwrap.dedent("""
@@ -563,8 +598,7 @@ class TestRepositoryGate:
                 return time.time()
             """))
         completed = subprocess.run(
-            [sys.executable, "-m", "repro.analysis", str(bad),
-             "--no-baseline", "--json"],
+            [sys.executable, "-m", "repro.analysis", str(bad), "--json"],
             cwd=REPO_ROOT, env=_linter_env(),
             capture_output=True, text=True)
         assert completed.returncode == 1

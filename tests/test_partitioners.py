@@ -204,6 +204,43 @@ class TestPartitioners:
         assert validate_schedule(result.schedule) == []
 
 
+class TestGaConfig:
+    @pytest.mark.parametrize("field,value", [
+        ("population", 0), ("tournament", 0), ("generations", -1),
+        ("elite", -1), ("crossover_rate", 1.5), ("crossover_rate", -0.1),
+        ("mutation_rate", 1.01), ("mutation_rate", -0.5)])
+    def test_out_of_range_field_is_rejected(self, field, value):
+        with pytest.raises(ValueError, match=f"GaConfig.{field} "):
+            GaConfig(**{field: value})
+        with pytest.raises(ValueError, match=f"GaConfig.{field} "):
+            GeneticPartitioner(**{field: value})
+
+    def test_boundary_values_run(self, equalizer_problem):
+        ga = GeneticPartitioner(population=1, tournament=1, generations=1,
+                                elite=0, crossover_rate=0.0,
+                                mutation_rate=1.0, seed=4)
+        result = ga.partition(equalizer_problem)
+        assert result.stats["generations_run"] == 1
+        assert validate_schedule(result.schedule) == []
+
+    def test_zero_generations_returns_best_seeded_genome(
+            self, equalizer_problem):
+        # population 2 on a one-DSP, one-FPGA board is exactly the two
+        # seeded corners: everything in software, everything in hardware
+        ga = GeneticPartitioner(population=2, generations=0)
+        result = ga.partition(equalizer_problem)
+        nodes = [n.name for n in equalizer_problem.graph.internal_nodes()]
+        resources = list(equalizer_problem.resources)
+        corners = [tuple([index] * len(nodes))
+                   for index in range(len(resources))]
+        best = min(corners, key=lambda genome: ga._fitness(
+            equalizer_problem, genome, nodes, resources))
+        assert result.stats["generations_run"] == 0
+        assert result.stats["fitness_evaluations"] == 2
+        assert {v: result.partition.mapping[v] for v in nodes} == \
+            {v: resources[g] for v, g in zip(nodes, best)}
+
+
 class TestPartitionersOnRandomGraphs:
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_all_partitioners_valid(self, seed):
