@@ -115,7 +115,7 @@ KERNEL_BUILDER_METHODS: dict[str, frozenset[str]] = {
 #: ``Automaton``/``Stg``/``Fsm``, so no new entries (and no
 #: suppressions) are needed here for the verifier.
 KERNEL_MEMO_ATTRIBUTES: dict[str, frozenset[str]] = {
-    "Automaton": frozenset({"_fingerprint", "_obs_summary"}),
+    "Automaton": frozenset({"_fingerprint", "_obs_summary", "_reads"}),
     "Stg": frozenset({"_automaton_cache"}),
     "Fsm": frozenset({"_kernel_cache"}),
 }

@@ -150,7 +150,7 @@ class Automaton:
 
     __slots__ = ("name", "symbols", "_state_names", "_index", "_initial",
                  "_transitions", "_out", "_in_count", "_state_outputs",
-                 "_state_keys", "_fingerprint", "_obs_summary")
+                 "_state_keys", "_fingerprint", "_obs_summary", "_reads")
 
     def __init__(self, name: str, symbols: SymbolTable,
                  state_names: Sequence[str],
@@ -182,6 +182,8 @@ class Automaton:
         #: Lazy cache of :func:`repro.automata.bisim` observation rows
         #: (name-rendered transitions), shared across projections.
         self._obs_summary = None
+        #: Lazy per-state table of :meth:`reads`.
+        self._reads: tuple[frozenset[str], ...] | None = None
 
     # ------------------------------------------------------------------
     def __len__(self) -> int:
@@ -208,6 +210,21 @@ class Automaton:
     def out(self, state: int) -> tuple[Transition, ...]:
         """Outgoing transitions of ``state`` in priority order."""
         return self._out[state]
+
+    def reads(self, state: int) -> frozenset[str]:
+        """Names of the signals the guards out of ``state`` test.
+
+        A prioritized Mealy step from ``state`` depends on its inputs
+        only through these signals (actions and Moore outputs do not
+        read inputs), so callers may project an input valuation onto
+        them without changing the step.
+        """
+        if self._reads is None:
+            name_of = self.symbols.name_of
+            self._reads = tuple(
+                frozenset(name_of(c) for t in ts for c in t.conditions)
+                for ts in self._out)
+        return self._reads[state]
 
     def in_count(self, state: int) -> int:
         """Number of incoming transitions (token-activation threshold)."""

@@ -14,9 +14,9 @@ equivalence on:
 * :func:`harvest_care_sets` walks every step of the reachable
   composition under the admissible environment closure
   (:func:`repro.controllers.verify.controller_step_system`) and
-  records, per (FSM, state), every input valuation that component can
-  ever see there -- the *care set*; everything else is a reachability
-  don't-care.
+  records, per (FSM, state), every valuation of that state's guard
+  signals the component can ever see there -- the *care set*;
+  everything else is a reachability don't-care.
 * :func:`simplify_controller_guards` drops condition literals that are
   constant over the care set (ESPRESSO's *expand* step against an
   explicitly enumerated care set).  Only positive literals are ever
@@ -43,12 +43,13 @@ from .verify import controller_step_system
 __all__ = ["harvest_care_sets", "simplify_controller_guards",
            "simplify_fsm_conditions"]
 
-#: ``fsm name -> state name -> frozenset of visible input-name sets``.
+#: ``fsm name -> state name -> set of visible input-name frozensets``,
+#: each projected onto the signals that state's guards read.
 CareSets = dict
 
 
 def harvest_care_sets(controller: SystemController) -> CareSets:
-    """Every input valuation each FSM can see, per state, reachably.
+    """Every input valuation each FSM's guards can see, per state, reachably.
 
     Walks the step rows of the composition's step system
     (:func:`repro.controllers.verify.controller_step_system` -- the
@@ -61,6 +62,13 @@ def harvest_care_sets(controller: SystemController) -> CareSets:
     pulses and held command signals are equally visible in the cycle
     they arrive.  The step system has no state bound, so the harvest
     covers every design the verifier proves.
+
+    What is recorded is that valuation projected onto the signals the
+    guards out of the component's state read
+    (:meth:`repro.automata.SynchronousComposition.guard_inputs`): a
+    state's step, its guard rewrite and every literal test on it read
+    nothing else, and the projection keeps one entry per distinct guard
+    valuation instead of one per distinct flag register.
     """
     components, _config = controller_composition(controller)
     system = controller_step_system(controller)
@@ -70,19 +78,19 @@ def harvest_care_sets(controller: SystemController) -> CareSets:
         config, _env = system.key_of(state)
         states, flags, internal, consumed = \
             SynchronousComposition.configuration_parts(config)
-        standing = set(flags) | set(internal)
-        names = [component.name_of(states[index])
-                 for index, component in enumerate(components)]
+        observed = [by_component[index].setdefault(
+                        component.name_of(states[index]), set())
+                    for index, component in enumerate(components)]
         for letter_id, _actions, _succ in system.rows(state):
             # the cycle's visibility rule collapses: latched pulses
             # (letter - held) and held command signals (letter & held)
             # are both visible in the very cycle they arrive, so the
             # component sees the whole letter on top of the latches
-            visible_base = standing | system.letter_of(letter_id)
-            for index in range(len(components)):
-                visible = frozenset(visible_base - consumed[index])
-                by_component[index].setdefault(names[index],
-                                               set()).add(visible)
+            letter = system.letter_of(letter_id)
+            for index, component in enumerate(components):
+                observed[index].add(SynchronousComposition.guard_inputs(
+                    component, states[index], flags, internal, letter,
+                    consumed[index]))
     return care
 
 

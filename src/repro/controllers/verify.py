@@ -557,8 +557,12 @@ def verify_composition(stg: Stg, controller: SystemController,
 def _verify(stg: Stg, controller: SystemController,
             graph) -> CompositionCheck:
     with obs_span("verify.expand", kind="verify"):
-        product_system = controller_step_system(controller)
-        reference_system = stg_step_system(stg)
+        with obs_span("verify.expand.controller", kind="verify") as cspan:
+            product_system = controller_step_system(controller)
+            cspan.set("states", len(product_system))
+        with obs_span("verify.expand.stg", kind="verify") as sspan:
+            reference_system = stg_step_system(stg)
+            sspan.set("states", len(reference_system))
         actions, bursts = _system_alphabet((reference_system,
                                             product_system))
         classes = _observable_classes(actions, bursts,

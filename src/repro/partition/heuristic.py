@@ -11,11 +11,12 @@ Two engines:
   (min_time mode).
 
 * :class:`MilpHeuristicPartitioner` -- the paper's "combination of MILP
-  and a heuristic": the MILP runs on a *reduced* program (LP relaxation
-  solved exactly, only the K most fractional nodes kept binary), its
-  rounded solution seeds the greedy improver.  This trades optimality
-  for speed on large graphs, exactly the role the combination plays in
-  COOL.
+  and a heuristic": the LP relaxation of the full MILP is solved
+  (``linprog``, HiGHS) and every node is rounded to the resource with
+  its largest relaxed value; that mapping seeds a greedy repair and
+  improver.  No variable stays binary, so no branch-and-bound runs:
+  this trades optimality for speed on large graphs, the role the
+  combination plays in COOL.
 """
 
 from __future__ import annotations
@@ -128,9 +129,14 @@ class GreedyPartitioner(Partitioner):
 class MilpHeuristicPartitioner(Partitioner):
     """The paper's MILP + heuristic combination.
 
-    Solves the LP relaxation of the full MILP, fixes every node whose
-    relaxed assignment is (nearly) integral, and lets
-    :class:`GreedyPartitioner`-style local moves repair the rest.
+    Solves the LP relaxation of the full MILP and maps every node to
+    its largest relaxed assignment (the argmax mapping).  From that
+    seed, nodes are evicted from over-full FPGAs to the best processor,
+    then :class:`GreedyPartitioner`-style single moves improve the
+    makespan.  When the relaxation is infeasible the seed is the
+    all-software mapping.  :data:`INTEGRALITY_THRESHOLD` only counts
+    the relaxation's fractional nodes for the ``fractional_nodes``
+    stat; it decides nothing.
     """
 
     name = "milp+heuristic"

@@ -9,8 +9,17 @@ drives both with the same random pulse and ``held`` streams over the
 controller compositions of generated designs, with ``reset()``
 mid-stream and runs of repeated cycles, and checks that after every
 cycle the configuration, the returned actions and the actions log
-agree.  The example budget follows the active hypothesis
-profile (``tests/conftest.py``).
+agree, also with ``ParentComposition`` (below).  The example budget
+follows the active hypothesis profile (``tests/conftest.py``).
+
+The composition also memoizes each component's step on the signals
+its current state's guards read.  ``ParentComposition`` below is a
+verbatim copy of the ``cycle`` and ``SequentialRunner.step`` that
+stepped every component on the whole input set, and
+``test_memoized_cycle_matches_the_unmemoized_cycle`` drives both over
+generated controllers (random guards, actions, Moore outputs, a
+consume-once ``go`` and a flush state) with random pulse and ``held``
+streams and mid-stream resets.
 
 ``test_suite_cosim_is_pinned`` pins the sha256 of what the
 co-simulator computes on ``workload_suite(20, seed=5)``, including a
@@ -21,10 +30,12 @@ and trace entry.
 import hashlib
 from functools import lru_cache
 
-from hypothesis import given, settings
+from typing import Iterable, Sequence
+
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from repro.automata import (AutomatonBuilder, CompositionConfig,
+from repro.automata import (Automaton, AutomatonBuilder, CompositionConfig,
                             SynchronousComposition)
 from repro.automata.product import composition_stepper
 from repro.comm import refine_communication
@@ -101,17 +112,22 @@ def test_live_composition_matches_restoring_reference(case):
     index, held_names, stream = case
     components, config, _ = compositions()[index]
     live = SynchronousComposition(components, config)
+    parent = ParentComposition(components, config)
     initial, step = composition_stepper(components, config, held_names)
     reference, reference_log = initial, []
     for entry in stream:
         if entry is None:
             live.reset()
+            parent.reset()
             reference, reference_log = initial, []
             assert live.configuration() == reference
             continue
         pulses, held, repeats = entry
         for _ in range(repeats):
             actions = live.cycle(pulses=set(pulses), held=set(held))
+            assert actions == parent.cycle(pulses=set(pulses),
+                                           held=set(held))
+            assert live.configuration() == parent.configuration()
             reference, expected = step(reference,
                                        frozenset(pulses) | frozenset(held))
             if expected:
@@ -119,6 +135,175 @@ def test_live_composition_matches_restoring_reference(case):
             assert live.configuration() == reference
             assert tuple(actions) == expected
             assert live.actions_log == reference_log
+
+
+class ParentRunner:
+    """Verbatim copy of ``SequentialRunner`` before the memoized cycle."""
+
+    __slots__ = ("automaton",)
+
+    def __init__(self, automaton: Automaton) -> None:
+        self.automaton = automaton
+
+    def step(self, state: int,
+             inputs: set[int]) -> tuple[int, tuple[int, ...]]:
+        automaton = self.automaton
+        moore = automaton.outputs_of(state)
+        for transition in automaton.out(state):
+            if transition.enabled(inputs):
+                return transition.dst, self._sorted_by_name(
+                    set(transition.actions) | set(moore))
+        return state, self._sorted_by_name(set(moore))
+
+    def _sorted_by_name(self, sids: set[int]) -> tuple[int, ...]:
+        name_of = self.automaton.symbols.name_of
+        return tuple(sorted(sids, key=name_of))
+
+
+class ParentComposition(SynchronousComposition):
+    """The composition whose ``cycle`` steps every component on the
+    whole visible input set: a verbatim copy of that ``cycle``."""
+
+    def __init__(self, components: Sequence[Automaton],
+                 config: CompositionConfig | None = None) -> None:
+        super().__init__(components, config)
+        self._runners = [ParentRunner(c) for c in self.components]
+
+    def cycle(self, pulses: Iterable[str] | None = None,
+              held: Iterable[str] | None = None) -> list[str]:
+        grew = False
+        if pulses:
+            size = len(self.flags)
+            self.flags.update(pulses)
+            grew = len(self.flags) != size
+        held = frozenset(held or ())
+        quiet = self._quiet
+        if quiet is not None and not grew and quiet[0] == held:
+            if quiet[1]:
+                self.actions_log.append(quiet[1])
+            return list(quiet[1])
+        inputs = self.flags | self.internal | held
+
+        changed = False
+        emitted: list[str] = []
+        for index, (component, runner) in enumerate(
+                zip(self.components, self._runners)):
+            visible = inputs - self.consumed[index]
+            state = self.states[index]
+            new_state, out_ids = runner.step(
+                state, component.symbols.ids_of(visible))
+            if new_state != state:
+                changed = True
+                if state == component.initial:
+                    self.consumed[index] |= self._consume_once
+                self.states[index] = new_state
+            emitted.extend(component.symbols.names_of(out_ids))
+
+        external: list[str] = []
+        for action in emitted:
+            if action == self.config.clear_action:
+                changed = changed or bool(self.flags)
+                self.flags.clear()
+            elif action in self._internal:
+                changed = changed or action not in self.internal
+                self.internal.add(action)
+            else:
+                external.append(action)
+
+        flush = self.config.flush_component
+        if flush is not None:
+            name = self.components[flush].name_of(self.states[flush])
+            if name in self.config.flush_states:
+                changed = changed or bool(self.internal) \
+                    or any(self.consumed)
+                self.internal.clear()
+                for consumed in self.consumed:
+                    consumed.clear()
+        self._quiet = None if changed else (held, tuple(external))
+        if external:
+            self.actions_log.append(tuple(external))
+        return external
+
+
+#: Guard signals, actions and Moore outputs of the generated machines:
+#: ``go`` and ``ch`` are internal channels (``go`` consumed once per
+#: activation), ``clear_flags`` clears the flag register, ``a``/``b``
+#: are latched pulses and ``restart`` arrives held.
+GUARD_SIGNALS = ("a", "b", "ch", "go", "restart")
+ACTIONS = ("ch", "clear_flags", "go", "x", "y")
+MOORE = ("ch", "x", "y")
+
+
+@st.composite
+def machines(draw):
+    """One component: ``(state count, transitions, Moore outputs)``,
+    each transition ``(src, dst, conditions, actions)``."""
+    count = draw(st.integers(1, 4))
+    state = st.integers(0, count - 1)
+    names = st.lists(st.sampled_from(GUARD_SIGNALS), max_size=3,
+                     unique=True).map(lambda xs: tuple(sorted(xs)))
+    actions = st.lists(st.sampled_from(ACTIONS), max_size=2,
+                       unique=True).map(lambda xs: tuple(sorted(xs)))
+    transitions = draw(st.lists(st.tuples(state, state, names, actions),
+                                max_size=8))
+    moore = draw(st.lists(st.sampled_from(((),) + tuple((m,) for m in MOORE)),
+                          min_size=count, max_size=count))
+    return count, tuple(transitions), tuple(moore)
+
+
+def built(index, machine) -> Automaton:
+    count, transitions, moore = machine
+    builder = AutomatonBuilder(f"m{index}")
+    for state in range(count):
+        builder.add_state(f"s{state}", outputs=moore[state])
+    for src, dst, conditions, actions in transitions:
+        builder.add_transition(f"s{src}", f"s{dst}", conditions=conditions,
+                               actions=actions)
+    return builder.build()
+
+
+#: a ``(pulses, held, repeats)`` cycle, or ``None`` for a ``reset()``
+stream_entries = st.one_of(
+    st.none(),
+    st.tuples(st.sets(st.sampled_from(("a", "b")), max_size=2),
+              st.sets(st.sampled_from(("a", "restart")), max_size=2),
+              st.integers(1, 4)))
+
+
+@PROPERTY
+@given(components=st.lists(machines(), min_size=1, max_size=3),
+       flush_state=st.integers(-1, 3),
+       stream=st.lists(stream_entries, max_size=30))
+@example(
+    # the sequencer m1 leaves s0 on ``go``, which consumes it, and comes
+    # back to s0 while ``go`` is still latched: now it must not see
+    # ``go``, although s0's guards read the very same signals as before
+    components=[(2, ((0, 1, (), ("go",)), (1, 1, (), ())), ((), ())),
+                (2, ((0, 1, ("go",), ()), (1, 0, (), ("x",))), ((), ()))],
+    flush_state=-1,
+    stream=[(set(), set(), 5)])
+def test_memoized_cycle_matches_the_unmemoized_cycle(components, flush_state,
+                                                    stream):
+    automata = [built(index, machine)
+                for index, machine in enumerate(components)]
+    flush = flush_state if 0 <= flush_state < components[0][0] else None
+    config = CompositionConfig(
+        internal=("ch", "go"), clear_action="clear_flags",
+        consume_once=("go",), flush_component=None if flush is None else 0,
+        flush_states=() if flush is None else (f"s{flush}",))
+    live = SynchronousComposition(automata, config)
+    parent = ParentComposition(automata, config)
+    for entry in stream:
+        if entry is None:
+            live.reset()
+            parent.reset()
+            continue
+        pulses, held, repeats = entry
+        for _ in range(repeats):
+            assert live.cycle(pulses=set(pulses), held=set(held)) == \
+                parent.cycle(pulses=set(pulses), held=set(held))
+            assert live.configuration() == parent.configuration()
+            assert live.actions_log == parent.actions_log
 
 
 def looping(name, conditions, actions):

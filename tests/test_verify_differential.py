@@ -307,6 +307,25 @@ def test_proved_design_takes_the_all_visible_pass_alone():
                                    "pairs": check.pairs_checked}
 
 
+def test_expansion_spans_split_the_two_sides():
+    """``verify.expand`` has one child span per side, each with the
+    number of states that side's step system holds."""
+    graph, stg, controller = implement(
+        ForkJoinSpec(seed=1, branches=3, depth=1), "cool", "round_robin")
+    tracer = Tracer()
+    with activate(tracer):
+        check = verify_composition(stg, controller, graph=graph)
+    spans = {s.name: s for s in tracer.spans()}
+    expand = spans["verify.expand"]
+    controller_side = spans["verify.expand.controller"]
+    stg_side = spans["verify.expand.stg"]
+    assert controller_side.parent_id == stg_side.parent_id \
+        == expand.span_id
+    assert controller_side.attributes == {"states": check.product_states}
+    assert stg_side.attributes == {"states": check.reference_states}
+    assert check.product_states > 1 and check.reference_states > 1
+
+
 @PROPERTY
 @given(spec=specs, board=boards, mapping=mappings)
 @example(spec=ChainSpec(seed=0, length=1), board="minimal", mapping=0)
