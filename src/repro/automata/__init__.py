@@ -8,7 +8,7 @@ from .bisim import BisimResult, distinguishing_trace, weak_bisimilar
 from .core import (AutomataError, Automaton, AutomatonBuilder, SymbolTable,
                    Transition)
 from .encoding import encode_automaton, encode_names
-from .executor import Firing, SequentialRunner, TokenExecutor
+from .executor import SequentialRunner, TokenExecutor
 from .minimize import (PartitionRefinement, minimize_automaton, quotient,
                        refine_partition)
 from .product import (CompositionConfig, ProductEnvironment, StepSystem,
@@ -19,7 +19,7 @@ from .symbolic import (ClassVerdict, SymbolicEquivalence,
 
 __all__ = [
     "AutomataError", "Automaton", "AutomatonBuilder", "SymbolTable",
-    "Transition", "encode_automaton", "encode_names", "Firing",
+    "Transition", "encode_automaton", "encode_names",
     "SequentialRunner", "TokenExecutor", "PartitionRefinement",
     "minimize_automaton", "quotient", "refine_partition",
     "BisimResult", "distinguishing_trace", "weak_bisimilar",

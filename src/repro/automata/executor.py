@@ -1,14 +1,16 @@
-"""The one step/trace executor of the automaton kernel.
+"""The two executors of the automaton kernel.
 
 Two execution disciplines share the interned :class:`~.core.Automaton`
-representation, the latching model and the trace format:
+representation and the latching model:
 
 * :class:`TokenExecutor` -- marked-graph (token) semantics for
   concurrent graphs: a state activates once all its incoming
   transitions fired, an active state's transition fires as soon as its
   latched conditions hold, each structurally distinct transition fires
   at most once per activation.  This is the reference semantics of the
-  STG (:class:`repro.stg.StgExecutor` is a name-level view of it).
+  STG (:class:`repro.stg.StgExecutor` is a name-level view of it).  Its
+  run state is one immutable triple, which is also the state key of
+  the verifier's STG step system.
 * :class:`SequentialRunner` -- prioritized Mealy semantics for
   controller FSMs: per clock edge the highest-priority enabled
   transition of the *single* current state fires; outputs are the
@@ -21,22 +23,22 @@ Both operate purely on symbol IDs; views translate names at the edges.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from .core import Automaton, AutomataError
 
-__all__ = ["Firing", "TokenExecutor", "SequentialRunner"]
+__all__ = ["TokenExecutor", "SequentialRunner"]
 
 
-@dataclass(frozen=True)
-class Firing:
-    """Record of one transition firing (trace entry)."""
+def _completion_mask(bits: list[int]) -> int | None:
+    """The fired bits that complete a state's in- or out-transitions.
 
-    step: int
-    src: int
-    dst: int
-    actions: tuple[int, ...]
+    Activation and deactivation count one firing per *transition*, but
+    a structural key fires once: a state with two transitions of one
+    key never completes (None).
+    """
+    distinct = set(bits)
+    return sum(distinct) if len(distinct) == len(bits) else None
 
 
 class TokenExecutor:
@@ -48,10 +50,18 @@ class TokenExecutor:
     registers.  Within a step, transitions fire to a fixed point -- an
     unguarded chain collapses into one step, matching a controller that
     walks action states faster than the units it observes.
+
+    The run state is the immutable triple ``(latched, active, fired)``:
+    an int with one bit per latched signal ID, a frozenset of active
+    state indices, and an int with one bit per structural transition
+    ``(src, dst, actions)`` that fired in this activation.  It is exactly what determines
+    future behaviour, so two configurations reached along different
+    paths are equal and the triple serves reachability explorers as a
+    state identity.
     """
 
-    __slots__ = ("automaton", "final", "latched", "active", "fired_in",
-                 "fired_out", "trace", "step_count", "_fired_keys")
+    __slots__ = ("automaton", "final", "_state", "_initial", "_out",
+                 "_out_masks", "_in_masks")
 
     def __init__(self, automaton: Automaton,
                  final: Iterable[int] = ()) -> None:
@@ -60,58 +70,48 @@ class TokenExecutor:
                 f"automaton {automaton.name!r} has no initial state")
         self.automaton = automaton
         self.final = frozenset(final)
+        key_bits: dict[tuple, int] = {}
+        out_bits: list[list[int]] = [[] for _ in range(len(automaton))]
+        in_bits: list[list[int]] = [[] for _ in range(len(automaton))]
+        #: per state: ``(key bit, condition bits, actions, dst)`` in
+        #: priority order
+        self._out = []
+        for state in range(len(automaton)):
+            row = []
+            for t in automaton.out(state):
+                bit = key_bits.setdefault((t.src, t.dst, t.actions),
+                                          1 << len(key_bits))
+                out_bits[t.src].append(bit)
+                in_bits[t.dst].append(bit)
+                row.append((bit, sum(1 << c for c in set(t.conditions)),
+                            t.actions, t.dst))
+            self._out.append(tuple(row))
+        self._out_masks = [_completion_mask(bits) for bits in out_bits]
+        self._in_masks = [_completion_mask(bits) for bits in in_bits]
+        self._initial = (0, frozenset((automaton.initial,)), 0)
         self.reset()
 
     # ------------------------------------------------------------------
     def reset(self) -> None:
         """Start a fresh activation."""
-        self.latched: set[int] = set()
-        self.active: set[int] = {self.automaton.initial}
-        self.fired_in = [0] * len(self.automaton)
-        self.fired_out = [0] * len(self.automaton)
-        self.trace: list[Firing] = []
-        self.step_count = 0
-        self._fired_keys: set[tuple] = set()
+        self._state = self._initial
 
     @property
     def done(self) -> bool:
         """True once a final state has activated."""
-        return any(s in self.active for s in self.final)
+        return self.done_in(self._state)
+
+    def done_in(self, state: tuple) -> bool:
+        """Would :attr:`done` hold in run state ``state``?"""
+        return not self.final.isdisjoint(state[1])
 
     def snapshot(self) -> tuple:
-        """Hashable snapshot of the activation state.
+        """The run state ``(latched, active, fired)``; it is immutable."""
+        return self._state
 
-        Captures exactly what determines future behaviour -- latched
-        signals, active states, firing counters and the fired-once
-        markers.  The trace and step counter are diagnostics, not
-        semantics, so they are excluded (and reset by :meth:`restore`);
-        two configurations reached along different paths therefore
-        snapshot equal, which is what lets reachability explorers use
-        snapshots as state identities.
-        """
-        return (frozenset(self.latched), frozenset(self.active),
-                tuple(self.fired_in), tuple(self.fired_out),
-                frozenset(self._fired_keys))
-
-    def done_in(self, snapshot: tuple) -> bool:
-        """Would :attr:`done` hold in ``snapshot``, without restoring it?
-
-        Lives next to :meth:`snapshot` on purpose: callers must not
-        index into the snapshot tuple themselves.
-        """
-        _, active, _, _, _ = snapshot
-        return any(s in active for s in self.final)
-
-    def restore(self, snapshot: tuple) -> None:
-        """Load a :meth:`snapshot`; trace/step diagnostics start fresh."""
-        latched, active, fired_in, fired_out, fired_keys = snapshot
-        self.latched = set(latched)
-        self.active = set(active)
-        self.fired_in = list(fired_in)
-        self.fired_out = list(fired_out)
-        self._fired_keys = set(fired_keys)
-        self.trace = []
-        self.step_count = 0
+    def restore(self, state: tuple) -> None:
+        """Continue from a :meth:`snapshot`."""
+        self._state = state
 
     # ------------------------------------------------------------------
     def step(self, signals: Iterable[int] | None = None,
@@ -126,66 +126,35 @@ class TokenExecutor:
         intermediate configurations a cycle-stepped controller walks
         through (the granularity the composition verifier compares at).
         """
-        if signals:
-            self.latched.update(signals)
-        self.step_count += 1
+        latched, active, fired = self._state
+        for signal in signals or ():
+            latched |= 1 << signal
         emitted: list[int] = []
-        automaton = self.automaton
-        latched = self.latched
-        name_of = automaton.name_of
+        name_of = self.automaton.name_of
+        out_masks, in_masks = self._out_masks, self._in_masks
         rounds = 0
         progress = True
         while progress and (max_rounds is None or rounds < max_rounds):
             progress = False
             rounds += 1
-            for state in sorted(self.active, key=name_of):
-                for transition in automaton.out(state):
-                    key = (transition.src, transition.dst,
-                           transition.actions)
-                    if key in self._fired_keys:
+            for state in sorted(active, key=name_of):
+                for bit, conditions, actions, dst in self._out[state]:
+                    if fired & bit or latched & conditions != conditions:
                         continue
-                    if not all(c in latched
-                               for c in transition.conditions):
-                        continue
-                    self._fire(transition, key)
-                    emitted.extend(transition.actions)
+                    fired |= bit
+                    # the source deactivates when all its
+                    # out-transitions fired, the destination activates
+                    # when all its in-transitions fired
+                    mask = out_masks[state]
+                    if mask is not None and fired & mask == mask:
+                        active = active.difference((state,))
+                    mask = in_masks[dst]
+                    if mask is not None and fired & mask == mask:
+                        active = active.union((dst,))
+                    emitted.extend(actions)
                     progress = True
+        self._state = (latched, active, fired)
         return emitted
-
-    def run(self, signal_schedule: Sequence[Iterable[int]],
-            max_extra_steps: int = 1000) -> list[int]:
-        """Feed a signal trace, then run until done; returns all actions."""
-        actions: list[int] = []
-        for signals in signal_schedule:
-            actions.extend(self.step(signals))
-        extra = 0
-        while not self.done and extra < max_extra_steps:
-            before = len(self.trace)
-            actions.extend(self.step())
-            extra += 1
-            if len(self.trace) == before:
-                break  # no progress without new signals
-        return actions
-
-    # ------------------------------------------------------------------
-    def _fire(self, transition, key: tuple) -> None:
-        self.trace.append(Firing(self.step_count, transition.src,
-                                 transition.dst, transition.actions))
-        self._fired_keys.add(key)
-        self.fired_out[transition.src] += 1
-        self.fired_in[transition.dst] += 1
-        # source deactivates when all its out-transitions fired
-        if self.fired_out[transition.src] == \
-                len(self.automaton.out(transition.src)):
-            self.active.discard(transition.src)
-        # destination activates when all its in-transitions fired
-        if self.fired_in[transition.dst] == \
-                self.automaton.in_count(transition.dst):
-            self.active.add(transition.dst)
-
-    def action_trace(self) -> list[tuple[int, ...]]:
-        """Per-firing action tuples, in firing order (minimization oracle)."""
-        return [f.actions for f in self.trace if f.actions]
 
 
 class SequentialRunner:

@@ -66,12 +66,6 @@ class Netlist:
                                  f"component {component!r}")
         self.nets.append(net)
 
-    def nets_of(self, component: str) -> list[Net]:
-        prefix = component + "."
-        return [n for n in self.nets
-                if n.driver.startswith(prefix)
-                or any(s.startswith(prefix) for s in n.sinks)]
-
     def validate(self) -> list[str]:
         problems = []
         names = [n.name for n in self.nets]

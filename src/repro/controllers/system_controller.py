@@ -255,14 +255,6 @@ class ControllerHarness:
         return self._composition.internal
 
     @property
-    def go_consumed(self) -> set[str]:
-        """Sequencers that already left idle in this activation."""
-        return {resource
-                for resource, consumed in zip(self.controller.sequencers,
-                                              self._composition.consumed[1:])
-                if consumed}
-
-    @property
     def actions_log(self) -> list[tuple[str, ...]]:
         return self._composition.actions_log
 

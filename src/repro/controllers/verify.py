@@ -207,7 +207,9 @@ def _stg_stepper(stg: Stg):
     must expose those intermediate configurations or harmless
     input-vs-pending-output interleavings would read as mismatches.
     ``restart`` resets the executor -- a fresh activation -- so the
-    reference contains the same restart loop as the product.
+    reference contains the same restart loop as the product.  The
+    configuration key is the executor's immutable run state
+    ``(latched, active, fired)``.
     """
     automaton = stg.to_automaton()
     final = frozenset(automaton.index_of(s.name)
@@ -215,18 +217,16 @@ def _stg_stepper(stg: Stg):
     executor = TokenExecutor(automaton, final=final)
     symbols = automaton.symbols
 
-    def completed(snapshot: tuple) -> bool:
-        return executor.done_in(snapshot)
-
-    def step(snapshot: tuple, letter: frozenset):
+    def step(state: tuple, letter: frozenset):
         if _RESTART in letter:
             executor.reset()
             return executor.snapshot(), ()
-        executor.restore(snapshot)
+        executor.restore(state)
         emitted = executor.step(symbols.ids_of(letter), max_rounds=1)
-        return executor.snapshot(), tuple(symbols.names_of(emitted))
+        return executor.snapshot(), symbols.names_of(emitted)
 
-    return executor.snapshot(), step, _AdmissibleEnvironment(completed)
+    return (executor.snapshot(), step,
+            _AdmissibleEnvironment(executor.done_in))
 
 
 #: Fingerprint-keyed memo of controller step systems: the verifier and

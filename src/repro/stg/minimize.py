@@ -22,8 +22,8 @@ Three behaviour-preserving reductions:
 Reduction 1+2 shrink the canonical 3-states-per-node construction to
 roughly one state per node plus the guarded waits -- the minimization
 win the paper reports.  Every reduction is verified in the tests by
-comparing :class:`repro.stg.interp.StgExecutor` action traces before and
-after.
+comparing the actions :class:`repro.stg.interp.StgExecutor` emits before
+and after.
 """
 
 from __future__ import annotations

@@ -184,11 +184,14 @@ class TestTokenExecutor:
         a = self.fork_join()
         ex = TokenExecutor(a, final=[a.index_of("D")])
         sym = a.symbols
-        ex.run([sym.ids_of({"done_u", "done_v"})])
-        first = list(ex.trace)
+        signals = [set(), sym.ids_of({"done_u"}), sym.ids_of({"done_v"})]
+        first = [ex.step(s) for s in signals]
+        end = ex.snapshot()
+        assert ex.done
         ex.reset()
-        ex.run([sym.ids_of({"done_u", "done_v"})])
-        assert ex.trace == first
+        assert not ex.done
+        assert [ex.step(s) for s in signals] == first
+        assert ex.snapshot() == end
 
     def test_requires_initial_state(self):
         b = AutomatonBuilder("empty")
@@ -206,10 +209,13 @@ class TestTokenExecutor:
         ex.restore(mid)
         assert not ex.done
         assert ex.snapshot() == mid
-        assert ex.trace == [] and ex.step_count == 0  # diagnostics reset
         # restored runs continue exactly where the snapshot was taken
-        ex.step(sym.ids_of({"done_u", "done_v"}))
+        assert ex.step(sym.ids_of({"done_u", "done_v"})) == []
         assert ex.done
+        done = ex.snapshot()
+        ex.restore(mid)
+        ex.step(sym.ids_of({"done_u", "done_v"}))
+        assert ex.snapshot() == done
 
     def test_snapshots_identify_configurations_not_histories(self):
         a = self.fork_join()

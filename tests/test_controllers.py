@@ -97,7 +97,7 @@ class TestSystemController:
                        for a in acts if a.startswith("start_")}
             if ex.done:
                 break
-        stg_actions = [a for fired in ex.action_trace() for a in fired]
+        stg_actions = ex.emitted
 
         harness = ControllerHarness(controller)
         ctl_actions = harness.run(lambda newly: {f"done_{n}"

@@ -50,7 +50,7 @@ def auto_run(stg, max_rounds=500):
 
 
 def flat_actions(executor):
-    return [a for fired in executor.action_trace() for a in fired]
+    return executor.emitted
 
 
 @pytest.mark.parametrize("spec", SUITE,

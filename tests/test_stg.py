@@ -52,7 +52,7 @@ def auto_run(stg, max_rounds=500):
 
 
 def flat_actions(ex):
-    return [a for fired in ex.action_trace() for a in fired]
+    return ex.emitted
 
 
 def starts_by_resource(ex, partition):
@@ -221,7 +221,7 @@ class TestExecutor:
     def test_reset_restarts_cleanly(self, equalizer_stg):
         *_, stg = equalizer_stg
         ex = auto_run(stg)
-        first_trace = list(ex.action_trace())
+        first_trace = list(ex.emitted)
         ex.reset()
         pending: set[str] = set()
         for _ in range(500):
@@ -230,7 +230,7 @@ class TestExecutor:
                        for a in actions if a.startswith("start_")}
             if ex.done:
                 break
-        assert ex.action_trace() == first_trace
+        assert ex.emitted == first_trace
 
 
 class TestMinimization:

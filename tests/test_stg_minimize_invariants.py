@@ -77,7 +77,7 @@ class TestMinimizationInvariants:
         ex.step()
         ex.step({"done_n0"})
         assert ex.done
-        assert "start_n0" in [a for f in ex.action_trace() for a in f]
+        assert "start_n0" in ex.emitted
 
     def test_initial_done_state_never_contracted(self):
         stg = Stg("entry-done")

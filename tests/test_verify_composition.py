@@ -306,8 +306,10 @@ class TestExplicitOracle:
 #: sha256 of ``reachable_automaton(...).fingerprint()`` for both sides of
 #: every ``workload_suite(20, seed=5)`` design (greedily partitioned on
 #: ``minimal_board()``), followed by ``explicit_oracle(...).summary()``.
+#: The STG side's state keys are ``TokenExecutor`` run states
+#: ``(latched, active, fired)``, so their text is part of the digest.
 SUITE_ORACLE_SHA256 = \
-    "5ce24653120f6106b6b1d9562ca14583ec4661bd6e42c948851f01c37aaa15b2"
+    "ec63f76373dbbad72abff931255152ab7b14225f4b9c32ee961f18f33ae959f9"
 
 
 class TestTraceCheckHelpers:
