@@ -9,7 +9,9 @@ module gives that composition a kernel-level home:
 * :class:`SynchronousComposition` -- the lazy product: all components
   step once per cycle on the shared input view; hidden channel signals
   emitted in cycle *t* become visible from cycle *t+1* until the
-  composition flushes.  This is the execution model of
+  composition flushes.  Its configuration is one immutable key of ints
+  (component states, flag and channel bitsets, consumed bits) and a
+  cycle is a transition over that key.  This is the execution model of
   :class:`repro.controllers.ControllerHarness` and of the co-simulated
   controller.
 * :class:`StepSystem` -- the one breadth-first explorer of a
@@ -78,7 +80,17 @@ class CompositionConfig:
 
 
 class SynchronousComposition:
-    """Cycle-lockstep execution of communicating automata."""
+    """Cycle-lockstep execution of communicating automata.
+
+    The configuration is one immutable key of ints ``(states, flags,
+    internal, consumed)``: the component state indices; the latched
+    external pulses (the done-flag register) and hidden channel signals
+    as bitsets over one signal interning (every signal the components
+    and channels name, in sorted order, then other pulsed names as
+    they arrive); and one bit per component that consumed the
+    ``consume_once`` channels.  :meth:`step` is a cycle as a transition
+    over that key; :meth:`cycle` runs it on the live configuration.
+    """
 
     def __init__(self, components: Sequence[Automaton],
                  config: CompositionConfig | None = None) -> None:
@@ -92,165 +104,161 @@ class SynchronousComposition:
         if config is None:
             config = CompositionConfig(internal=internal_signals(components))
         self.config = config
-        self._runners = [SequentialRunner(c) for c in components]
-        #: per component: ``(state, inputs its guards read) -> (next
-        #: state, output names)``; kept across resets and restores,
-        #: since a step depends on nothing else
-        self._steps: list[dict] = [{} for _ in components]
+        self._signals: list[str] = sorted({
+            *config.internal, *config.consume_once,
+            *(name for c in components
+              for name in c.input_names() + c.output_names())})
+        self._bits = {name: 1 << i for i, name in enumerate(self._signals)}
         self._internal = frozenset(config.internal)
-        self._consume_once = frozenset(config.consume_once)
+        self._keep = ~self.mask_of(config.consume_once)
+        #: per component and state: the bitset its guards read
+        self._reads = [tuple(self.mask_of(c.reads(s)) for s in range(len(c)))
+                       for c in components]
+        self._runners = [SequentialRunner(c) for c in components]
+        #: per component and state: ``seen -> (next state, clears
+        #: flags?, internal mask, external actions)``, kept over resets
+        self._steps = [[{} for _ in range(len(c))] for c in components]
+        flush = config.flush_component
+        self._flush = None if flush is None else (flush, frozenset(
+            components[flush].index_of(name) for name in config.flush_states))
+        self.initial = (tuple(c.initial for c in components), 0, 0, 0)
         self.reset()
 
     # ------------------------------------------------------------------
     def reset(self) -> None:
-        self.states: list[int] = [c.initial for c in self.components]
-        #: latched external pulses (the done-flag register)
-        self.flags: set[str] = set()
-        #: latched hidden channel signals
-        self.internal: set[str] = set()
-        #: per-component consumed broadcast channels
-        self.consumed: list[set[str]] = [set() for _ in self.components]
+        self._key = self.initial
         self.actions_log: list[tuple[str, ...]] = []
-        #: ``(held, external actions)`` of the last quiet cycle, or None
-        self._quiet: tuple[frozenset[str], tuple[str, ...]] | None = None
+        #: ``(key, held mask, external actions)`` of the last quiet cycle
+        self._quiet: tuple[tuple, int, tuple[str, ...]] | None = None
+
+    def configuration(self) -> tuple:
+        """The live configuration key."""
+        return self._key
 
     @property
     def state_names(self) -> tuple[str, ...]:
         return tuple(c.name_of(s)
-                     for c, s in zip(self.components, self.states))
+                     for c, s in zip(self.components, self._key[0]))
 
     def state_name(self, index: int) -> str:
         """Current state name of component ``index``."""
-        return self.components[index].name_of(self.states[index])
-
-    def configuration(self) -> tuple:
-        """Hashable snapshot of the composite configuration."""
-        return (tuple(self.states), frozenset(self.flags),
-                frozenset(self.internal),
-                tuple(frozenset(c) for c in self.consumed))
+        return self.components[index].name_of(self._key[0][index])
 
     @staticmethod
     def component_states(configuration: tuple) -> tuple[int, ...]:
-        """The per-component state indices inside a
-        :meth:`configuration` key.  Lives next to the layout definition
-        on purpose: consumers of configuration keys (e.g. completion
-        predicates over product states) must not index into the tuple
-        themselves."""
+        """The per-component state indices of a configuration key, so
+        that its consumers need not index into the tuple themselves."""
         states, _, _, _ = configuration
         return states
 
-    @staticmethod
-    def configuration_parts(configuration: tuple
-                            ) -> tuple[tuple[int, ...], frozenset,
-                                       frozenset, tuple]:
-        """The full ``(states, flags, internal, consumed)`` layout of a
-        :meth:`configuration` key (same contract as
-        :meth:`component_states`: consumers must not unpack the tuple
-        themselves).  Used by the guard don't-care harvester to replay
-        what each component could see in a reachable configuration."""
+    def mask_of(self, names: Iterable[str]) -> int:
+        """The bitset of ``names``, one distinct bit per name (so their
+        sum is their union); unknown names get the next bits, sorted."""
+        names, bits = set(names), self._bits
+        for name in sorted(names.difference(bits)):
+            bits[name] = 1 << len(self._signals)
+            self._signals.append(name)
+        return sum(map(bits.__getitem__, names))
+
+    def names_of(self, mask: int) -> frozenset[str]:
+        """The signal names of bitset ``mask``."""
+        signals = self._signals
+        names = []
+        while mask:
+            low = mask & -mask
+            names.append(signals[low.bit_length() - 1])
+            mask ^= low
+        return frozenset(names)
+
+    def guard_inputs(self, index: int, configuration: tuple,
+                     arriving: int) -> int:
+        """What component ``index`` sees in :meth:`step`, as a bitset:
+        latched flags and channels and the ``arriving`` signals, less
+        consumed channels, projected onto what its state's guards read."""
         states, flags, internal, consumed = configuration
-        return states, flags, internal, consumed
-
-    @staticmethod
-    def guard_inputs(component: Automaton, state: int, flags, internal,
-                     arriving, consumed) -> frozenset[str]:
-        """What ``component`` in ``state`` sees of its inputs.
-
-        The visibility rule of :meth:`cycle`: latched ``flags``,
-        latched ``internal`` channels and the signals ``arriving`` this
-        cycle, minus the component's ``consumed`` broadcast channels,
-        projected onto the signals the state's guards read
-        (:meth:`~repro.automata.core.Automaton.reads`).  A step from
-        ``state`` depends on nothing else.
-        """
-        return frozenset([
-            signal for signal in component.reads(state)
-            if (signal in flags or signal in internal or signal in arriving)
-            and signal not in consumed])
+        seen = (flags | internal | arriving) & \
+            self._reads[index][states[index]]
+        return seen if not consumed >> index & 1 else seen & self._keep
 
     # ------------------------------------------------------------------
+    def step(self, configuration: tuple,
+             held: int = 0) -> tuple[tuple, tuple[str, ...]]:
+        """One clock edge from ``configuration`` (pulses already
+        latched) with ``held`` visible this cycle only: the successor key
+        and the external actions in emission order.  Each component's
+        step is memoized on ``(state, seen)``, ``seen`` as in
+        :meth:`guard_inputs`, so a 200-flag register costs a step no
+        more than its one to three guard signals do."""
+        states, flags, internal, consumed = configuration
+        visible = flags | internal | held
+        once = self._keep != -1
+        next_states = []
+        clears = False
+        channels = internal
+        external: tuple[str, ...] = ()
+        for index, state in enumerate(states):
+            seen = visible & self._reads[index][state]
+            if consumed >> index & 1:
+                seen &= self._keep
+            memo = self._steps[index][state]
+            stepped = memo.get(seen)
+            if stepped is None:
+                stepped = memo[seen] = self._step_component(index, state,
+                                                            seen)
+            new_state, clear, emits, outputs = stepped
+            if once and new_state != state and state == self.initial[0][index]:
+                consumed |= 1 << index
+            next_states.append(new_state)
+            clears = clears or clear
+            channels |= emits
+            if outputs:
+                external += outputs
+        if clears:
+            flags = 0
+        flush = self._flush
+        if flush is not None and next_states[flush[0]] in flush[1]:
+            channels = consumed = 0
+        return (tuple(next_states), flags, channels, consumed), external
+
+    def _step_component(self, index: int, state: int, seen: int) -> tuple:
+        symbols = self.components[index].symbols
+        new_state, out_ids = self._runners[index].step(
+            state, symbols.ids_of(self.names_of(seen)))
+        names = symbols.names_of(out_ids)
+        clear = self.config.clear_action
+        return (new_state, clear in names,
+                self.mask_of(name for name in names
+                             if name != clear and name in self._internal),
+                tuple(name for name in names
+                      if name != clear and name not in self._internal))
+
     def cycle(self, pulses: Iterable[str] | None = None,
               held: Iterable[str] | None = None) -> list[str]:
-        """One lockstep clock edge.
+        """One lockstep clock edge of the live configuration.
 
         ``pulses`` are latched into the flag register before stepping;
         ``held`` signals are visible this cycle only (e.g. ``restart``).
         Returns the externally visible actions in emission order.
 
         Quiet cycles repeat without stepping.  A cycle is *quiet* when
-        it leaves the configuration (states, flags, internal latches,
-        consumed sets) as it found it after latching its pulses.  The
-        composition keeps the last quiet cycle's ``held`` set and
-        external actions.  While the configuration stays put, a cycle
-        whose pulses latch no new flag and whose ``held`` set is equal
-        sees exactly the same inputs, so it returns (and logs) the same
-        actions again.  :meth:`reset` and configuration restores drop
-        the record; so does any cycle that is not quiet.
-
-        A component's step reads only the signals its current state's
-        guards test, with the consumed broadcast channels removed first
-        (:meth:`guard_inputs`).  The composition memoizes each
-        component's step on ``(state, those signals)``, so a 200-flag
-        register costs a step no more than its one to three guard
-        signals do.
+        it leaves the configuration as it found it after latching its
+        pulses; the next cycle from the same key with the same ``held``
+        set returns (and logs) the same actions again.
         """
-        grew = False
+        key = self._key
         if pulses:
-            size = len(self.flags)
-            self.flags.update(pulses)
-            grew = len(self.flags) != size
-        held = frozenset(held or ())
+            states, flags, internal, consumed = key
+            key = (states, flags | self.mask_of(pulses), internal, consumed)
+        held = self.mask_of(held) if held else 0
         quiet = self._quiet
-        if quiet is not None and not grew and quiet[0] == held:
-            if quiet[1]:
-                self.actions_log.append(quiet[1])
-            return list(quiet[1])
-        changed = False
-        emitted: list[str] = []
-        for index, component in enumerate(self.components):
-            state = self.states[index]
-            seen = self.guard_inputs(component, state, self.flags,
-                                     self.internal, held,
-                                     self.consumed[index])
-            steps = self._steps[index]
-            stepped = steps.get((state, seen))
-            if stepped is None:
-                new_state, out_ids = self._runners[index].step(
-                    state, component.symbols.ids_of(seen))
-                stepped = steps[(state, seen)] = (
-                    new_state, component.symbols.names_of(out_ids))
-            new_state, outputs = stepped
-            if new_state != state:
-                changed = True
-                if state == component.initial:
-                    self.consumed[index] |= self._consume_once
-                self.states[index] = new_state
-            emitted.extend(outputs)
-
-        external: list[str] = []
-        for action in emitted:
-            if action == self.config.clear_action:
-                changed = changed or bool(self.flags)
-                self.flags.clear()
-            elif action in self._internal:
-                changed = changed or action not in self.internal
-                self.internal.add(action)
-            else:
-                external.append(action)
-
-        flush = self.config.flush_component
-        if flush is not None:
-            name = self.components[flush].name_of(self.states[flush])
-            if name in self.config.flush_states:
-                changed = changed or bool(self.internal) \
-                    or any(self.consumed)
-                self.internal.clear()
-                for consumed in self.consumed:
-                    consumed.clear()
-        self._quiet = None if changed else (held, tuple(external))
+        if quiet is not None and quiet[0] == key and quiet[1] == held:
+            external = quiet[2]
+        else:
+            self._key, external = self.step(key, held)
+            self._quiet = (key, held, external) if self._key == key else None
         if external:
-            self.actions_log.append(tuple(external))
-        return external
+            self.actions_log.append(external)
+        return list(external)
 
 
 class ProductEnvironment:
@@ -422,29 +430,36 @@ def composition_stepper(components: Sequence[Automaton],
                         held: Iterable[str] = ()
                         ) -> tuple[tuple, Callable[[tuple, frozenset],
                                                    tuple[tuple, tuple]]]:
-    """``(initial configuration, step function)`` over a scratch composition.
+    """``(initial configuration, step function)`` of a composition.
 
     The step contract of :class:`StepSystem`: given a configuration
     key and an input letter, run one composition cycle (``held``
     signals delivered level-style, the rest latched) and return the
-    successor configuration plus the external actions.  The
+    successor configuration plus the external actions.  It is
+    :meth:`SynchronousComposition.step` on the key itself.  The
     materializing product below, the verifier's step systems and the
-    explicit oracle all drive the same scratch composition through
-    this one function, so they cannot diverge on cycle semantics.  The
-    returned step closes over one scratch composition and is therefore
-    not thread-safe; a :class:`StepSystem` calls it only while it is
-    being built.
+    explicit oracle all step through this one function.  The step
+    fills its composition's memos, so it is not thread-safe; a
+    :class:`StepSystem` calls it only while it is being built.
     """
-    scratch = SynchronousComposition(components, config)
+    composition = SynchronousComposition(components, config)
     held = frozenset(held)
+    #: letter -> (latched pulses, held signals), as bitsets
+    masks: dict[frozenset, tuple[int, int]] = {}
 
     def step(config_key: tuple,
              letter: frozenset) -> tuple[tuple, tuple[str, ...]]:
-        _restore(scratch, config_key)
-        actions = scratch.cycle(pulses=letter - held, held=letter & held)
-        return scratch.configuration(), tuple(actions)
+        split = masks.get(letter)
+        if split is None:
+            split = masks[letter] = (composition.mask_of(letter - held),
+                                     composition.mask_of(letter & held))
+        pulses, level = split
+        if pulses:
+            states, flags, internal, consumed = config_key
+            config_key = (states, flags | pulses, internal, consumed)
+        return composition.step(config_key, level)
 
-    return scratch.configuration(), step
+    return composition.initial, step
 
 
 def synchronous_product(components: Sequence[Automaton],
@@ -487,16 +502,3 @@ def synchronous_product(components: Sequence[Automaton],
         "x".join(c.name for c in components), initial, step,
         letters=letters or (), environment=environment, label_of=label_of,
         max_states=max_states)
-
-
-def _restore(composition: SynchronousComposition, config_key: tuple) -> None:
-    """Load a configuration snapshot into ``composition``."""
-    states, flags, internal, consumed = config_key
-    composition.states = list(states)
-    composition.flags = set(flags)
-    composition.internal = set(internal)
-    composition.consumed = [set(c) for c in consumed]
-    composition._quiet = None
-    # the scratch composition is replayed once per (state, letter) edge;
-    # nothing reads its log during materialization, so don't grow it
-    composition.actions_log.clear()

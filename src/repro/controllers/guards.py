@@ -34,6 +34,7 @@ literals.
 from __future__ import annotations
 
 from dataclasses import replace
+from functools import cache
 
 from ..automata import AutomataError, SynchronousComposition
 from .fsm import Fsm
@@ -53,12 +54,12 @@ def harvest_care_sets(controller: SystemController) -> CareSets:
 
     Walks the step rows of the composition's step system
     (:func:`repro.controllers.verify.controller_step_system` -- the
-    same exploration the verifier proves equivalence on,
-    shared through its fingerprint cache): for a step out of a
-    reachable configuration under input letter ``L``, component ``i``
-    sees ``flags ∪ L ∪ internal`` minus its consumed broadcast channels
-    -- the visibility rule of
-    :meth:`repro.automata.SynchronousComposition.cycle`, where latched
+    same exploration the verifier proves equivalence on, shared
+    through its fingerprint cache): for a step out of a reachable
+    configuration under input letter ``L``, component ``i`` sees
+    ``flags ∪ L ∪ internal`` minus its consumed broadcast channels --
+    the visibility rule of
+    :meth:`repro.automata.SynchronousComposition.step`, where latched
     pulses and held command signals are equally visible in the cycle
     they arrive.  The step system has no state bound, so the harvest
     covers every design the verifier proves.
@@ -68,30 +69,30 @@ def harvest_care_sets(controller: SystemController) -> CareSets:
     (:meth:`repro.automata.SynchronousComposition.guard_inputs`): a
     state's step, its guard rewrite and every literal test on it read
     nothing else, and the projection keeps one entry per distinct guard
-    valuation instead of one per distinct flag register.
+    valuation instead of one per distinct flag register.  Each distinct
+    valuation bitset is decoded to names once.
     """
-    components, _config = controller_composition(controller)
+    components, config = controller_composition(controller)
     system = controller_step_system(controller)
-    care: CareSets = {component.name: {} for component in components}
-    by_component = [care[component.name] for component in components]
+    # numbers every guard signal as the step system's composition does
+    composition = SynchronousComposition(components, config)
+    letters = [composition.mask_of(system.letter_of(letter_id))
+               for letter_id in range(system.n_letters)]
+    observed: list[dict[int, set[int]]] = [{} for _ in components]
     for state in range(len(system)):
-        config, _env = system.key_of(state)
-        states, flags, internal, consumed = \
-            SynchronousComposition.configuration_parts(config)
-        observed = [by_component[index].setdefault(
-                        component.name_of(states[index]), set())
-                    for index, component in enumerate(components)]
-        for letter_id, _actions, _succ in system.rows(state):
-            # the cycle's visibility rule collapses: latched pulses
-            # (letter - held) and held command signals (letter & held)
-            # are both visible in the very cycle they arrive, so the
-            # component sees the whole letter on top of the latches
-            letter = system.letter_of(letter_id)
-            for index, component in enumerate(components):
-                observed[index].add(SynchronousComposition.guard_inputs(
-                    component, states[index], flags, internal, letter,
-                    consumed[index]))
-    return care
+        config_key, _env = system.key_of(state)
+        states = SynchronousComposition.component_states(config_key)
+        arriving = {letters[letter_id]
+                    for letter_id, _actions, _succ in system.rows(state)}
+        for index, by_state in enumerate(observed):
+            by_state.setdefault(states[index], set()).update(
+                composition.guard_inputs(index, config_key, mask)
+                for mask in arriving)
+    names_of = cache(composition.names_of)
+    return {component.name: {component.name_of(state):
+                             {names_of(mask) for mask in masks}
+                             for state, masks in by_state.items()}
+            for component, by_state in zip(components, observed)}
 
 
 def simplify_fsm_conditions(fsm: Fsm, care_of: dict | None) -> Fsm:

@@ -242,29 +242,12 @@ class ControllerHarness:
         return self._composition.state_name(0)
 
     @property
-    def seq_states(self) -> dict[str, str]:
-        names = self._composition.state_names
-        return dict(zip(self.controller.sequencers, names[1:]))
-
-    @property
-    def flags(self) -> set[str]:
-        return self._composition.flags
-
-    @property
-    def internal(self) -> set[str]:
-        return self._composition.internal
-
-    @property
     def actions_log(self) -> list[tuple[str, ...]]:
         return self._composition.actions_log
 
     @property
     def system_done(self) -> bool:
         return self.phase_state == PHASE_DONE_STATE
-
-    def configuration(self) -> tuple:
-        """Hashable snapshot of the composite configuration."""
-        return self._composition.configuration()
 
     # ------------------------------------------------------------------
     def cycle(self, unit_signals: set[str] | None = None,

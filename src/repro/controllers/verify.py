@@ -68,6 +68,7 @@ import random
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass
+from typing import Iterable
 
 from ..automata import (StepSystem, SynchronousComposition, TokenExecutor,
                         symbolic_trace_equivalence, weak_bisimilar)
@@ -145,56 +146,67 @@ class CompositionCheck:
 class _AdmissibleEnvironment(ProductEnvironment):
     """All environment behaviours the processing units can exhibit.
 
-    The environment state is the set of in-flight nodes (``start_*``
-    seen, ``done_*`` not yet delivered).  Admissible letters: silence,
-    the done pulse of any in-flight node, and -- once ``completed``
-    holds for the configuration -- the ``restart`` command, which loops
-    streamed activations into the reachable product.
+    The environment state is the in-flight bitset over the nodes that
+    ``actions`` may start, in sorted name order: a node's bit is set
+    from its ``start_*`` until its ``done_*`` is delivered.  Admissible
+    letters: silence, the done pulse of each in-flight node in name
+    order, and -- once ``completed`` holds for the configuration -- the
+    ``restart`` command, which loops streamed activations into the
+    reachable product.
     """
 
-    def __init__(self, completed) -> None:
+    def __init__(self, completed, actions: Iterable[str]) -> None:
         super().__init__()
         self._completed = completed
+        nodes = sorted({action[len(_START):] for action in actions
+                        if action.startswith(_START)})
+        self._start_bits = {_START + node: 1 << bit
+                            for bit, node in enumerate(nodes)}
+        self._done_letters = tuple(frozenset({_DONE + node})
+                                   for node in nodes)
+        self._done_masks = {letter: 1 << bit
+                            for bit, letter in enumerate(self._done_letters)}
+        self._start_masks: dict[tuple, int] = {}
 
     def initial_state(self):
-        return frozenset()
+        return 0
 
     def letters(self, env_state, config):
         letters = [frozenset()]
-        letters.extend(frozenset({_DONE + node})
-                       for node in sorted(env_state))
+        while env_state:
+            low = env_state & -env_state
+            letters.append(self._done_letters[low.bit_length() - 1])
+            env_state ^= low
         if self._completed(config):
             letters.append(frozenset({_RESTART}))
         return letters
 
     def advance(self, env_state, letter, actions):
-        in_flight = set(env_state)
-        for action in actions:
-            if action.startswith(_START):
-                in_flight.add(action[len(_START):])
-        for signal in letter:
-            if signal.startswith(_DONE):
-                in_flight.discard(signal[len(_DONE):])
-        return frozenset(in_flight)
+        starts = self._start_masks.get(actions)
+        if starts is None:
+            # distinct bits, so their sum is their union
+            starts = self._start_masks[actions] = sum(
+                {self._start_bits.get(action, 0) for action in actions})
+        return (env_state | starts) & ~self._done_masks.get(letter, 0)
 
 
 def _controller_stepper(controller: SystemController):
     """``(initial, step, environment)`` of the harness composition.
 
-    One scratch composition under the admissible closure, with
+    The composition's key stepper under the admissible closure, with
     ``restart`` delivered level-style; both the step system and the
     explicit oracle's automaton are explored from it.
     """
     components, config = controller_composition(controller)
-    phase = components[0]  # phase-first ordering set by controller_composition
+    done = components[0].index_of(PHASE_DONE_STATE)  # phase FSM first
 
     def completed(config_key: tuple) -> bool:
-        states = SynchronousComposition.component_states(config_key)
-        return phase.name_of(states[0]) == PHASE_DONE_STATE
+        return SynchronousComposition.component_states(config_key)[0] == done
 
     initial, step = composition_stepper(components, config,
                                         held=(_RESTART,))
-    return initial, step, _AdmissibleEnvironment(completed)
+    return initial, step, _AdmissibleEnvironment(
+        completed, (name for c in components for name in c.output_names()))
 
 
 def _stg_stepper(stg: Stg):
@@ -226,7 +238,8 @@ def _stg_stepper(stg: Stg):
         return executor.snapshot(), symbols.names_of(emitted)
 
     return (executor.snapshot(), step,
-            _AdmissibleEnvironment(executor.done_in))
+            _AdmissibleEnvironment(executor.done_in,
+                                   automaton.output_names()))
 
 
 #: Fingerprint-keyed memo of controller step systems: the verifier and
@@ -581,7 +594,8 @@ def _verify(stg: Stg, controller: SystemController,
     mismatches.extend(_completion_mismatches(
         _system_has_restart(reference_system),
         _system_has_restart(product_system)))
-    mismatches.extend(_schedule_sanity_mismatches(stg, graph))
+    with obs_span("verify.sanity", kind="verify"):
+        mismatches.extend(_schedule_sanity_mismatches(stg, graph))
 
     starts, actions_total = _count_starts(
         step_actions for _state, _letter, step_actions, _succ

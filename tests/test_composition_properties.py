@@ -1,21 +1,23 @@
-"""The live controller composition against a restore-every-step reference.
+"""The live controller composition against a stepping reference.
 
 :class:`repro.automata.SynchronousComposition` repeats a quiet cycle
 (one that left its configuration unchanged) without stepping its
 components.  The reference here is
-:func:`repro.automata.product.composition_stepper`, which restores the
-configuration before every cycle and so always steps.  Hypothesis
-drives both with the same random pulse and ``held`` streams over the
-controller compositions of generated designs, with ``reset()``
-mid-stream and runs of repeated cycles, and checks that after every
-cycle the configuration, the returned actions and the actions log
-agree, also with ``ParentComposition`` (below).  The example budget
-follows the active hypothesis profile (``tests/conftest.py``).
+:func:`repro.automata.product.composition_stepper`, which steps the
+configuration key on every call.  Hypothesis drives both with the same
+random pulse and ``held`` streams over the controller compositions of
+generated designs, with ``reset()`` mid-stream and runs of repeated
+cycles, and checks that after every cycle the decoded configuration,
+the returned actions and the actions log agree, also with
+``ParentComposition`` (below).  The example budget follows the active
+hypothesis profile (``tests/conftest.py``).
 
-The composition also memoizes each component's step on the signals
-its current state's guards read.  ``ParentComposition`` below is a
-verbatim copy of the ``cycle`` and ``SequentialRunner.step`` that
-stepped every component on the whole input set, and
+The composition also keeps its configuration as one key of ints and
+memoizes each component's step on the signals its current state's
+guards read.  ``ParentComposition`` below is a self-contained
+verbatim copy of the set-state composition and of the ``cycle`` and
+``SequentialRunner.step`` that stepped every component on the whole
+input set; ``decoded`` turns a key back into its set form.  And
 ``test_memoized_cycle_matches_the_unmemoized_cycle`` drives both over
 generated controllers (random guards, actions, Moore outputs, a
 consume-once ``go`` and a flush state) with random pulse and ``held``
@@ -28,6 +30,7 @@ and trace entry.
 """
 
 import hashlib
+import random
 from functools import lru_cache
 
 from typing import Iterable, Sequence
@@ -36,17 +39,20 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.automata import (Automaton, AutomatonBuilder, CompositionConfig,
-                            SynchronousComposition)
+                            SynchronousComposition, internal_signals)
 from repro.automata.product import composition_stepper
 from repro.comm import refine_communication
 from repro.controllers import (controller_composition,
                                synthesize_system_controller)
+from repro.estimate import CostModel
+from repro.graph import from_mapping
 from repro.partition import GreedyPartitioner
 from repro.partition.base import PartitioningProblem
-from repro.platform import minimal_board
+from repro.platform import cool_board, minimal_board
+from repro.schedule import list_schedule
 from repro.sim import CoSimulation
 from repro.stg import build_stg, minimize_stg
-from repro.workloads import stimuli_for, workload_suite
+from repro.workloads import scale_suite, stimuli_for, workload_suite
 
 PROPERTY = settings(max_examples=settings.default.max_examples,
                     deadline=None)
@@ -64,6 +70,20 @@ def build_design(spec):
     plan = refine_communication(result.schedule, board)
     return (graph, board, result.partition, result.schedule, plan,
             synthesize_system_controller(stg))
+
+
+def random_200_200_stg():
+    """The ``random_200_200`` STG as ``bench_verify_composition`` maps it."""
+    board = cool_board()
+    spec, = scale_suite((200,))
+    graph = spec.build()
+    rng = random.Random(spec.nodes)
+    mapping = {node.name: rng.choice(board.resource_names)
+               for node in graph.internal_nodes()}
+    partition = from_mapping(graph, mapping, board.fpga_names,
+                             board.processor_names)
+    schedule = list_schedule(partition, CostModel(graph, board))
+    return minimize_stg(build_stg(schedule))[0]
 
 
 @lru_cache(maxsize=None)
@@ -120,21 +140,37 @@ def test_live_composition_matches_restoring_reference(case):
             live.reset()
             parent.reset()
             reference, reference_log = initial, []
-            assert live.configuration() == reference
+            assert decoded(live, live.configuration()) == \
+                decoded(live, reference)
             continue
         pulses, held, repeats = entry
         for _ in range(repeats):
             actions = live.cycle(pulses=set(pulses), held=set(held))
             assert actions == parent.cycle(pulses=set(pulses),
                                            held=set(held))
-            assert live.configuration() == parent.configuration()
+            assert decoded(live, live.configuration()) == \
+                parent.configuration()
             reference, expected = step(reference,
                                        frozenset(pulses) | frozenset(held))
             if expected:
                 reference_log.append(expected)
-            assert live.configuration() == reference
+            # a controller's pulses are all guard signals, so the live
+            # composition and the stepper's number every signal alike
+            assert decoded(live, live.configuration()) == \
+                decoded(live, reference)
             assert tuple(actions) == expected
             assert live.actions_log == reference_log
+
+
+def decoded(composition: SynchronousComposition, key: tuple) -> tuple:
+    """A configuration key of ``composition`` in the parent's set form
+    ``(states, flags, internal, consumed sets)``."""
+    states, flags, internal, consumed = key
+    once = frozenset(composition.config.consume_once)
+    return (states, composition.names_of(flags),
+            composition.names_of(internal),
+            tuple(once if consumed >> index & 1 else frozenset()
+                  for index in range(len(states))))
 
 
 class ParentRunner:
@@ -160,14 +196,40 @@ class ParentRunner:
         return tuple(sorted(sids, key=name_of))
 
 
-class ParentComposition(SynchronousComposition):
-    """The composition whose ``cycle`` steps every component on the
-    whole visible input set: a verbatim copy of that ``cycle``."""
+class ParentComposition:
+    """The set-state composition whose ``cycle`` steps every component
+    on the whole visible input set: verbatim copies of its state
+    (``__init__``, ``reset``, ``configuration``) and of that
+    ``cycle``."""
 
     def __init__(self, components: Sequence[Automaton],
                  config: CompositionConfig | None = None) -> None:
-        super().__init__(components, config)
+        self.components = tuple(components)
+        if config is None:
+            config = CompositionConfig(internal=internal_signals(components))
+        self.config = config
         self._runners = [ParentRunner(c) for c in self.components]
+        self._internal = frozenset(config.internal)
+        self._consume_once = frozenset(config.consume_once)
+        self.reset()
+
+    def reset(self) -> None:
+        self.states: list[int] = [c.initial for c in self.components]
+        #: latched external pulses (the done-flag register)
+        self.flags: set[str] = set()
+        #: latched hidden channel signals
+        self.internal: set[str] = set()
+        #: per-component consumed broadcast channels
+        self.consumed: list[set[str]] = [set() for _ in self.components]
+        self.actions_log: list[tuple[str, ...]] = []
+        #: ``(held, external actions)`` of the last quiet cycle, or None
+        self._quiet: tuple[frozenset[str], tuple[str, ...]] | None = None
+
+    def configuration(self) -> tuple:
+        """Hashable snapshot of the composite configuration."""
+        return (tuple(self.states), frozenset(self.flags),
+                frozenset(self.internal),
+                tuple(frozenset(c) for c in self.consumed))
 
     def cycle(self, pulses: Iterable[str] | None = None,
               held: Iterable[str] | None = None) -> list[str]:
@@ -235,19 +297,21 @@ MOORE = ("ch", "x", "y")
 
 
 @st.composite
-def machines(draw):
+def machines(draw, guard_signals=GUARD_SIGNALS, action_names=ACTIONS,
+             moore_outputs=MOORE):
     """One component: ``(state count, transitions, Moore outputs)``,
     each transition ``(src, dst, conditions, actions)``."""
     count = draw(st.integers(1, 4))
     state = st.integers(0, count - 1)
-    names = st.lists(st.sampled_from(GUARD_SIGNALS), max_size=3,
+    names = st.lists(st.sampled_from(guard_signals), max_size=3,
                      unique=True).map(lambda xs: tuple(sorted(xs)))
-    actions = st.lists(st.sampled_from(ACTIONS), max_size=2,
+    actions = st.lists(st.sampled_from(action_names), max_size=2,
                        unique=True).map(lambda xs: tuple(sorted(xs)))
     transitions = draw(st.lists(st.tuples(state, state, names, actions),
                                 max_size=8))
-    moore = draw(st.lists(st.sampled_from(((),) + tuple((m,) for m in MOORE)),
-                          min_size=count, max_size=count))
+    moore = draw(st.lists(st.sampled_from(
+        ((),) + tuple((m,) for m in moore_outputs)),
+        min_size=count, max_size=count))
     return count, tuple(transitions), tuple(moore)
 
 
@@ -260,6 +324,17 @@ def built(index, machine) -> Automaton:
         builder.add_transition(f"s{src}", f"s{dst}", conditions=conditions,
                                actions=actions)
     return builder.build()
+
+
+def flush_config(components, flush_state) -> CompositionConfig:
+    """The generated composition's wiring: internal ``ch`` and ``go``,
+    ``go`` consumed once, ``clear_flags``, and state ``s<flush_state>``
+    of the first component as the flush state when it has one."""
+    flush = flush_state if 0 <= flush_state < components[0][0] else None
+    return CompositionConfig(
+        internal=("ch", "go"), clear_action="clear_flags",
+        consume_once=("go",), flush_component=None if flush is None else 0,
+        flush_states=() if flush is None else (f"s{flush}",))
 
 
 #: a ``(pulses, held, repeats)`` cycle, or ``None`` for a ``reset()``
@@ -286,11 +361,7 @@ def test_memoized_cycle_matches_the_unmemoized_cycle(components, flush_state,
                                                     stream):
     automata = [built(index, machine)
                 for index, machine in enumerate(components)]
-    flush = flush_state if 0 <= flush_state < components[0][0] else None
-    config = CompositionConfig(
-        internal=("ch", "go"), clear_action="clear_flags",
-        consume_once=("go",), flush_component=None if flush is None else 0,
-        flush_states=() if flush is None else (f"s{flush}",))
+    config = flush_config(components, flush_state)
     live = SynchronousComposition(automata, config)
     parent = ParentComposition(automata, config)
     for entry in stream:
@@ -302,7 +373,8 @@ def test_memoized_cycle_matches_the_unmemoized_cycle(components, flush_state,
         for _ in range(repeats):
             assert live.cycle(pulses=set(pulses), held=set(held)) == \
                 parent.cycle(pulses=set(pulses), held=set(held))
-            assert live.configuration() == parent.configuration()
+            assert decoded(live, live.configuration()) == \
+                parent.configuration()
             assert live.actions_log == parent.actions_log
 
 

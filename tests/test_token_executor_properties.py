@@ -22,24 +22,19 @@ them.  Their behaviour must be identical:
   every row.
 """
 
-import random
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from test_composition_properties import build_design
+from test_composition_properties import build_design, random_200_200_stg
+from test_controller_stepper_properties import ParentAdmissibleEnvironment
 from repro.automata import (AutomataError, Automaton, AutomatonBuilder,
                             StepSystem, TokenExecutor)
-from repro.controllers.verify import (_RESTART, _AdmissibleEnvironment,
-                                      _stg_stepper)
-from repro.estimate import CostModel
-from repro.graph import from_mapping
-from repro.platform import cool_board
-from repro.schedule import list_schedule
+from repro.controllers.verify import _RESTART, _stg_stepper
 from repro.stg import StateKind, build_stg, minimize_stg
-from repro.workloads import scale_suite, workload_suite
+from repro.workloads import workload_suite
 
 PROPERTY = settings(max_examples=settings.default.max_examples,
                     deadline=None)
@@ -208,7 +203,8 @@ class ParentTokenExecutor:
 
 
 def parent_stg_stepper(stg):
-    """The parent's ``_stg_stepper``, verbatim but for the executor."""
+    """The parent's ``_stg_stepper``, verbatim but for the executor and
+    the set-based environment."""
     automaton = stg.to_automaton()
     final = frozenset(automaton.index_of(s.name)
                       for s in stg.states_of_kind(StateKind.GLOBAL_DONE))
@@ -226,7 +222,7 @@ def parent_stg_stepper(stg):
         emitted = executor.step(symbols.ids_of(letter), max_rounds=1)
         return executor.snapshot(), tuple(symbols.names_of(emitted))
 
-    return executor.snapshot(), step, _AdmissibleEnvironment(completed)
+    return executor.snapshot(), step, ParentAdmissibleEnvironment(completed)
 
 
 # ----------------------------------------------------------------------
@@ -349,20 +345,6 @@ def test_executor_matches_the_parent_executor(shape, ops):
 def suite_stgs():
     for spec in workload_suite(20, seed=5):
         yield minimize_stg(build_stg(build_design(spec)[3]))[0]
-
-
-def random_200_200_stg():
-    """The ``random_200_200`` STG as ``bench_verify_composition`` maps it."""
-    board = cool_board()
-    spec, = scale_suite((200,))
-    graph = spec.build()
-    rng = random.Random(spec.nodes)
-    mapping = {node.name: rng.choice(board.resource_names)
-               for node in graph.internal_nodes()}
-    partition = from_mapping(graph, mapping, board.fpga_names,
-                             board.processor_names)
-    schedule = list_schedule(partition, CostModel(graph, board))
-    return minimize_stg(build_stg(schedule))[0]
 
 
 def assert_same_rows(stg):

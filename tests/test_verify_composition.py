@@ -306,10 +306,12 @@ class TestExplicitOracle:
 #: sha256 of ``reachable_automaton(...).fingerprint()`` for both sides of
 #: every ``workload_suite(20, seed=5)`` design (greedily partitioned on
 #: ``minimal_board()``), followed by ``explicit_oracle(...).summary()``.
-#: The STG side's state keys are ``TokenExecutor`` run states
-#: ``(latched, active, fired)``, so their text is part of the digest.
+#: The state keys' text is part of the digest: on the controller side
+#: the composition key of ints ``(states, flags, internal, consumed)``,
+#: on the STG side the ``TokenExecutor`` run state ``(latched, active,
+#: fired)``, and on both the in-flight bitset of the environment.
 SUITE_ORACLE_SHA256 = \
-    "ec63f76373dbbad72abff931255152ab7b14225f4b9c32ee961f18f33ae959f9"
+    "0316a3e28f2b3d4ce04b0d2e0c040ca0e279c03ef966aba8e18805fc917f115f"
 
 
 class TestTraceCheckHelpers:
