@@ -7,7 +7,8 @@ workload suite + two larger random graphs), plus -- at full suite size
 ``BENCH_verify_composition.json`` at the repo root:
 
 * ``production`` -- the one production path (step systems, pair
-  fixpoint, completion and schedule sanity): how many designs were
+  fixpoint, restart liveness and schedule safety over the step
+  systems): how many designs were
   *proved* trace-equivalent to their minimized STG under every
   admissible environment and every stream length (restart loop
   included), step system sizes, determinized pair counts, per-design

@@ -14,11 +14,12 @@ marked-graph semantics:
 * the activation completes when the GLOBAL_DONE state activates.
 
 The semantics itself lives in :class:`repro.automata.TokenExecutor`;
-:class:`StgExecutor` is the name-level view of it.  It keeps two jobs:
-it is the reference semantics against which state minimization is
-verified (identical emitted actions for identical signal traces), and
-it replays the schedule-sanity check of :mod:`repro.controllers.verify`.
-The verifier's STG step system drives the kernel executor directly.
+:class:`StgExecutor` is the name-level view of it.  Its one job is to
+be the reference semantics against which state minimization is
+verified (identical emitted actions for identical signal traces); the
+tests also replay the sampled closed-loop schedule check through it.
+Nothing in the verifier runs it: the verifier's STG step system drives
+the kernel executor directly and checks the schedule on that system.
 The co-simulation (:mod:`repro.sim`) does not run it: ``CoSimulation``
 drives the synthesized controllers through ``ControllerHarness``,
 exactly as the board does.

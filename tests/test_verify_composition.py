@@ -22,8 +22,7 @@ from repro.controllers import (Fsm, SystemController,
                                synthesize_system_controller,
                                verify_composition)
 from repro.automata.product import reachable_automaton
-from repro.controllers.verify import (_controller_stepper,
-                                      _dependency_violations, _stg_stepper,
+from repro.controllers.verify import (_controller_stepper, _stg_stepper,
                                       controller_step_system,
                                       explicit_oracle, stg_step_system)
 from repro.estimate import CostModel
@@ -312,22 +311,6 @@ class TestExplicitOracle:
 #: fired)``, and on both the in-flight bitset of the environment.
 SUITE_ORACLE_SHA256 = \
     "0316a3e28f2b3d4ce04b0d2e0c040ca0e279c03ef966aba8e18805fc917f115f"
-
-
-class TestTraceCheckHelpers:
-    def test_dependency_anchor_is_first_occurrence(self):
-        edges = [types.SimpleNamespace(src="a", dst="b")]
-        # replayed start of 'b': the *first* one ran before its
-        # producer -- a last-occurrence anchor would miss it
-        actions = ["start_b", "start_a", "start_b"]
-        assert _dependency_violations(actions, edges) == [("a", "b")]
-        assert _dependency_violations(
-            ["start_a", "start_b", "start_b"], edges) == []
-
-    def test_dependency_missing_producer_flagged(self):
-        edges = [types.SimpleNamespace(src="a", dst="b")]
-        assert _dependency_violations(["start_b"], edges) == [("a", "b")]
-        assert _dependency_violations([], edges) == []
 
 
 class TestVerifyFlowStage:
