@@ -260,6 +260,15 @@ class SynchronousComposition:
             self.actions_log.append(external)
         return list(external)
 
+    def quiet_ahead(self) -> bool:
+        """Whether a cycle with no pulses and no held signals from the
+        live configuration repeats the last quiet cycle with no external
+        actions: it would change, return and log nothing.  (A quiet
+        record always starts from the live key: a cycle that changes the
+        key drops it.)"""
+        quiet = self._quiet
+        return quiet is not None and not quiet[1] and not quiet[2]
+
 
 class ProductEnvironment:
     """State-dependent input policy for product materialization.

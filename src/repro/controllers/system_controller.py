@@ -257,6 +257,12 @@ class ControllerHarness:
         Returns the externally visible commands issued this cycle."""
         return self._composition.cycle(pulses=unit_signals, held=external)
 
+    def quiet_ahead(self) -> bool:
+        """Whether a clock edge with no done pulses and no external input
+        would issue nothing and leave the controller as it is
+        (:meth:`repro.automata.SynchronousComposition.quiet_ahead`)."""
+        return self._composition.quiet_ahead()
+
     def run(self, respond_done, max_cycles: int = 100_000) -> list[str]:
         """Closed-loop run: ``respond_done(started_nodes)`` maps the set
         of nodes started so far to the done pulses of the next cycle

@@ -141,7 +141,8 @@ class _AdmissibleEnvironment(ProductEnvironment):
 
     The environment state is the in-flight bitset over the nodes that
     ``actions`` may start, in sorted name order: a node's bit is set
-    from its ``start_*`` until its ``done_*`` is delivered.  Admissible
+    from its ``start_*`` until its ``done_*`` is delivered or until
+    ``restart``, whose reset phase aborts every running unit.  Admissible
     letters: silence, the done pulse of each in-flight node in name
     order, and -- once ``completed`` holds for the configuration -- the
     ``restart`` command, which loops streamed activations into the
@@ -180,6 +181,8 @@ class _AdmissibleEnvironment(ProductEnvironment):
             # distinct bits, so their sum is their union
             starts = self._start_masks[actions] = sum(
                 {self._start_bits.get(action, 0) for action in actions})
+        if _RESTART in letter:
+            return starts
         return (env_state | starts) & ~self._done_masks.get(letter, 0)
 
 

@@ -97,9 +97,11 @@ class BusModel:
                 self.granted_bursts += 1
         return completed
 
-    @property
-    def idle(self) -> bool:
-        return self.active is None and not self.pending
+    def grantable(self) -> bool:
+        """Whether the next :meth:`step` grants a burst: the bus is idle
+        and some pending request is grantable."""
+        return self.active is None \
+            and any(self._grantable(r) for r in self.pending)
 
     def stats(self) -> dict:
         return {"busy_ticks": self.busy_ticks,

@@ -12,11 +12,26 @@ statement of the whole reproduction.
 Timing base: one simulation tick = one bus clock cycle (the CostModel
 time unit), so simulated makespans are directly comparable with the
 static schedule.
+
+Most ticks only count down: a burst on the bus, a unit computing, a
+direct transfer in flight.  :meth:`CoSimulation.run` crosses such a
+quiet stretch in one jump.  A tick is quiet when no done pulse is
+pending, the bus grants nothing (it is busy, or no pending request is
+grantable), and the controller's next empty cycle repeats its last
+quiet cycle with no actions (:meth:`ControllerHarness.quiet_ahead`).
+The jump covers ``min(counters) - 1`` ticks over the bus burst, every
+unit computing (not waiting on an operand) and every direct transfer,
+so the tick on which the first counter runs out still goes through
+:meth:`CoSimulation.step`; it never crosses ``max_cycles`` or the
+deadlock bound.  It applies what the skipped ticks would have: the
+cycle count, the busy ticks and the counters.  With no counter running
+nothing is jumped, so a stall is stepped to the deadlock bound as
+before.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Mapping
 
 from ..comm.refine import CommPlan
@@ -37,6 +52,10 @@ __all__ = ["CoSimulation", "SimResult"]
 #: Direct-channel register transfer: fixed latency in ticks.
 DIRECT_TRANSFER_TICKS = 2
 
+#: :meth:`CoSimulation.run` reports a deadlock after more ticks than
+#: this without progress.
+DEADLOCK_TICKS = 50_000
+
 
 @dataclass
 class SimResult:
@@ -50,15 +69,6 @@ class SimResult:
     memory_writes: int
     trace_len: int
 
-    def summary(self) -> dict:
-        return {
-            "cycles": self.cycles,
-            "bus_busy_ticks": self.bus_busy_ticks,
-            "unit_busy_ticks": dict(self.unit_busy_ticks),
-            "memory_reads": self.memory_reads,
-            "memory_writes": self.memory_writes,
-        }
-
 
 @dataclass
 class _DirectTransfer:
@@ -68,7 +78,9 @@ class _DirectTransfer:
 
 
 class CoSimulation:
-    """Cycle-stepped simulation of one synthesized implementation."""
+    """Cycle-accurate simulation of one synthesized implementation,
+    stepped tick by tick where something happens and jumping over quiet
+    stretches (module docstring)."""
 
     def __init__(self, graph: TaskGraph, partition: Partition,
                  schedule: Schedule, plan: CommPlan,
@@ -121,6 +133,14 @@ class CoSimulation:
         self.direct_in_flight: list[_DirectTransfer] = []
         self.cycles = 0
         self._edge_by_name = {e.name: e for e in graph.edges}
+        #: node -> its in-edges from another resource (delivered by bus
+        #: reads or direct transfers)
+        self._cross_in = {
+            node.name: frozenset(
+                e.name for e in graph.in_edges(node.name)
+                if partition.resource_of(e.src)
+                != partition.resource_of(node.name))
+            for node in graph.nodes}
         self._pending_done: set[str] = set()
         self.trace: list[tuple[int, str]] = []
 
@@ -141,10 +161,8 @@ class CoSimulation:
             return
         if action.startswith("start_"):
             node = action[len("start_"):]
-            resource = self.partition.resource_of(node)
-            cross = {e.name for e in self.graph.in_edges(node)
-                     if self.partition.resource_of(e.src) != resource}
-            self.units[resource].start(node, cross)
+            self.units[self.partition.resource_of(node)].start(
+                node, self._cross_in[node])
             self.trace.append((self.cycles, action))
             return
         if action.startswith("write_"):
@@ -212,6 +230,36 @@ class CoSimulation:
                 self.trace.append((self.cycles, f"done_{finished}"))
         self.cycles += 1
 
+    def _jump(self, until: int) -> bool:
+        """Cross the quiet ticks before the next event, stopping at cycle
+        ``until`` at the latest; whether any tick was crossed."""
+        bus = self.bus
+        if self._pending_done or bus.grantable() \
+                or not self.harness.quiet_ahead():
+            return False
+        computing = [unit for unit in self.units.values()
+                     if unit.active is not None
+                     and not unit.active.waiting_for]
+        counters = [unit.active.remaining for unit in computing]
+        counters.extend(t.remaining for t in self.direct_in_flight)
+        if bus.active is not None:
+            counters.append(bus.remaining)
+        if not counters:
+            return False
+        ticks = min(min(counters) - 1, until - self.cycles)
+        if ticks <= 0:
+            return False
+        self.cycles += ticks
+        if bus.active is not None:
+            bus.busy_ticks += ticks
+            bus.remaining -= ticks
+        for unit in computing:
+            unit.busy_ticks += ticks
+            unit.active.remaining -= ticks
+        for transfer in self.direct_in_flight:
+            transfer.remaining -= ticks
+        return True
+
     def run(self, max_cycles: int = 1_000_000) -> SimResult:
         """Run one activation to the controller's done state."""
         stall_window = 0
@@ -220,7 +268,9 @@ class CoSimulation:
             if self.cycles >= max_cycles:
                 raise SimError(f"simulation exceeded {max_cycles} cycles")
             before = len(self.trace)
-            self.step()
+            if not self._jump(min(max_cycles,
+                                  last_progress + DEADLOCK_TICKS + 1)):
+                self.step()
             active_work = (self.bus.active is not None
                            or any(u.active is not None
                                   and not u.active.waiting_for
@@ -229,7 +279,7 @@ class CoSimulation:
                     or self._pending_done:
                 last_progress = self.cycles
             stall_window = self.cycles - last_progress
-            if stall_window > 50_000:
+            if stall_window > DEADLOCK_TICKS:
                 raise SimError(
                     f"deadlock: no progress since cycle {last_progress}")
         # final cycles let the controller observe the last done pulses

@@ -16,6 +16,7 @@ timing, which is exactly the abstraction level of a co-simulator.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Iterable
 
 from ..graph.semantics import evaluate_node
 from ..graph.taskgraph import TaskGraph
@@ -32,7 +33,6 @@ class _Activation:
     node: str
     waiting_for: set[str]      # edge names still to be delivered
     remaining: int             # compute ticks left once inputs present
-    started_compute: bool = False
 
 
 @dataclass
@@ -61,7 +61,7 @@ class UnitSim:
         self.outputs.clear()
         self.completions.clear()
 
-    def start(self, node_name: str, cross_edges: set[str]) -> None:
+    def start(self, node_name: str, cross_edges: Iterable[str]) -> None:
         """System-controller start command for one node."""
         if self.active is not None:
             raise SimError(f"unit {self.resource}: start {node_name!r} "
@@ -113,7 +113,6 @@ class UnitSim:
         act = self.active
         if act.waiting_for:
             return None  # stalled on operand delivery
-        act.started_compute = True
         self.busy_ticks += 1
         act.remaining -= 1
         if act.remaining > 0:
@@ -126,7 +125,3 @@ class UnitSim:
         self.completions.append(act.node)
         self.active = None
         return act.node
-
-    def stats(self) -> dict:
-        return {"resource": self.resource, "busy_ticks": self.busy_ticks,
-                "nodes_executed": len(self.completions)}

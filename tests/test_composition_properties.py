@@ -376,6 +376,9 @@ def test_memoized_cycle_matches_the_unmemoized_cycle(components, flush_state,
             assert decoded(live, live.configuration()) == \
                 parent.configuration()
             assert live.actions_log == parent.actions_log
+            if live.quiet_ahead():
+                key = live.configuration()
+                assert live.step(key) == (key, ())
 
 
 def looping(name, conditions, actions):
@@ -389,6 +392,22 @@ def looping(name, conditions, actions):
 class TestQuietCycles:
     """Self-loops change no state, so only the latches tell a quiet
     cycle from a busy one."""
+
+    def test_quiet_ahead_needs_a_silent_empty_repeat(self):
+        silent = SynchronousComposition([looping("m", ("y",), ("beat",))])
+        assert not silent.quiet_ahead()  # nothing recorded yet
+        assert silent.cycle() == []
+        assert silent.quiet_ahead()
+        assert silent.cycle(pulses={"y"}) == ["beat"]
+        assert not silent.quiet_ahead()  # the flag stays latched
+        beating = SynchronousComposition([looping("m", (), ("beat",))])
+        assert beating.cycle() == ["beat"]
+        assert not beating.quiet_ahead()  # quiet, but not silent
+        held = SynchronousComposition([looping("m", ("r",), ())])
+        assert held.cycle(held={"r"}) == []
+        assert not held.quiet_ahead()  # recorded only under ``r``
+        assert held.cycle() == []
+        assert held.quiet_ahead()
 
     def test_repeated_quiet_cycles_log_their_actions(self):
         composition = SynchronousComposition([looping("m", ("y",),

@@ -8,7 +8,10 @@ in-flight bitset.  Below are verbatim copies of the set-based pieces
 they replaced: the memoized ``cycle`` and ``guard_inputs`` of the
 set-state composition, ``composition_stepper`` with its ``_restore``,
 the set-based ``_AdmissibleEnvironment``, ``_controller_stepper`` and
-the care-set harvester.  Their behaviour must be identical:
+the care-set harvester.  The environment copy is used through
+``RestartingParentEnvironment``, which adds the one deliberate change
+since: ``restart`` empties the in-flight set.  Their behaviour must be
+identical:
 
 * ``test_controller_step_systems_match_the_parent_stepper`` and its
   ``random_200_200`` twin build the verifier's controller step system
@@ -204,6 +207,17 @@ class ParentAdmissibleEnvironment(ProductEnvironment):
         return frozenset(in_flight)
 
 
+class RestartingParentEnvironment(ParentAdmissibleEnvironment):
+    """The parent environment with the one deliberate change since:
+    ``restart`` empties the in-flight set, because the reset phase it
+    starts aborts every running unit."""
+
+    def advance(self, env_state, letter, actions):
+        if _RESTART in letter:
+            env_state = frozenset()
+        return super().advance(env_state, letter, actions)
+
+
 def parent_controller_stepper(controller):
     components, config = controller_composition(controller)
     phase = components[0]  # phase-first ordering set by controller_composition
@@ -214,7 +228,7 @@ def parent_controller_stepper(controller):
 
     initial, step = parent_composition_stepper(components, config,
                                                held=(_RESTART,))
-    return initial, step, ParentAdmissibleEnvironment(completed)
+    return initial, step, RestartingParentEnvironment(completed)
 
 
 def parent_harvest_care_sets(controller) -> dict:
@@ -375,7 +389,7 @@ def test_stepper_matches_the_parent_stepper(components, flush_state,
                                                held=(_RESTART,))
     try:
         parent = StepSystem("parent", initial, step,
-                            ParentAdmissibleEnvironment(completed),
+                            RestartingParentEnvironment(completed),
                             max_states=MAX_STATES)
     except AutomataError:
         parent = None

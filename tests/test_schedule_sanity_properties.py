@@ -364,6 +364,27 @@ def test_late_done_passes_the_completion_check_and_fails_liveness():
         "reachable from there",)
 
 
+def test_restart_aborts_the_running_units():
+    """``late_done_stg`` reaches DONE with ``a`` still running.  The reset
+    phase after ``restart`` aborts it, so no state reached after
+    ``?restart`` offers ``?done_a`` before ``!start_a`` starts ``a``
+    again: the restart row leads back to the initial state."""
+    system = stg_step_system(late_done_stg())
+    done_a = {letter_id for letter_id in range(system.n_letters)
+              if system.letter_of(letter_id) == {"done_a"}}
+    restarted = {succ for _state, letter_id, _actions, succ
+                 in system.iter_rows()
+                 if _RESTART in system.letter_of(letter_id)}
+    seen, frontier = set(restarted), list(restarted)
+    while frontier:
+        for letter_id, actions, succ in system.rows(frontier.pop()):
+            assert letter_id not in done_a
+            if "start_a" not in actions and succ not in seen:
+                seen.add(succ)
+                frontier.append(succ)
+    assert restarted == {0}
+
+
 class _TableEnvironment(ProductEnvironment):
     """Each state offers the letters of its table rows, in order."""
 

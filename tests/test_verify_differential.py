@@ -93,22 +93,25 @@ mappings = st.one_of(st.sampled_from(("one_unit", "round_robin")),
                      st.integers(min_value=0, max_value=2**16))
 
 
+def node_mapping(graph, board, mapping):
+    """The node -> unit dict a drawn ``mappings`` value stands for."""
+    units = board.resource_names
+    nodes = [node.name for node in graph.internal_nodes()]
+    if mapping == "one_unit":
+        return {node: units[0] for node in nodes}
+    if mapping == "round_robin":
+        return {node: units[rank % len(units)]
+                for rank, node in enumerate(nodes)}
+    rng = random.Random(mapping)
+    return {node: rng.choice(units) for node in nodes}
+
+
 def implement(spec, board_name, mapping):
     """(graph, minimized STG, controller) of ``spec`` under ``mapping``."""
     board = BOARDS[board_name]()
     graph = spec.build()
-    units = board.resource_names
-    rng = random.Random(mapping)
-    nodes = [node.name for node in graph.internal_nodes()]
-    if mapping == "one_unit":
-        mapping = {node: units[0] for node in nodes}
-    elif mapping == "round_robin":
-        mapping = {node: units[rank % len(units)]
-                   for rank, node in enumerate(nodes)}
-    else:
-        mapping = {node: rng.choice(units) for node in nodes}
-    partition = from_mapping(graph, mapping, board.fpga_names,
-                             board.processor_names)
+    partition = from_mapping(graph, node_mapping(graph, board, mapping),
+                             board.fpga_names, board.processor_names)
     stg, _ = minimize_stg(build_stg(list_schedule(partition,
                                                   CostModel(graph, board))))
     return graph, stg, synthesize_system_controller(stg)
