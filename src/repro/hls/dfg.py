@@ -9,6 +9,7 @@ not scheduled).
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass, field
 
 __all__ = ["DfgOp", "Dfg", "HlsError"]
@@ -65,13 +66,23 @@ class Dfg:
             counts[op.category] = counts.get(op.category, 0) + 1
         return counts
 
-    def topological_order(self) -> list[int]:
-        indeg = {uid: len(set(op.inputs)) for uid, op in self.ops.items()}
+    def dependencies(self) -> tuple[dict[int, list[int]], list[int]]:
+        """The :meth:`successor_map` and the topological order, from one
+        pass: the order starts with the input-free ops in ascending uid
+        and then takes ops first-in first-out as their last input is
+        placed, each op's readers joining in ascending uid.
+
+        Raises :class:`HlsError` when the DFG contains a cycle.
+        """
         succs = self.successor_map()
-        ready = sorted(uid for uid, d in indeg.items() if d == 0)
+        indeg = {uid: 0 for uid in self.ops}
+        for readers in succs.values():
+            for succ in readers:
+                indeg[succ] += 1
+        ready = deque(sorted(uid for uid, d in indeg.items() if d == 0))
         order: list[int] = []
         while ready:
-            uid = ready.pop(0)
+            uid = ready.popleft()
             order.append(uid)
             for succ in succs[uid]:
                 indeg[succ] -= 1
@@ -79,7 +90,10 @@ class Dfg:
                     ready.append(succ)
         if len(order) != len(self.ops):
             raise HlsError(f"dfg {self.name!r} contains a cycle")
-        return order
+        return succs, order
+
+    def topological_order(self) -> list[int]:
+        return self.dependencies()[1]
 
     def critical_path(self, latency_of) -> int:
         """Longest path weighted by ``latency_of(category)``."""

@@ -9,11 +9,37 @@ A schedule maps every DFG operation to a start step; an operation of
 category ``c`` occupies one unit of the ``c`` functional-unit pool for
 ``latency(c)`` consecutive steps (units are not pipelined here --
 conservative, and matching the datapath controller's step counting).
+
+:func:`list_schedule_ops` walks the DFG a constant number of times:
+one dependency pass (:meth:`Dfg.dependencies`) gives the readers and
+the topological order, from which the ASAP length, the ALAP priority
+and the list schedule follow.  The list scheduler is event-driven.
+Each category keeps its units' busy-until steps in a min-heap and two
+heaps of ready operations: *waiting* ones, keyed ``(data_ready,
+alap_start, uid)``, and *available* ones, whose inputs have all
+finished, keyed ``(alap_start, uid)``.  At each visited step every
+category moves the waiting operations whose data is ready into its
+available heap, then starts the most urgent ones (smallest ALAP start,
+ties to the smaller uid) while its least-busy unit is free.  An
+operation made ready by a start joins the heaps only after the step,
+so it starts one step later at the soonest, even behind a latency-0
+producer.  The next visited step is ``max(step + 1, e)``, where ``e``
+is the earliest step at which some category could start an operation:
+the later of the step its first unit frees up and the step its first
+ready operation's data is ready, minimised over the categories.
+
+This gives the start steps of a global scan of the ready list in
+``(alap_start, uid)`` order, re-sorted after every start, which is what
+the scheduler did before: categories share no units, and an operation
+started in a step cannot ready a successor for that same step, so the
+scan's interleaving of categories decides nothing.  ``start`` keeps the
+scan's order too: by step, then by ``(alap_start, uid)``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from heapq import heappop, heappush, heapreplace
 
 from .dfg import Dfg, HlsError
 
@@ -35,21 +61,27 @@ class HlsSchedule:
         return max((self.start[uid] + self.latency_of[op.category]
                     for uid, op in self.dfg.ops.items()), default=0)
 
-    def ops_active_at(self, step: int) -> list[int]:
-        return [uid for uid, op in self.dfg.ops.items()
-                if self.start[uid] <= step
-                < self.start[uid] + self.latency_of[op.category]]
-
     def fu_usage(self) -> dict[str, int]:
-        """Peak concurrent operations per category (= FUs needed)."""
+        """Peak concurrent operations per category (= FUs needed).
+
+        One sweep per category over its operations' start and end
+        steps; an end sorts before a start at the same step, because an
+        operation occupies its unit over the half-open ``[start, end)``.
+        """
+        marks: dict[str, list[tuple[int, int]]] = {}
+        for uid, op in self.dfg.ops.items():
+            begin = self.start[uid]
+            end = begin + self.latency_of[op.category]
+            if begin < end:
+                marks.setdefault(op.category, []).extend(
+                    ((begin, 1), (end, -1)))
         usage: dict[str, int] = {}
-        for step in range(self.length):
-            per_cat: dict[str, int] = {}
-            for uid in self.ops_active_at(step):
-                cat = self.dfg.ops[uid].category
-                per_cat[cat] = per_cat.get(cat, 0) + 1
-            for cat, n in per_cat.items():
-                usage[cat] = max(usage.get(cat, 0), n)
+        for cat, events in marks.items():
+            active = peak = 0
+            for _, delta in sorted(events):
+                active += delta
+                peak = max(peak, active)
+            usage[cat] = peak
         return usage
 
     def validate(self, fu_limits: dict[str, int] | None = None) -> list[str]:
@@ -73,30 +105,45 @@ def _latency_table(dfg: Dfg, latency_of) -> dict[str, int]:
     return {cat: latency_of(cat) for cat in dfg.categories()}
 
 
-def asap_schedule(dfg: Dfg, latency_of) -> HlsSchedule:
-    """Unconstrained earliest-start schedule."""
-    table = _latency_table(dfg, latency_of)
+def _asap_start(dfg: Dfg, order: list[int],
+                table: dict[str, int]) -> dict[int, int]:
+    """Earliest start steps, in topological ``order``."""
     start: dict[int, int] = {}
-    for uid in dfg.topological_order():
+    for uid in order:
         op = dfg.ops[uid]
         start[uid] = max((start[d] + table[dfg.ops[d].category]
                           for d in op.inputs), default=0)
-    return HlsSchedule(dfg, start, table)
+    return start
+
+
+def _alap_start(dfg: Dfg, successors: dict[int, list[int]],
+                order: list[int], table: dict[str, int]) -> dict[int, int]:
+    """Latest start steps within the ASAP length."""
+    asap = _asap_start(dfg, order, table)
+    horizon = max((asap[uid] + table[op.category]
+                   for uid, op in dfg.ops.items()), default=0)
+    start: dict[int, int] = {}
+    for uid in reversed(order):
+        latency = table[dfg.ops[uid].category]
+        latest = horizon - latency
+        for succ in successors[uid]:
+            latest = min(latest, start[succ] - latency)
+        start[uid] = latest
+    return start
+
+
+def asap_schedule(dfg: Dfg, latency_of) -> HlsSchedule:
+    """Unconstrained earliest-start schedule."""
+    table = _latency_table(dfg, latency_of)
+    return HlsSchedule(dfg, _asap_start(dfg, dfg.topological_order(),
+                                        table), table)
 
 
 def alap_schedule(dfg: Dfg, latency_of) -> HlsSchedule:
     """Latest-start schedule within the ASAP length."""
     table = _latency_table(dfg, latency_of)
-    horizon = asap_schedule(dfg, latency_of).length
-    successors = dfg.successor_map()
-    start: dict[int, int] = {}
-    for uid in reversed(dfg.topological_order()):
-        op = dfg.ops[uid]
-        latest = horizon - table[op.category]
-        for succ in successors[uid]:
-            latest = min(latest, start[succ] - table[op.category])
-        start[uid] = latest
-    return HlsSchedule(dfg, start, table)
+    return HlsSchedule(dfg, _alap_start(dfg, *dfg.dependencies(), table),
+                       table)
 
 
 def allocate_minimal(dfg: Dfg) -> dict[str, int]:
@@ -114,50 +161,56 @@ def list_schedule_ops(dfg: Dfg, latency_of,
     if any(fu_limits[c] < 1 for c in table):
         raise HlsError("every used category needs at least one FU")
 
-    alap = alap_schedule(dfg, latency_of)
-    priority = alap.start  # smaller ALAP start = more urgent
+    successors, order = dfg.dependencies()
+    # smaller ALAP start = more urgent
+    priority = _alap_start(dfg, successors, order, table)
 
-    start: dict[int, int] = {}
-    finished: dict[int, int] = {}
-    successors = dfg.successor_map()
+    #: category -> (latency, units' busy-until heap, waiting, available)
+    pools = {cat: (table[cat], [0] * fu_limits[cat], [], [])
+             for cat in table}
+    waiting_of = {uid: pools[op.category][2] for uid, op in dfg.ops.items()}
     # distinct inputs: a value read twice has its reader listed once
     pending = {uid: len(set(op.inputs)) for uid, op in dfg.ops.items()}
-    #: ready op -> step at which its last input has finished
-    data_ready = {uid: 0 for uid, k in pending.items() if k == 0}
-    ready = sorted(data_ready, key=lambda u: (priority[u], u))
-    busy_until: dict[str, list[int]] = {
-        cat: [0] * fu_limits[cat] for cat in table}
-
-    def earliest(uid: int) -> int:
-        """First step ``uid`` could start at, given the FU bookings so far."""
-        return max(data_ready[uid], min(busy_until[dfg.ops[uid].category]))
-
+    #: op uid -> step at which its last input so far finishes
+    data_ready = dict.fromkeys(dfg.ops, 0)
+    started: list[tuple[int, int, int]] = []
+    readied = [uid for uid in order if not pending[uid]]
     step = 0
-    guard = 0
-    while ready or len(finished) < len(dfg.ops):
-        guard += 1
-        if guard > 10 * (len(dfg.ops) + 1) * (max(table.values(), default=1) + 1):
-            raise HlsError("list scheduler failed to make progress")
-        for uid in list(ready):
-            if data_ready[uid] > step:
+    while True:
+        # the previous step's starts readied these: they join only now
+        for uid in readied:
+            heappush(waiting_of[uid], (data_ready[uid], priority[uid], uid))
+        # nothing starts before the next input or unit frees up: skip
+        # the steps in between, which could start nothing
+        earliest = None
+        for _, units, waiting, available in pools.values():
+            if available:  # its data is ready: it waits for a unit
+                free = units[0]
+            elif waiting:
+                free = max(waiting[0][0], units[0])
+            else:
                 continue
-            op = dfg.ops[uid]
-            pool = busy_until[op.category]
-            fu = pool.index(min(pool))
-            if pool[fu] > step:
-                continue
-            start[uid] = step
-            finished[uid] = step + table[op.category]
-            pool[fu] = finished[uid]
-            ready.remove(uid)
-            for succ in successors[uid]:
-                pending[succ] -= 1
-                if pending[succ] == 0:
-                    data_ready[succ] = max(finished[d]
-                                           for d in dfg.ops[succ].inputs)
-                    ready.append(succ)
-            ready.sort(key=lambda u: (priority[u], u))
-        # nothing starts before the next input or FU frees up: skip the
-        # steps in between, which could schedule nothing
-        step = max(step + 1, min(map(earliest, ready), default=0))
-    return HlsSchedule(dfg, start, table)
+            if earliest is None or free < earliest:
+                earliest = free
+        if earliest is None:
+            break
+        step = max(step, earliest)
+        readied = []
+        for latency, units, waiting, available in pools.values():
+            while waiting and waiting[0][0] <= step:
+                _, urgency, uid = heappop(waiting)
+                heappush(available, (urgency, uid))
+            while available and units[0] <= step:
+                urgency, uid = heappop(available)
+                finish = step + latency
+                heapreplace(units, finish)
+                started.append((step, urgency, uid))
+                for succ in successors[uid]:
+                    if data_ready[succ] < finish:
+                        data_ready[succ] = finish
+                    pending[succ] -= 1
+                    if not pending[succ]:
+                        readied.append(succ)
+        step += 1
+    return HlsSchedule(dfg, {uid: at for at, _, uid in sorted(started)},
+                       table)

@@ -87,12 +87,24 @@ class TestEqualizerCosim:
         assert result.bus_busy_ticks > 0
         assert result.memory_writes > 0
 
-    def test_deadlock_detection(self):
+    def test_missing_io_stimuli_raise_no_stimulus(self):
         graph = four_band_equalizer(words=8)
         sim, _, _ = build_system(graph, minimal_board())
         # sabotage: clear the io stimuli so the input unit cannot run
         sim.units["io"].stimuli.clear()
-        with pytest.raises(SimError):
+        with pytest.raises(SimError, match="no stimulus for input 'x'"):
+            sim.run()
+
+    def test_deadlock_detection(self):
+        graph = four_band_equalizer(words=8)
+        sim, _, _ = build_system(graph, minimal_board())
+        # sabotage: the first bus write waits on a read that never comes,
+        # so its reader stalls until the deadlock bound
+        edge = next(e.name for e in sim.graph.edges
+                    if sim.partition.resource_of(e.src)
+                    != sim.partition.resource_of(e.dst))
+        sim.bus.write_interlocks[edge] = {"never_read"}
+        with pytest.raises(SimError, match="^deadlock: no progress since"):
             sim.run()
 
 

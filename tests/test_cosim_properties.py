@@ -286,7 +286,8 @@ class TestClamps:
             assert state_of(sim) == state_of(reference)
 
     def test_missing_stimuli_raise_unchanged(self):
-        # the sabotage of test_cosim.py::test_deadlock_detection
+        # the sabotage of test_missing_io_stimuli_raise_no_stimulus
+        # (tests/test_cosim.py)
         pair = equalizer_pair()
         for sim in pair:
             sim.units["io"].stimuli.clear()

@@ -11,9 +11,10 @@ from hypothesis import given, settings, strategies as st
 
 from repro.apps import fuzzy_controller
 from repro.graph import from_mapping, make_node
-from repro.hls import (Dfg, HlsError, alap_schedule, allocate_minimal,
-                       asap_schedule, bind, datapath_area_clbs, expand_node,
-                       list_schedule_ops, synthesize_node, synthesize_resource)
+from repro.hls import (Dfg, DfgOp, HlsError, alap_schedule,
+                       allocate_minimal, asap_schedule, bind,
+                       datapath_area_clbs, expand_node, list_schedule_ops,
+                       synthesize_node, synthesize_resource)
 from repro.partition import GreedyPartitioner
 from repro.partition.base import PartitioningProblem
 from repro.platform import cool_board, minimal_board, xc4005
@@ -128,6 +129,22 @@ class TestSchedulers:
         assert schedule.validate(allocate_minimal(dfg)) == []
         assert schedule.start == {0: 0, 1: 1, 2: 1 + fpga.latency_for("mul")}
         assert dfg.successor_map() == {0: [1, 2], 1: [2], 2: []}
+
+    def test_a_cyclic_dfg_is_rejected_before_scheduling(self):
+        dfg = chain_dfg(3)
+        # add_op only reads earlier ops, so close the cycle 0 -> 1 -> 2
+        # -> 0 by editing the ops directly
+        dfg.ops[0] = DfgOp(0, "add", (2,))
+        with pytest.raises(HlsError, match="'chain' contains a cycle"):
+            list_schedule_ops(dfg, xc4005().latency_for, {"add": 1})
+
+    def test_an_op_readied_in_a_step_starts_in_a_later_one(self):
+        # a latency-0 start readies its reader at once, but the reader
+        # joins the ready ops only after the step
+        dfg = chain_dfg(3)
+        schedule = list_schedule_ops(dfg, lambda category: 0, {"add": 1})
+        assert schedule.start == {0: 0, 1: 1, 2: 2}
+        assert schedule.length == 2
 
 
 class TestAllocation:
