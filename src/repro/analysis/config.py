@@ -27,7 +27,7 @@ __all__ = [
 #: cache and the shard planner.  Matched by bare function name; stage
 #: ``run`` bodies are discovered structurally from ``Stage(...)`` calls.
 FINGERPRINT_SEED_NAMES = frozenset({
-    "fingerprint", "fingerprint_of", "content_hash",
+    "fingerprint", "fingerprint_of", "derived_fingerprint", "content_hash",
 })
 
 #: Modules whose call results vary across runs/processes.  Any

@@ -34,11 +34,10 @@ class Arbiter:
     def fingerprint(self) -> str:
         """Content hash of the arbitration contract (policy + masters).
 
-        Arbiters are pipeline artifacts (the controllers stage emits
-        one), so they need a stable content fingerprint: the grant
-        policy and the master list fully determine the exported FSM and
-        therefore the codegen stage's input signature -- across
-        processes and store round-trips.  Scheduling state (the
+        The grant policy and the master list fully determine the
+        exported FSM, so this is the arbiter's structural content for
+        :func:`repro.flow.pipeline.fingerprint_of` -- the same before
+        and after a store round-trip.  Scheduling state (the
         round-robin pointer) is deliberately excluded: it is simulation
         progress, not content.
         """

@@ -1,9 +1,10 @@
 """Shared content-hash helper behind every ``fingerprint()`` hook.
 
-Task graphs, partitions, schedules, STGs, architectures and
-partitioners all expose a ``fingerprint()`` used by the flow pipeline
-(:mod:`repro.flow.pipeline`) as cache keys.  They all reduce their
-content to a canonical payload and hash it here, so the digest choice
+Task graphs, partitions, schedules, STGs, system controllers,
+architectures and partitioners expose a ``fingerprint()`` that the flow
+pipeline (:mod:`repro.flow.pipeline`) uses to name its content-addressed
+artifacts; its input-addressed output names are hashed here too.  Every
+caller reduces its content to a canonical payload, so the digest choice
 and truncation width live in exactly one place.
 """
 

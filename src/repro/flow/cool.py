@@ -17,11 +17,16 @@ codegen         graph, partition, schedule, plan, ctrls, hls    vhdl_files, c_fi
 cosim           graph, partition, schedule, plan, ctrl, stimuli sim_result
 =============== =============================================== ==========================
 
-Every artifact is content-fingerprinted, so a stage re-runs only when an
-input actually changed.  The HLS area-repair loop exploits this: it
-iterates *partitioning -> hls* alone, and STG construction /
-communication refinement run exactly once on the converged schedule
-instead of being rebuilt for every discarded intermediate partition
+Only the roots, the partitioning outputs, the minimized STG and the
+system controller are content-hashed; every other artifact is named by
+its stage's inputs, so a stage re-runs only when an input changed and
+no HLS, code or simulation artifact is walked.  Deadlines or
+partitioners that reach one partition thus share every later stage on
+a shared cache, and partitions that give one STG share ``verify``.
+The HLS area-repair loop iterates *partitioning -> hls* alone, and STG
+construction / communication refinement run exactly once on the
+converged schedule instead of being rebuilt for every discarded
+intermediate partition
 (``FlowResult.stage_runs`` makes this observable).  A per-flow
 :class:`~repro.flow.pipeline.StageCache` additionally reuses stage
 outputs across ``run`` calls, so re-running an unchanged (graph,
@@ -325,9 +330,11 @@ def build_flow_stages() -> list[Stage]:
         Stage("partitioning",
               ("validated", "graph", "arch", "deadline", "partitioner"),
               ("partition_result", "partition", "schedule"),
-              _stage_partition),
+              _stage_partition,
+              content_addressed=("partition_result", "partition",
+                                 "schedule")),
         Stage("stg", ("schedule",), ("stg_full", "stg", "minimization"),
-              _stage_stg),
+              _stage_stg, content_addressed=("stg",)),
         Stage("communication", ("schedule", "arch", "comm_options"),
               ("plan",), _stage_communication),
         Stage("hls", ("graph", "partition", "arch"), ("hls_results",),
@@ -336,7 +343,7 @@ def build_flow_stages() -> list[Stage]:
               ("graph", "stg", "partition", "hls_results", "arch"),
               ("controller", "io_controller", "datapath_controllers",
                "arbiter"),
-              _stage_controllers),
+              _stage_controllers, content_addressed=("controller",)),
         Stage("verify", ("stg", "controller", "graph"),
               ("composition_check",), _stage_verify),
         Stage("codegen",

@@ -6,16 +6,21 @@ gives that structure a first-class runtime:
 
 * :class:`Stage` -- one pipeline step with *declared* input and output
   artifact keys and a pure ``run(ctx)`` body;
-* :class:`FlowContext` -- a typed artifact store that records a content
-  fingerprint for every artifact at insertion time (``TaskGraph``,
-  ``Partition``, ``Schedule``, ``Stg`` and ``TargetArchitecture`` all
-  provide stable ``fingerprint()`` hooks);
+* :class:`FlowContext` -- a typed artifact store that records a
+  fingerprint (the artifact's name) for every artifact;
 * :class:`PipelineExecutor` -- a demand-driven executor: requesting a
-  set of output keys runs exactly the stages whose fingerprinted inputs
+  set of output keys runs exactly the stages whose input fingerprints
   changed since they last ran, skipping everything that is still fresh;
 * :class:`StageCache` -- an optional cross-run memo of stage outputs
   keyed by ``(stage name, input fingerprints)`` so re-running the flow
   on an unchanged (graph, architecture) pair costs a dictionary lookup.
+
+A driver's ``put`` (the flow's roots) content-hashes the value.  The
+outputs of a stage run are *input-addressed*: named by
+:func:`derived_fingerprint` of the stage, the key and the input
+signature, which is sound because stage bodies are pure, and never
+walked.  A stage's ``content_addressed`` outputs and the outputs of
+:meth:`PipelineExecutor.refine` are content-hashed instead.
 
 The executor accepts any :class:`~repro.store.tiered.CacheTier`, not
 just a :class:`StageCache`: the in-memory cache is the L1 tier of the
@@ -25,8 +30,8 @@ survive the process (see :mod:`repro.store`).
 
 Artifacts are treated as immutable once stored: a stage must never
 mutate an input in place, it returns fresh outputs instead.  The
-executor relies on that contract -- fingerprints are computed once at
-``put`` time and cached stage outputs are shared by reference.
+executor relies on that contract -- fingerprints are fixed when an
+artifact is installed and cached stage outputs are shared by reference.
 """
 
 from __future__ import annotations
@@ -44,7 +49,7 @@ from ..obs import Counter
 from ..obs import span as obs_span
 from ..store.tiered import CacheTier
 
-__all__ = ["PipelineError", "fingerprint_of", "Stage",
+__all__ = ["PipelineError", "fingerprint_of", "derived_fingerprint", "Stage",
            "FlowContext", "StageCache", "CacheTier", "PipelineExecutor"]
 
 
@@ -70,6 +75,13 @@ def fingerprint_of(value: Any) -> str:
     if callable(hook):
         return hook()
     return content_hash(_canonical(value))
+
+
+def derived_fingerprint(stage: str, key: str,
+                        signature: tuple[str, ...]) -> str:
+    """Name of output ``key`` of ``stage`` run on inputs whose
+    fingerprints are ``signature`` (pure stages: ``PUR4xx``, ``DET102``)."""
+    return content_hash(("derived", stage, key, signature))
 
 
 def _canonical(value: Any) -> str:
@@ -134,11 +146,11 @@ def _identity_token(value: Any) -> int:
 # artifacts
 # ----------------------------------------------------------------------
 class FlowContext:
-    """Typed artifact store with content fingerprints.
+    """Typed artifact store with fingerprints.
 
     Keys are artifact names (``"graph"``, ``"schedule"``, ...); the
-    fingerprint of each artifact is computed once when it is stored and
-    is what the executor compares to decide whether a stage must re-run.
+    fingerprint of each artifact is fixed when it is stored and is what
+    the executor compares to decide whether a stage must re-run.
     """
 
     def __init__(self, **artifacts: Any) -> None:
@@ -154,7 +166,7 @@ class FlowContext:
 
     def put_fingerprinted(self, key: str, value: Any,
                           fingerprint: str) -> None:
-        """Store an artifact whose fingerprint is already known (cache)."""
+        """Store an artifact whose fingerprint is already known."""
         self._values[key] = value
         self._fingerprints[key] = fingerprint
 
@@ -187,16 +199,23 @@ class Stage:
     ``run(ctx)`` must be pure with respect to the declared ``inputs``:
     it reads them from the context and returns a mapping containing at
     least every declared output key.  Undeclared reads break caching.
+    The outputs listed in ``content_addressed`` are content-hashed
+    instead of named by :func:`derived_fingerprint`, so the stages that
+    read them are shared by runs whose different inputs give equal ones.
     """
 
     name: str
     inputs: tuple[str, ...]
     outputs: tuple[str, ...]
     run: Callable[[FlowContext], Mapping[str, Any]]
+    content_addressed: tuple[str, ...] = ()
 
     def __post_init__(self) -> None:
         if not self.outputs:
             raise PipelineError(f"stage {self.name!r} declares no outputs")
+        if not set(self.content_addressed) <= set(self.outputs):
+            raise PipelineError(f"stage {self.name!r} content-addresses "
+                                f"undeclared outputs")
 
 
 class StageCache:
@@ -337,8 +356,8 @@ class PipelineExecutor:
     ``stage_seconds`` adds up the durations of each stage's ``stage``
     spans (:func:`repro.obs.span`), so the seconds reported here are
     exactly the stage times a trace of the run shows.  A run span
-    covers the stage body, fingerprinting its outputs and the cache
-    write; a hit span covers installing the cached outputs.
+    covers the stage body, naming its outputs and the cache write; a
+    hit span covers installing the cached outputs.
 
     ``cache`` may be any :class:`~repro.store.tiered.CacheTier`: a bare
     :class:`StageCache` (memory only) or a
@@ -394,10 +413,12 @@ class PipelineExecutor:
         HLS area-repair loop re-maps the partitioning results).  The
         refinement is timed like a run of the stage: one ``stage`` span
         (``cache="refine"``) whose duration is charged to the stage.
+        ``body`` is not the stage's own function, so its outputs are
+        content-hashed.
         """
         stage = self._stage(stage_name)
         with obs_span(stage.name, kind="stage", cache="refine") as timed:
-            self._install(ctx, stage, body(ctx))
+            self._install(ctx, stage, body(ctx), None)
         self._charge(stage.name, timed.duration)
 
     def commit_outputs(self, ctx: FlowContext, stage_name: str) -> None:
@@ -432,13 +453,20 @@ class PipelineExecutor:
 
     @staticmethod
     def _install(ctx: FlowContext, stage: Stage,
-                 produced: Mapping[str, Any]) -> None:
+                 produced: Mapping[str, Any],
+                 signature: tuple[str, ...] | None) -> None:
+        """Store ``produced``, named by ``signature`` unless that is None
+        (a refinement) or the output is ``content_addressed``."""
         missing = [k for k in stage.outputs if k not in produced]
         if missing:
             raise PipelineError(f"stage {stage.name!r} did not produce "
                                 f"declared outputs {missing}")
         for key in stage.outputs:
-            ctx.put(key, produced[key])
+            if signature is None or key in stage.content_addressed:
+                ctx.put(key, produced[key])
+            else:
+                ctx.put_fingerprinted(key, produced[key], derived_fingerprint(
+                    stage.name, key, signature))
 
     def _publish(self, ctx: FlowContext, stage: Stage,
                  signature: tuple[str, ...]) -> None:
@@ -459,7 +487,7 @@ class PipelineExecutor:
         with obs_span(stage.name, kind="stage",
                       cache="miss" if cached is None else "hit") as timed:
             if cached is None:
-                self._install(ctx, stage, stage.run(ctx))
+                self._install(ctx, stage, stage.run(ctx), signature)
                 self.stage_runs[stage.name] += 1
                 self._publish(ctx, stage, signature)
             else:

@@ -17,7 +17,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from ..fingerprint import content_hash
 from ..graph.partition import Partition
 from ..graph.taskgraph import TaskGraph, TaskNode
 from ..platform.fpgas import Fpga
@@ -88,20 +87,6 @@ class SharedDatapathResult:
     def total_area_clbs(self) -> int:
         return self.datapath_area_clbs + self.controller_area_clbs
 
-    def fingerprint(self) -> str:
-        """Content hash over every field of the result and of each
-        per-node :class:`HlsResult`.
-
-        The flow pipeline fingerprints the ``hls_results`` artifact
-        through this hook instead of walking the results structurally.
-        """
-        return content_hash((
-            self.resource,
-            tuple((name, _hls_payload(r))
-                  for name, r in sorted(self.node_results.items())),
-            _rtl_payload(self.shared_rtl),
-            self.datapath_area_clbs, self.controller_area_clbs))
-
     @property
     def latencies(self) -> dict[str, int]:
         """Per-node execution latency in FPGA cycles (for the DPC)."""
@@ -118,35 +103,6 @@ class SharedDatapathResult:
             "shared_fus": self.shared_rtl.fu_counts
             if self.shared_rtl else {},
         }
-
-
-def _dfg_payload(dfg: Dfg) -> tuple:
-    return (dfg.name, tuple((uid, op.category, op.inputs)
-                            for uid, op in sorted(dfg.ops.items())))
-
-
-def _rtl_payload(rtl: RtlDatapath | None) -> tuple | None:
-    if rtl is None:
-        return None
-    return (rtl.name, rtl.width,
-            tuple((fu.name, fu.category, fu.width, fu.input_sources)
-                  for fu in rtl.fus),
-            rtl.register_count, rtl.latency_cycles,
-            tuple((step, tuple(entries))
-                  for step, entries in sorted(rtl.micro_schedule.items())))
-
-
-def _hls_payload(result: HlsResult) -> tuple:
-    schedule = result.schedule
-    # the schedule's DFG is the result's own on every synthesized result
-    schedule_dfg = None if schedule.dfg is result.dfg \
-        else _dfg_payload(schedule.dfg)
-    return (result.node, _dfg_payload(result.dfg),
-            schedule_dfg, tuple(sorted(schedule.start.items())),
-            tuple(sorted(schedule.latency_of.items())),
-            tuple(sorted(result.binding.fu_of.items())),
-            tuple(sorted(result.binding.register_of.items())),
-            _rtl_payload(result.rtl), result.area_clbs)
 
 
 def synthesize_resource(graph: TaskGraph, partition: Partition,

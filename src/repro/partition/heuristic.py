@@ -110,13 +110,15 @@ class GreedyPartitioner(Partitioner):
                     ratio = gain / max(model.area(v, f), 1)
                     if gain > 0 and ratio > best_ratio:
                         best_move, best_ratio = (v, f), ratio
+                        best_trial = (trial_schedule, trial_report)
             if best_move is None:
                 break
+            # the winning trial is the accepted mapping, in the same
+            # dict order, so its schedule and report are reused as is
             v, f = best_move
             mapping[v] = f
             area_left[f] -= model.area(v, f)
-            _, schedule, report = evaluate_mapping(problem, mapping)
-            self._stats["evaluations"] += 1
+            schedule, report = best_trial
             best_makespan = schedule.makespan
             self._stats["moves"] += 1
 

@@ -7,7 +7,7 @@ The pipeline executor speaks the small ``CacheTier`` surface
 tiers that make stage outputs survive the process:
 
 * :class:`PersistentCache` -- the L2: serializes each stage's output
-  mapping (values *with* their content fingerprints) and publishes it to
+  mapping (values *with* their fingerprints) and publishes it to
   an :class:`~repro.store.disk.ArtifactStore` under a key derived from
   ``(stage name, input-fingerprint signature, cache schema version)``.
   Because the stored entry carries the fingerprints that were computed
@@ -49,8 +49,11 @@ __all__ = ["CacheTier", "PersistentCache", "TieredCache",
 #: ``hls_results`` artifact is fingerprinted through
 #: ``SharedDatapathResult.fingerprint()`` instead of structurally.
 #: Version 5: ``CompositionCheck.pairs_checked`` counts the all-visible
-#: pass (plus the per-class fixpoints only when it fails).
-PIPELINE_CACHE_SCHEMA = 5
+#: pass (plus the per-class fixpoints only when it fails).  Version 6:
+#: stage outputs other than the partitioning results, the minimized STG
+#: and the system controller are named by their stage's input
+#: fingerprints (``derived_fingerprint``), not by their content.
+PIPELINE_CACHE_SCHEMA = 6
 
 #: Highest pickle protocol guaranteed on every supported interpreter;
 #: pinned so records written by different Python patch versions stay

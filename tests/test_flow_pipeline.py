@@ -1,12 +1,16 @@
 """Tests for the stage-graph pipeline engine and the incremental flow."""
 
+import os
+import subprocess
+import sys
 from types import SimpleNamespace
 
 import pytest
 
 from repro.apps import four_band_equalizer
 from repro.flow import (CoolFlow, FlowContext, PipelineError,
-                        PipelineExecutor, Stage, StageCache, fingerprint_of,
+                        PipelineExecutor, Stage, StageCache,
+                        build_flow_stages, fingerprint_of,
                         select_eviction_victim)
 from repro.graph import TaskGraph, execute
 from repro.obs import Tracer, activate
@@ -62,6 +66,111 @@ class TestFingerprints:
         assert fingerprint_of((1, "a")) == fingerprint_of((1, "a"))
         assert fingerprint_of({"k": [1, 2]}) == fingerprint_of({"k": [1, 2]})
         assert fingerprint_of(1) != fingerprint_of(2)
+
+
+def flow_names(**roots):
+    """The context of one executor run of the flow and the fingerprint
+    of every artifact in it.
+
+    ``roots`` override the flow's default roots (the equalizer on the
+    minimal board, greedy partitioning, cosim stimuli).
+    """
+    roots = {"graph": four_band_equalizer(words=8), "arch": minimal_board(),
+             "deadline": None, "partitioner": GreedyPartitioner(),
+             "comm_options": (True, True), "stimuli": {"x": [5] * 8},
+             **roots}
+    stages = build_flow_stages()
+    ctx = FlowContext(**roots)
+    PipelineExecutor(stages).request(
+        ctx, [key for stage in stages for key in stage.outputs])
+    return ctx, {key: ctx.fingerprint(key) for key in ctx.keys()}
+
+
+class TestOutputNames:
+    """Stage outputs are named by their stage's inputs (input-addressed).
+
+    Only the roots and the ``content_addressed`` outputs (partitioning,
+    the minimized STG, the system controller) are content-hashed; every
+    other name must change with every declared input of its stage and
+    nothing else.
+    """
+
+    def test_every_declared_input_renames_every_output(self):
+        stages = build_flow_stages()
+        ctx, _ = flow_names()
+        executor = PipelineExecutor(stages)
+        executor.request(ctx, [k for stage in stages for k in stage.outputs])
+        checked = 0
+        for stage in stages:
+            named = [k for k in stage.outputs
+                     if k not in stage.content_addressed]
+            if not named:
+                continue
+            names = {k: ctx.fingerprint(k) for k in stage.outputs}
+            for key in stage.inputs:
+                value, name = ctx.get(key), ctx.fingerprint(key)
+                # same value under another name: the stage must re-run
+                # and rename every input-addressed output, whatever the
+                # value, while content-addressed ones keep their hash
+                ctx.put_fingerprinted(key, value, name + "'")
+                executor.request(ctx, stage.outputs)
+                for output in stage.outputs:
+                    renamed = ctx.fingerprint(output) != names[output]
+                    assert renamed == (output in named), \
+                        (stage.name, key, output)
+                ctx.put_fingerprinted(key, value, name)
+                executor.request(ctx, stage.outputs)
+                assert {k: ctx.fingerprint(k)
+                        for k in stage.outputs} == names
+                checked += 1
+        assert checked == sum(len(stage.inputs) for stage in stages
+                              if stage.name != "partitioning") > 30
+
+    def test_the_content_addressed_outputs(self):
+        assert {stage.name: stage.content_addressed
+                for stage in build_flow_stages()
+                if stage.content_addressed} == {
+            "partitioning": ("partition_result", "partition", "schedule"),
+            "stg": ("stg",), "controllers": ("controller",)}
+        with pytest.raises(PipelineError, match="undeclared outputs"):
+            Stage("s", ("x",), ("y",), lambda ctx: {"y": 1},
+                  content_addressed=("z",))
+
+    def test_changed_roots_rename_exactly_the_stages_that_read_them(self):
+        _, base = flow_names()
+        _, stimuli = flow_names(stimuli={"x": [7] * 8})
+        assert {k for k in base if base[k] != stimuli[k]} == \
+            {"stimuli", "sim_result"}
+        _, comm = flow_names(comm_options=(False, True))
+        assert {k for k in base if base[k] != comm[k]} == \
+            {"comm_options", "plan", "vhdl_files", "c_files", "netlist",
+             "guard_report", "sim_result"}
+        _, board = flow_names(arch=cool_board())
+        assert {k for k in base if base[k] == board[k]} == \
+            {"graph", "deadline", "partitioner", "comm_options", "stimuli",
+             "validated"}
+
+    def test_equal_inputs_give_equal_names(self):
+        first_ctx, first = flow_names()
+        second_ctx, second = flow_names()
+        assert first == second
+        assert first_ctx.get("hls_results") is not \
+            second_ctx.get("hls_results")
+        assert len(set(first.values())) == len(first)
+
+    def test_names_are_stable_across_hash_seeds(self):
+        script = ("import sys; sys.path[:0] = sys.argv[1:]\n"
+                  "from test_flow_pipeline import flow_names\n"
+                  "print(sorted(flow_names()[1].items()))")
+        here = os.path.dirname(os.path.abspath(__file__))
+        src = os.path.join(os.path.dirname(here), "src")
+        expected = sorted(flow_names()[1].items())
+        for seed in ("0", "1", "12345"):
+            env = dict(os.environ, PYTHONHASHSEED=seed)
+            printed = subprocess.run(
+                [sys.executable, "-c", script, here, src], env=env,
+                capture_output=True, text=True, check=True).stdout
+            assert printed == f"{expected}\n", seed
 
 
 def _counting_stages(counter):
@@ -427,6 +536,68 @@ class TestIncrementalReexecution:
         assert result.stage_runs["stg"] == 1
         assert result.stage_runs["communication"] == 1
         assert result.stage_runs["codegen"] == 1
+
+    def test_deadline_sweep_shares_downstream_stages(self):
+        # partitioning outputs are content-hashed, so deadlines that
+        # reach the same partition share every later stage on a shared
+        # cache; input-addressed partitions would re-run them per deadline
+        graph = four_band_equalizer(words=8)
+        stimuli = {"x": [10, 20, 30, 40, 0, 0, 0, 0]}
+        free = CoolFlow(minimal_board(),
+                        partitioner=GreedyPartitioner()).run(graph)
+        deadlines = [None, free.makespan, free.makespan * 5 // 4,
+                     free.makespan * 2, free.makespan * 3]
+        cache = StageCache()
+        runs: dict[str, int] = {}
+        partitions = set()
+        for deadline in deadlines:
+            shared = CoolFlow(minimal_board(),
+                              partitioner=GreedyPartitioner(),
+                              stage_cache=cache).run(
+                graph, stimuli=stimuli, deadline=deadline)
+            fresh = CoolFlow(minimal_board(),
+                             partitioner=GreedyPartitioner()).run(
+                graph, stimuli=stimuli, deadline=deadline)
+            assert shared.partition_result.partition.mapping == \
+                fresh.partition_result.partition.mapping
+            assert shared.partition_result.feasibility == \
+                fresh.partition_result.feasibility
+            assert shared.vhdl_files == fresh.vhdl_files
+            assert shared.c_files == fresh.c_files
+            assert shared.clbs_per_fpga == fresh.clbs_per_fpga
+            assert shared.plan.stats() == fresh.plan.stats()
+            assert shared.guard_report == fresh.guard_report
+            assert shared.composition_check == fresh.composition_check
+            assert shared.sim_result.outputs == fresh.sim_result.outputs
+            assert shared.sim_result.cycles == fresh.sim_result.cycles
+            partitions.add(shared.partition_result.partition.fingerprint())
+            for stage, count in shared.stage_runs.items():
+                runs[stage] = runs.get(stage, 0) + count
+        assert 2 <= len(partitions) < len(deadlines)
+        assert runs["validate"] == 1
+        assert runs["partitioning"] == len(deadlines)
+        for stage in ("stg", "communication", "hls", "controllers",
+                      "verify", "codegen", "cosim"):
+            assert runs[stage] == len(partitions), stage
+
+    def test_boards_with_one_stg_share_verify(self):
+        # the minimized STG and the system controller are content-hashed:
+        # an all-software mapping on two boards is two schedules but one
+        # STG, so the second board re-runs stg and controllers but not
+        # the composition proof
+        graph = four_band_equalizer(words=8)
+        cache = StageCache()
+        CoolFlow(minimal_board(), partitioner=GreedyPartitioner(),
+                 stage_cache=cache).run(graph, deadline=100_000)
+        shared = CoolFlow(cool_board(), partitioner=GreedyPartitioner(),
+                          stage_cache=cache).run(graph, deadline=100_000)
+        fresh = CoolFlow(cool_board(), partitioner=GreedyPartitioner()).run(
+            graph, deadline=100_000)
+        assert shared.stage_runs["stg"] == 1
+        assert shared.stage_runs["controllers"] == 1
+        assert shared.stage_runs["verify"] == 0
+        assert shared.composition_check == fresh.composition_check
+        assert shared.vhdl_files == fresh.vhdl_files
 
     def test_second_run_after_area_repair_skips_eviction_search(self):
         graph = four_band_equalizer(words=8)

@@ -4,8 +4,9 @@ The contract under test: with a ``store_path``, flow results are
 bit-identical to a storeless run, a *fresh process* (modelled here as a
 fresh flow over a fresh L1) is served from the store without re-running
 any stage, and every artifact type the flow caches round-trips through
-the store to an identical content fingerprint -- which is what makes
-downstream stage signatures match across restarts.
+the store under the fingerprint it was stored with, still naming the
+revived value -- which is what makes downstream stage signatures match
+across restarts.
 """
 
 import pickle
@@ -15,8 +16,9 @@ import pytest
 from repro.apps import four_band_equalizer
 from repro.flow import (ArtifactStore, BatchRunner, CoolFlow,
                         ExplorationResult, FlowJob, PersistentCache,
-                        StageCache, TieredCache)
-from repro.flow.pipeline import CacheTier, fingerprint_of
+                        StageCache, TieredCache, build_flow_stages)
+from repro.flow.pipeline import (CacheTier, _canonical, derived_fingerprint,
+                                 fingerprint_of)
 from repro.partition import GreedyPartitioner
 from repro.platform import minimal_board
 from repro.store import PIPELINE_CACHE_SCHEMA, cache_key
@@ -220,26 +222,53 @@ class TestStoreBackedFlow:
 
     def test_every_cached_artifact_round_trips_to_its_fingerprint(
             self, tmp_path):
-        # the acceptance property: for every artifact type the flow
-        # caches, deserialize(serialize(value)) fingerprints identically
-        # -- otherwise downstream signatures diverge across restarts
+        # the acceptance property: every artifact the flow caches comes
+        # back from the store under the fingerprint it was stored with,
+        # and that fingerprint is still the right name for the revived
+        # value -- otherwise downstream signatures diverge across
+        # restarts.  Content-addressed outputs must re-hash to it;
+        # input-addressed ones must carry the name derived from the
+        # signature they were stored under and revive with the content
+        # the flow produced.
+        written = {}
+
+        class Recording(PersistentCache):
+            def put(self, stage, signature, outputs):
+                written[cache_key(stage, signature, self.schema)] = \
+                    (signature, outputs)
+                super().put(stage, signature, outputs)
+
         store = ArtifactStore(tmp_path / "store")
-        _run(_flow(store.root))
-        checked = set()
+        _run(_flow(stage_cache=TieredCache(StageCache(), Recording(store))))
+        content_addressed = {(stage.name, key)
+                             for stage in build_flow_stages()
+                             for key in stage.content_addressed}
+        checked = {True: set(), False: set()}
         for store_key in store.keys():
             record = store.get(store_key)
+            stage = record.meta["stage"]
+            signature, produced = written[record.key]
             rows = pickle.loads(record.payload)
             assert rows, f"record {record.meta} stored no outputs"
-            for artifact, value, fingerprint in rows:
-                revived = pickle.loads(pickle.dumps(value))
-                assert fingerprint_of(revived) == fingerprint, \
-                    f"artifact {artifact!r} of stage " \
-                    f"{record.meta['stage']!r} drifts across the store"
-                checked.add(artifact)
+            for artifact, revived, fingerprint in rows:
+                original, produced_fingerprint = produced[artifact]
+                where = f"artifact {artifact!r} of stage {stage!r}"
+                assert fingerprint == produced_fingerprint, where
+                if (stage, artifact) in content_addressed:
+                    assert fingerprint_of(revived) == fingerprint, \
+                        f"{where} drifts across the store"
+                else:
+                    assert fingerprint == derived_fingerprint(
+                        stage, artifact, signature), where
+                    assert _canonical(revived) == _canonical(original), \
+                        f"{where} revives with different content"
+                checked[(stage, artifact) in content_addressed].add(artifact)
         # the sweep must have exercised the full artifact surface,
         # including the arbiter (whose fingerprint once drifted)
-        assert {"arbiter", "plan", "stg", "hls_results", "vhdl_files",
-                "sim_result", "partition_result"} <= checked
+        assert {"arbiter", "plan", "stg_full", "hls_results", "vhdl_files",
+                "sim_result"} <= checked[False]
+        assert {"partition_result", "partition", "schedule", "stg",
+                "controller"} <= checked[True]
 
 
 class TestStoreBackedBatch:

@@ -18,7 +18,10 @@ schedule reads tables the first one built.
 ``test_greedy_partitions_are_pinned`` pins the sha256 of every
 :class:`repro.partition.GreedyPartitioner` result on the 20-design test
 suite: the greedy partitioner prices each move on the list schedule, so
-any change in the schedule shows up in its choices.  The example budget
+any change in the schedule shows up in its choices.
+``test_greedy_reuses_the_winning_trial`` checks the partitioner against
+``parent_greedy_solve``, a verbatim copy of the loop that re-scheduled
+each accepted mapping, on the 52-design sweep.  The example budget
 follows the active hypothesis profile (``tests/conftest.py``).
 """
 
@@ -31,7 +34,9 @@ from hypothesis import strategies as st
 from repro.estimate.model import CostModel
 from repro.graph import from_mapping
 from repro.graph.partition import Partition
-from repro.partition import GreedyPartitioner, PartitioningProblem
+from repro.partition import (GreedyPartitioner, PartitioningProblem,
+                             evaluate_mapping)
+from repro.partition.heuristic import _best_processor
 from repro.platform import cool_board, minimal_board, multi_board
 from repro.schedule import list_schedule
 from repro.schedule.asap_alap import _edge_delay, _latency
@@ -247,7 +252,91 @@ def test_greedy_partitions_are_pinned():
         problem = PartitioningProblem(spec.build(), minimal_board())
         partitioner = GreedyPartitioner()
         result = partitioner.partition(problem)
+        stats = partitioner.stats()
+        # the pin predates reusing the winning trial, which saved one
+        # evaluation per accepted move
+        stats["evaluations"] += stats["moves"]
         digest.update(repr((sorted(result.partition.mapping.items()),
                             result.schedule.fingerprint(),
-                            sorted(partitioner.stats().items()))).encode())
+                            sorted(stats.items()))).encode())
     assert digest.hexdigest() == GREEDY_SUITE_SHA256
+
+
+def parent_greedy_solve(problem, max_moves=None, candidates_per_round=8):
+    """``GreedyPartitioner.solve`` before it reused the winning trial,
+    verbatim; returns the mapping and the stats."""
+    model = problem.model
+    arch = problem.arch
+    home = _best_processor(problem)
+    internal = [n.name for n in problem.graph.internal_nodes()]
+    mapping = {v: home for v in internal}
+    hw_names = list(arch.fpga_names)
+    stats = {"moves": 0, "evaluations": 0}
+    if not hw_names:
+        return mapping, stats
+
+    _, schedule, report = evaluate_mapping(problem, mapping)
+    stats["evaluations"] += 1
+    best_makespan = schedule.makespan
+    area_left = {f.name: f.clb_capacity for f in arch.fpgas}
+    max_moves = max_moves if max_moves is not None else len(internal)
+
+    while stats["moves"] < max_moves:
+        if problem.deadline is not None \
+                and best_makespan <= problem.deadline \
+                and report.feasible:
+            break  # min_area mode: deadline met, stop adding hardware
+        software = [v for v in internal if mapping[v] == home]
+        if not software:
+            break
+        candidates = sorted(
+            software, key=lambda v: -model.latency(v, home)
+        )[: candidates_per_round]
+
+        best_move, best_ratio = None, -1.0
+        for v in candidates:
+            for f in hw_names:
+                if model.area(v, f) > area_left[f]:
+                    continue
+                trial = dict(mapping)
+                trial[v] = f
+                _, trial_schedule, trial_report = \
+                    evaluate_mapping(problem, trial)
+                stats["evaluations"] += 1
+                if not trial_report.memory_ok:
+                    continue
+                gain = best_makespan - trial_schedule.makespan
+                ratio = gain / max(model.area(v, f), 1)
+                if gain > 0 and ratio > best_ratio:
+                    best_move, best_ratio = (v, f), ratio
+        if best_move is None:
+            break
+        v, f = best_move
+        mapping[v] = f
+        area_left[f] -= model.area(v, f)
+        _, schedule, report = evaluate_mapping(problem, mapping)
+        stats["evaluations"] += 1
+        best_makespan = schedule.makespan
+        stats["moves"] += 1
+
+    return mapping, stats
+
+
+def test_greedy_reuses_the_winning_trial():
+    """Every mapping of the 52-design sweep, with and without a deadline,
+    is the parent loop's; only the re-run evaluations are gone."""
+    moves = 0
+    for spec in workload_suite(52, seed=29):
+        graph = spec.build()
+        deadline = None
+        for _ in range(2):  # no deadline, then 1.25x the free makespan
+            problem = PartitioningProblem(graph, minimal_board(), deadline)
+            partitioner = GreedyPartitioner()
+            mapping = partitioner.solve(problem)
+            want, stats = parent_greedy_solve(problem)
+            assert list(mapping.items()) == list(want.items())
+            stats["evaluations"] -= stats["moves"]
+            assert partitioner.stats() == stats
+            moves += stats["moves"]
+            deadline = evaluate_mapping(problem, mapping)[1].makespan * 5 // 4
+    assert moves > 100

@@ -9,10 +9,17 @@ outcomes, points, Pareto front and ranking -- for every shard count
 ``k`` and for any order in which the shard outcomes arrive (a process
 pool delivers them in completion order, which is arbitrary).
 
+The shards write an artifact store as they run.  A warm restart of the
+serial backend over that store (a fresh L1, as a new process would
+have) must serve every stage lookup from it, re-run no stage and give
+the serial results bit for bit: serial = shard(k) = store-warm.
+
 Each example runs its suite through the flow twice, so the property
 takes a tenth of the active hypothesis profile's budget
 (``tests/conftest.py``: 10 examples under ``dev``, 60 under ``ci``).
 """
+
+import tempfile
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -40,11 +47,17 @@ def test_in_process_map_reduce_matches_serial(suite, board, shards, data):
     plan = ShardPlanner(shards).plan(
         [payload_of(job, index) for index, job in enumerate(jobs)])
     saved = shard_mod._WORKER_CACHE, shard_mod._WORKER_CACHE_FALLBACK
-    shard_mod._WORKER_CACHE = None   # a cold worker for every example
-    try:
-        outcomes = [run_shard(shard) for shard in plan]
-    finally:
-        shard_mod._WORKER_CACHE, shard_mod._WORKER_CACHE_FALLBACK = saved
+    with tempfile.TemporaryDirectory() as store:
+        # a cold worker over an empty store for every example
+        shard_mod._init_worker(shard_mod.DEFAULT_WORKER_CACHE_ENTRIES, store)
+        try:
+            outcomes = [run_shard(shard) for shard in plan]
+        finally:
+            shard_mod._WORKER_CACHE, shard_mod._WORKER_CACHE_FALLBACK = \
+                saved
+        restart = BatchRunner(store=store)
+        warm = restart.run(jobs)
+        warm_cache = restart.stage_cache.stats()
     arrival = data.draw(st.permutations(outcomes), label="arrival order")
     summaries, cache = reduce_shards(plan, arrival)
 
@@ -60,3 +73,18 @@ def test_in_process_map_reduce_matches_serial(suite, board, shards, data):
     assert sharded.points == serial.points
     assert sharded.pareto() == serial.pareto()
     assert sharded.ranked() == serial.ranked()
+
+    assert [(o.error, _point_from(o) if o.ok else None) for o in warm] == \
+        [(o.error, _point_from(o) if o.ok else None)
+         for o in serial.outcomes]
+    for restarted, fresh in zip(warm, serial.outcomes):
+        if not fresh.ok:
+            continue
+        assert sum(restarted.result.stage_runs.values()) == 0
+        assert restarted.result.vhdl_files == fresh.result.vhdl_files
+        assert restarted.result.c_files == fresh.result.c_files
+        assert restarted.result.composition_check == \
+            fresh.result.composition_check
+    if all(o.ok for o in serial.outcomes):
+        assert warm_cache["misses"] == 0
+        assert warm_cache["hit_rate"] == 1.0
