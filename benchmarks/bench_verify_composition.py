@@ -19,6 +19,12 @@ workload suite + two larger random graphs), plus -- at full suite size
   re-run the oracle compares against.
 * ``scale`` -- designs far beyond the oracle's reach, proved by the
   production path alone (tens of thousands of product states).
+* ``stretch`` -- only with ``--stretch``: the 1000-node scale design
+  (about 300 000 product states), proved under a tracer, with the
+  seconds of every ``verify*`` span and the process's peak RSS.  It
+  must prove within ``STRETCH_MAX_S`` seconds and
+  ``STRETCH_MAX_RSS_MB``; it takes tens of seconds, so neither the
+  default run nor CI includes it.
 
 The functional gates always apply: every suite design proved, the
 oracle agreeing on every one, every scale design proved.  At full
@@ -30,11 +36,18 @@ host drifts too far between runs to hold against a committed number.
 Runs under pytest-benchmark or standalone for CI smoke checks::
 
     PYTHONPATH=src python benchmarks/bench_verify_composition.py --graphs 8
+
+and with the stretch point on a small suite, without touching the
+committed JSON::
+
+    PYTHONPATH=src python benchmarks/bench_verify_composition.py \
+        --graphs 2 --stretch --no-write
 """
 
 import argparse
 import json
 import random
+import resource
 import sys
 import time
 from pathlib import Path
@@ -44,6 +57,7 @@ from repro.controllers import synthesize_system_controller, verify_composition
 from repro.controllers.verify import explicit_oracle
 from repro.estimate import CostModel
 from repro.graph import from_mapping
+from repro.obs import Tracer, activate
 from repro.platform import cool_board
 from repro.schedule import list_schedule
 from repro.stg import build_stg, minimize_stg
@@ -60,6 +74,10 @@ SUITE_SEED = 7
 LARGE_SCALE_SIZES = (200, 500)
 #: Per-design slow list depth persisted in the JSON.
 SLOWEST_KEPT = 5
+#: The opt-in stretch point (``--stretch``) and its bounds.
+STRETCH_SIZE = 1000
+STRETCH_MAX_S = 60.0
+STRETCH_MAX_RSS_MB = 2048.0
 
 
 def _scale_designs(sizes):
@@ -102,8 +120,31 @@ def _timed_checks(prepared, verify):
     return out
 
 
+def _stretch_point() -> dict:
+    """The traced proof of the ``STRETCH_SIZE``-node scale design."""
+    (graph, mini, controller), = _prepare(_scale_designs((STRETCH_SIZE,)))
+    with activate(Tracer()) as tracer:
+        started = time.perf_counter()
+        check = verify_composition(mini, controller, graph=graph)
+        seconds = time.perf_counter() - started
+    # ru_maxrss is in KiB on Linux: the process's peak, setup included
+    peak_kib = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+    return {
+        "name": graph.name,
+        "seconds": round(seconds, 6),
+        "peak_rss_mb": round(peak_kib / 1024, 1),
+        "tier": check.tier,
+        "equivalent": check.equivalent,
+        "product_states": check.product_states,
+        "pairs_checked": check.pairs_checked,
+        "spans": {span.name: round(span.duration, 6)
+                  for span in tracer.spans()
+                  if span.name.startswith("verify")},
+    }
+
+
 def measure(n_graphs: int = DEFAULT_GRAPHS, seed: int = SUITE_SEED,
-            scale_sizes: tuple = ()) -> dict:
+            scale_sizes: tuple = (), stretch: bool = False) -> dict:
     prepared = _prepare(_suite_designs(n_graphs, seed))
     scale_prepared = _prepare(_scale_designs(scale_sizes))
 
@@ -165,6 +206,7 @@ def measure(n_graphs: int = DEFAULT_GRAPHS, seed: int = SUITE_SEED,
                 (check.product_states for _, check, _ in scale_per_design
                  if check.equivalent), default=0),
         },
+        "stretch": _stretch_point() if stretch else None,
     }
 
 
@@ -189,6 +231,14 @@ def check(payload: dict, full: bool = True) -> None:
     if full:
         assert scale["largest_proved_states"] >= 50_000, \
             "the 500-node scale design is missing"
+    stretch = payload.get("stretch")
+    if stretch is not None:
+        assert stretch["tier"] == "symbolic" and stretch["equivalent"], \
+            f"stretch design {stretch['name']} not proved"
+        assert stretch["seconds"] <= STRETCH_MAX_S, \
+            f"stretch proof took {stretch['seconds']:.1f} s"
+        assert stretch["peak_rss_mb"] <= STRETCH_MAX_RSS_MB, \
+            f"stretch proof peaked at {stretch['peak_rss_mb']:.0f} MB"
 
 
 def report(payload: dict) -> str:
@@ -221,6 +271,15 @@ def report(payload: dict) -> str:
                      f"({entry['seconds']:.1f} s, "
                      f"{entry['product_states']} states, "
                      f"{entry['pairs_checked']} pairs)")
+    stretch = payload.get("stretch")
+    if stretch is not None:
+        lines.append(f"  stretch proof       : {stretch['name']} "
+                     f"({stretch['seconds']:.1f} s, "
+                     f"{stretch['peak_rss_mb']:.0f} MB peak, "
+                     f"{stretch['product_states']} states, "
+                     f"{stretch['pairs_checked']} pairs)")
+        for name, seconds in stretch["spans"].items():
+            lines.append(f"    {name:<24}: {seconds:.2f} s")
     return "\n".join(lines)
 
 
@@ -241,13 +300,17 @@ def main(argv=None) -> int:
     parser.add_argument("--no-scale", action="store_true",
                         help="skip the 200/500-node scale proofs even at "
                              "full suite size")
+    parser.add_argument("--stretch", action="store_true",
+                        help=f"also prove the {STRETCH_SIZE}-node scale "
+                             f"design, traced (tens of seconds)")
     parser.add_argument("--no-write", action="store_true",
                         help="skip writing BENCH_verify_composition.json "
                              "(CI smoke runs)")
     args = parser.parse_args(argv)
     full = args.graphs >= DEFAULT_GRAPHS
     scale_sizes = LARGE_SCALE_SIZES if full and not args.no_scale else ()
-    payload = measure(args.graphs, args.seed, scale_sizes=scale_sizes)
+    payload = measure(args.graphs, args.seed, scale_sizes=scale_sizes,
+                      stretch=args.stretch)
     check(payload, full=bool(scale_sizes))
     if not args.no_write:
         RESULTS_PATH.write_text(json.dumps(payload, indent=2) + "\n")

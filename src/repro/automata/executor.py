@@ -9,8 +9,10 @@ representation and the latching model:
   latched conditions hold, each structurally distinct transition fires
   at most once per activation.  This is the reference semantics of the
   STG (:class:`repro.stg.StgExecutor` is a name-level view of it).  Its
-  run state is one immutable triple, which is also the state key of
-  the verifier's STG step system.
+  run state is one immutable triple of ints, with one ``active`` bit
+  per state in name order, and it is also the state key of the
+  verifier's STG step system; its step is a pure function of that key
+  and emits action names.
 * :class:`SequentialRunner` -- prioritized Mealy semantics for
   controller FSMs: per clock edge the highest-priority enabled
   transition of the *single* current state fires; outputs are the
@@ -18,7 +20,10 @@ representation and the latching model:
   ``Fsm.step`` / ``Fsm.simulate`` and every FSM inside the synchronous
   composition (:mod:`repro.automata.product`) run on it.
 
-Both operate purely on symbol IDs; views translate names at the edges.
+Both work on symbol IDs; views translate names at the edges.  The
+token executor's pure step takes a latch mask and emits the action
+names it precomputed per transition, so the verifier steps it with no
+translation per row.
 """
 
 from __future__ import annotations
@@ -30,15 +35,16 @@ from .core import Automaton, AutomataError
 __all__ = ["TokenExecutor", "SequentialRunner"]
 
 
-def _completion_mask(bits: list[int]) -> int | None:
+def _completion_mask(bits: list[int]) -> int:
     """The fired bits that complete a state's in- or out-transitions.
 
     Activation and deactivation count one firing per *transition*, but
     a structural key fires once: a state with two transitions of one
-    key never completes (None).
+    key never completes, which the mask -1 encodes (no set of fired
+    bits contains it).
     """
     distinct = set(bits)
-    return sum(distinct) if len(distinct) == len(bits) else None
+    return sum(distinct) if len(distinct) == len(bits) else -1
 
 
 class TokenExecutor:
@@ -51,17 +57,24 @@ class TokenExecutor:
     unguarded chain collapses into one step, matching a controller that
     walks action states faster than the units it observes.
 
-    The run state is the immutable triple ``(latched, active, fired)``:
-    an int with one bit per latched signal ID, a frozenset of active
-    state indices, and an int with one bit per structural transition
-    ``(src, dst, actions)`` that fired in this activation.  It is exactly what determines
-    future behaviour, so two configurations reached along different
-    paths are equal and the triple serves reachability explorers as a
-    state identity.
+    The run state is the immutable triple of ints ``(latched, active,
+    fired)``: one bit per latched signal ID, one bit per active state
+    and one bit per structural transition ``(src, dst, actions)`` that
+    fired in this activation.  A state's ``active`` bit is its position
+    in name order, so ascending bit order is the order in which active
+    states fire.  The triple is exactly what determines future
+    behaviour, so two configurations reached along different paths are
+    equal and the triple serves reachability explorers as a state
+    identity.
+
+    :meth:`fire` is the step as a pure function of the run state; it
+    emits action *names*.  :meth:`step`, :meth:`snapshot`,
+    :meth:`restore` and :meth:`reset` are the symbol-ID view over one
+    live run state.
     """
 
-    __slots__ = ("automaton", "final", "_state", "_initial", "_out",
-                 "_out_masks", "_in_masks")
+    __slots__ = ("automaton", "initial", "_state", "_rows", "_final_mask",
+                 "_action_id")
 
     def __init__(self, automaton: Automaton,
                  final: Iterable[int] = ()) -> None:
@@ -69,41 +82,100 @@ class TokenExecutor:
             raise AutomataError(
                 f"automaton {automaton.name!r} has no initial state")
         self.automaton = automaton
-        self.final = frozenset(final)
+        n = len(automaton)
+        by_name = sorted(range(n), key=automaton.name_of)
+        bit_of = [0] * n
+        for position, state in enumerate(by_name):
+            bit_of[state] = 1 << position
         key_bits: dict[tuple, int] = {}
-        out_bits: list[list[int]] = [[] for _ in range(len(automaton))]
-        in_bits: list[list[int]] = [[] for _ in range(len(automaton))]
-        #: per state: ``(key bit, condition bits, actions, dst)`` in
-        #: priority order
-        self._out = []
-        for state in range(len(automaton)):
-            row = []
+        out_bits: list[list[int]] = [[] for _ in range(n)]
+        in_bits: list[list[int]] = [[] for _ in range(n)]
+        for state in range(n):
             for t in automaton.out(state):
                 bit = key_bits.setdefault((t.src, t.dst, t.actions),
                                           1 << len(key_bits))
                 out_bits[t.src].append(bit)
                 in_bits[t.dst].append(bit)
-                row.append((bit, sum(1 << c for c in set(t.conditions)),
-                            t.actions, t.dst))
-            self._out.append(tuple(row))
-        self._out_masks = [_completion_mask(bits) for bits in out_bits]
-        self._in_masks = [_completion_mask(bits) for bits in in_bits]
-        self._initial = (0, frozenset((automaton.initial,)), 0)
+        out_masks = [_completion_mask(bits) for bits in out_bits]
+        in_masks = [_completion_mask(bits) for bits in in_bits]
+        names_of = automaton.symbols.names_of
+        #: per state, in name order: ``(key bit, condition mask, action
+        #: names, out mask, in mask, destination bit)`` in priority order
+        self._rows = [tuple((key_bits[(t.src, t.dst, t.actions)],
+                             sum(1 << c for c in set(t.conditions)),
+                             names_of(t.actions), out_masks[state],
+                             in_masks[t.dst], bit_of[t.dst])
+                            for t in automaton.out(state))
+                      for state in by_name]
+        self._final_mask = sum(bit_of[state] for state in set(final))
+        self._action_id = automaton.symbols.id_of
+        self.initial = (0, bit_of[automaton.initial], 0)
         self.reset()
+
+    # ------------------------------------------------------------------
+    def done_in(self, state: tuple) -> bool:
+        """Has a final state activated in run state ``state``?"""
+        return state[1] & self._final_mask != 0
+
+    def mask_of(self, signals: Iterable[str]) -> int:
+        """The latch bits of the known signal names in ``signals``."""
+        return sum(1 << signal
+                   for signal in self.automaton.symbols.ids_of(signals))
+
+    def fire(self, state: tuple, signals: int,
+             max_rounds: int | None = None) -> tuple[tuple, tuple[str, ...]]:
+        """The successor of run state ``state`` after latching the
+        signal bits ``signals``, and the emitted action names in firing
+        order.
+
+        By default transitions fire to a fixed point -- an unguarded
+        chain collapses into one step.  ``max_rounds`` bounds the
+        number of firing rounds instead: with ``max_rounds=1`` only the
+        states active at the start of the step fire, which exposes the
+        intermediate configurations a cycle-stepped controller walks
+        through (the granularity the composition verifier compares at).
+        In every round the states active at its start fire in name
+        order; a state activated during a round fires from the next.
+        """
+        latched, active, fired = state
+        latched |= signals
+        emitted: tuple[str, ...] = ()
+        rows = self._rows
+        rounds = 0
+        progress = True
+        while progress and (max_rounds is None or rounds < max_rounds):
+            progress = False
+            rounds += 1
+            todo = active
+            while todo:
+                src = todo & -todo
+                todo ^= src
+                for bit, conditions, actions, out_mask, in_mask, dst in \
+                        rows[src.bit_length() - 1]:
+                    if fired & bit or latched & conditions != conditions:
+                        continue
+                    fired |= bit
+                    # the source deactivates when all its
+                    # out-transitions fired, the destination activates
+                    # when all its in-transitions fired
+                    if fired & out_mask == out_mask:
+                        active &= ~src
+                    if fired & in_mask == in_mask:
+                        active |= dst
+                    if actions:
+                        emitted += actions
+                    progress = True
+        return (latched, active, fired), emitted
 
     # ------------------------------------------------------------------
     def reset(self) -> None:
         """Start a fresh activation."""
-        self._state = self._initial
+        self._state = self.initial
 
     @property
     def done(self) -> bool:
         """True once a final state has activated."""
         return self.done_in(self._state)
-
-    def done_in(self, state: tuple) -> bool:
-        """Would :attr:`done` hold in run state ``state``?"""
-        return not self.final.isdisjoint(state[1])
 
     def snapshot(self) -> tuple:
         """The run state ``(latched, active, fired)``; it is immutable."""
@@ -113,48 +185,16 @@ class TokenExecutor:
         """Continue from a :meth:`snapshot`."""
         self._state = state
 
-    # ------------------------------------------------------------------
     def step(self, signals: Iterable[int] | None = None,
              max_rounds: int | None = None) -> list[int]:
-        """Latch ``signals``, fire enabled transitions, return the
-        emitted action IDs in firing order.
-
-        By default transitions fire to a fixed point -- an unguarded
-        chain collapses into one step.  ``max_rounds`` bounds the
-        number of firing rounds instead: with ``max_rounds=1`` only the
-        states active at the start of the step fire, which exposes the
-        intermediate configurations a cycle-stepped controller walks
-        through (the granularity the composition verifier compares at).
-        """
-        latched, active, fired = self._state
+        """Latch the signal IDs ``signals``, fire enabled transitions
+        (:meth:`fire`), return the emitted action IDs in firing order."""
+        mask = 0
         for signal in signals or ():
-            latched |= 1 << signal
-        emitted: list[int] = []
-        name_of = self.automaton.name_of
-        out_masks, in_masks = self._out_masks, self._in_masks
-        rounds = 0
-        progress = True
-        while progress and (max_rounds is None or rounds < max_rounds):
-            progress = False
-            rounds += 1
-            for state in sorted(active, key=name_of):
-                for bit, conditions, actions, dst in self._out[state]:
-                    if fired & bit or latched & conditions != conditions:
-                        continue
-                    fired |= bit
-                    # the source deactivates when all its
-                    # out-transitions fired, the destination activates
-                    # when all its in-transitions fired
-                    mask = out_masks[state]
-                    if mask is not None and fired & mask == mask:
-                        active = active.difference((state,))
-                    mask = in_masks[dst]
-                    if mask is not None and fired & mask == mask:
-                        active = active.union((dst,))
-                    emitted.extend(actions)
-                    progress = True
-        self._state = (latched, active, fired)
-        return emitted
+            mask |= 1 << signal
+        self._state, emitted = self.fire(self._state, mask, max_rounds)
+        action_id = self._action_id
+        return [action_id(name) for name in emitted]
 
 
 class SequentialRunner:

@@ -214,26 +214,29 @@ def _stg_stepper(stg: Stg):
     environment may slip a done pulse between them -- the reference
     must expose those intermediate configurations or harmless
     input-vs-pending-output interleavings would read as mismatches.
-    ``restart`` resets the executor -- a fresh activation -- so the
-    reference contains the same restart loop as the product.  The
-    configuration key is the executor's immutable run state
-    ``(latched, active, fired)``.
+    ``restart`` returns to the executor's initial run state -- a fresh
+    activation -- so the reference contains the same restart loop as
+    the product.  The configuration key is the executor's run state
+    ``(latched, active, fired)`` of three ints, and a step is
+    :meth:`~repro.automata.TokenExecutor.fire` on it with the letter's
+    latch mask, which is computed once per letter.
     """
     automaton = stg.to_automaton()
     final = frozenset(automaton.index_of(s.name)
                       for s in stg.states_of_kind(StateKind.GLOBAL_DONE))
     executor = TokenExecutor(automaton, final=final)
-    symbols = automaton.symbols
+    initial, fire = executor.initial, executor.fire
+    masks: dict[frozenset, int] = {}
 
     def step(state: tuple, letter: frozenset):
         if _RESTART in letter:
-            executor.reset()
-            return executor.snapshot(), ()
-        executor.restore(state)
-        emitted = executor.step(symbols.ids_of(letter), max_rounds=1)
-        return executor.snapshot(), symbols.names_of(emitted)
+            return initial, ()
+        mask = masks.get(letter)
+        if mask is None:
+            mask = masks[letter] = executor.mask_of(letter)
+        return fire(state, mask, 1)
 
-    return (executor.snapshot(), step,
+    return (initial, step,
             _AdmissibleEnvironment(executor.done_in,
                                    automaton.output_names()))
 

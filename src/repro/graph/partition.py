@@ -50,6 +50,8 @@ class Partition:
     mapping: dict[str, str] = field(default_factory=dict)
     hw_resources: tuple[str, ...] = ()
     sw_resources: tuple[str, ...] = ()
+    _fingerprint: str | None = field(default=None, init=False, repr=False,
+                                     compare=False)
 
     def __post_init__(self) -> None:
         self.mapping = dict(self.mapping)
@@ -145,11 +147,17 @@ class Partition:
 
         Used by the flow pipeline to detect that a partition actually
         changed (e.g. during HLS area repair) before re-running the
-        stages that depend on it.
+        stages that depend on it.  Memoized: a partition is not edited
+        after construction (:meth:`with_moved` returns a copy), and the
+        partitioning stage hashes it as an output of its own, inside its
+        schedule and inside its partitioning result.
         """
-        return content_hash((self.graph.fingerprint(),
-                             tuple(sorted(self.mapping.items())),
-                             self.hw_resources, self.sw_resources))
+        if self._fingerprint is None:
+            self._fingerprint = content_hash((
+                self.graph.fingerprint(),
+                tuple(sorted(self.mapping.items())),
+                self.hw_resources, self.sw_resources))
+        return self._fingerprint
 
     def summary(self) -> dict:
         per_resource = {r: len(self.nodes_on(r)) for r in self.resources_used}

@@ -120,11 +120,20 @@ class Partitioner:
         """Return a mapping node -> resource for all internal nodes."""
         raise NotImplementedError
 
+    def evaluate(self, problem: PartitioningProblem, mapping: dict[str, str]
+                 ) -> tuple[Partition, Schedule, FeasibilityReport]:
+        """:func:`evaluate_mapping` of the mapping :meth:`solve` returned.
+
+        Engines that schedule their answer while solving override this
+        to return that evaluation instead of scheduling it again.
+        """
+        return evaluate_mapping(problem, mapping)
+
     def partition(self, problem: PartitioningProblem) -> PartitionResult:
         """Template method: solve, schedule, check, package."""
         started = time.perf_counter()
         mapping = self.solve(problem)
-        partition, schedule, report = evaluate_mapping(problem, mapping)
+        partition, schedule, report = self.evaluate(problem, mapping)
         elapsed = time.perf_counter() - started
         return PartitionResult(partition, schedule, report, self.name,
                                elapsed, self.stats())

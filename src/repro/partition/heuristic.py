@@ -63,6 +63,8 @@ class GreedyPartitioner(Partitioner):
         self.max_moves = max_moves
         self.candidates_per_round = candidates_per_round
         self._stats: dict = {}
+        #: ``(problem, mapping items, evaluation)`` of the last solve
+        self._solved: tuple | None = None
 
     def solve(self, problem: PartitioningProblem) -> dict[str, str]:
         model = problem.model
@@ -72,10 +74,12 @@ class GreedyPartitioner(Partitioner):
         mapping = {v: home for v in internal}
         hw_names = list(arch.fpga_names)
         self._stats = {"moves": 0, "evaluations": 0}
+        self._solved = None
         if not hw_names:
             return mapping
 
-        _, schedule, report = evaluate_mapping(problem, mapping)
+        evaluated = evaluate_mapping(problem, mapping)
+        _, schedule, report = evaluated
         self._stats["evaluations"] += 1
         best_makespan = schedule.makespan
         area_left = {f.name: f.clb_capacity for f in arch.fpgas}
@@ -101,8 +105,8 @@ class GreedyPartitioner(Partitioner):
                         continue
                     trial = dict(mapping)
                     trial[v] = f
-                    _, trial_schedule, trial_report = \
-                        evaluate_mapping(problem, trial)
+                    trial_evaluated = evaluate_mapping(problem, trial)
+                    _, trial_schedule, trial_report = trial_evaluated
                     self._stats["evaluations"] += 1
                     if not trial_report.memory_ok:
                         continue
@@ -110,19 +114,31 @@ class GreedyPartitioner(Partitioner):
                     ratio = gain / max(model.area(v, f), 1)
                     if gain > 0 and ratio > best_ratio:
                         best_move, best_ratio = (v, f), ratio
-                        best_trial = (trial_schedule, trial_report)
+                        best_trial = trial_evaluated
             if best_move is None:
                 break
             # the winning trial is the accepted mapping, in the same
-            # dict order, so its schedule and report are reused as is
+            # dict order, so its evaluation is reused as is
             v, f = best_move
             mapping[v] = f
             area_left[f] -= model.area(v, f)
-            schedule, report = best_trial
+            evaluated = best_trial
+            _, schedule, report = evaluated
             best_makespan = schedule.makespan
             self._stats["moves"] += 1
 
+        self._solved = (problem, list(mapping.items()), evaluated)
         return mapping
+
+    def evaluate(self, problem: PartitioningProblem, mapping: dict[str, str]):
+        """The last :meth:`solve`'s evaluation of its accepted mapping
+        (its winning trial, or the all-software start) when ``mapping``
+        is that mapping for ``problem``; otherwise a fresh one."""
+        solved, self._solved = self._solved, None
+        if (solved is not None and solved[0] is problem
+                and solved[1] == list(mapping.items())):
+            return solved[2]
+        return evaluate_mapping(problem, mapping)
 
     def stats(self) -> dict:
         return dict(self._stats)

@@ -79,15 +79,19 @@ class Schedule:
     partition: Partition
     entries: dict[str, ScheduleEntry] = field(default_factory=dict)
     transfers: list[TransferEntry] = field(default_factory=list)
+    _fingerprint: str | None = field(default=None, init=False, repr=False,
+                                     compare=False)
 
     # ------------------------------------------------------------------
     def add(self, entry: ScheduleEntry) -> None:
         if entry.node in self.entries:
             raise ScheduleError(f"node {entry.node!r} scheduled twice")
         self.entries[entry.node] = entry
+        self._fingerprint = None
 
     def add_transfer(self, transfer: TransferEntry) -> None:
         self.transfers.append(transfer)
+        self._fingerprint = None
 
     # ------------------------------------------------------------------
     def entry(self, node: str) -> ScheduleEntry:
@@ -130,13 +134,18 @@ class Schedule:
         The STG and communication-refinement pipeline stages key their
         caches on this: identical schedules (same partition, same slot
         times, same bus bursts) produce identical co-synthesis results.
+        Memoized until the next :meth:`add` or :meth:`add_transfer`: a
+        built schedule is not edited, and the partitioning stage hashes
+        it as an output of its own and inside its partitioning result.
         """
-        return content_hash((
-            self.partition.fingerprint(),
-            tuple(sorted((e.node, e.resource, e.start, e.end)
-                         for e in self.entries.values())),
-            tuple((t.edge, t.direction, t.start, t.end)
-                  for t in self.transfers)))
+        if self._fingerprint is None:
+            self._fingerprint = content_hash((
+                self.partition.fingerprint(),
+                tuple(sorted((e.node, e.resource, e.start, e.end)
+                             for e in self.entries.values())),
+                tuple((t.edge, t.direction, t.start, t.end)
+                      for t in self.transfers)))
+        return self._fingerprint
 
     def summary(self) -> dict:
         per_resource = {r: len(self.on_resource(r))

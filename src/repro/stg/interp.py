@@ -14,8 +14,9 @@ marked-graph semantics:
 * the activation completes when the GLOBAL_DONE state activates.
 
 The semantics itself lives in :class:`repro.automata.TokenExecutor`;
-:class:`StgExecutor` is the name-level view of it.  Its one job is to
-be the reference semantics against which state minimization is
+:class:`StgExecutor` is the name-level view of it: it keeps one kernel
+run state and steps it with the kernel's pure ``fire``.  Its one job
+is to be the reference semantics against which state minimization is
 verified (identical emitted actions for identical signal traces); the
 tests also replay the sampled closed-loop schedule check through it.
 Nothing in the verifier runs it: the verifier's STG step system drives
@@ -47,18 +48,18 @@ class StgExecutor:
         done_states = [automaton.index_of(s.name)
                        for s in stg.states_of_kind(StateKind.GLOBAL_DONE)]
         self._kernel = TokenExecutor(automaton, final=done_states)
-        self._symbols = automaton.symbols
+        self._state = self._kernel.initial
         self.emitted: list[str] = []
 
     def reset(self) -> None:
         """Start a fresh activation."""
-        self._kernel.reset()
+        self._state = self._kernel.initial
         self.emitted = []
 
     @property
     def done(self) -> bool:
         """True once the GLOBAL_DONE state has activated."""
-        return self._kernel.done
+        return self._kernel.done_in(self._state)
 
     def step(self, signals: set[str] | None = None) -> list[str]:
         """Latch ``signals``, fire every enabled transition, return actions.
@@ -68,7 +69,8 @@ class StgExecutor:
         that traverses action states in consecutive clock cycles faster
         than the units it observes.
         """
-        ids = self._symbols.ids_of(signals) if signals else None
-        actions = list(self._symbols.names_of(self._kernel.step(ids)))
+        mask = self._kernel.mask_of(signals) if signals else 0
+        self._state, emitted = self._kernel.fire(self._state, mask)
+        actions = list(emitted)
         self.emitted.extend(actions)
         return actions

@@ -122,6 +122,23 @@ class TestPartitioners:
         assert summary["algorithm"] == partitioner.name
         assert summary["makespan"] == result.makespan
 
+    def test_greedy_schedules_its_answer_once(self, equalizer_problem,
+                                              monkeypatch):
+        # partition() reuses the evaluation the search made last, so
+        # every list schedule is one of the search's evaluations
+        from repro.partition import base
+        calls = []
+        schedule = base.list_schedule
+        monkeypatch.setattr(base, "list_schedule",
+                            lambda *a: calls.append(1) or schedule(*a))
+        partitioner = GreedyPartitioner()
+        result = partitioner.partition(equalizer_problem)
+        assert len(calls) == partitioner.stats()["evaluations"]
+        assert result.schedule.partition is result.partition
+        _, want, report = evaluate_mapping(equalizer_problem,
+                                           result.partition.mapping)
+        assert result.schedule == want and result.feasibility == report
+
     @pytest.mark.parametrize("partitioner", ALL_PARTITIONERS,
                              ids=lambda p: p.name)
     def test_beats_pure_software_on_equalizer(self, partitioner,

@@ -9,7 +9,8 @@ from repro.apps import four_band_equalizer, fuzzy_controller, random_task_graph
 from repro.estimate import CostModel
 from repro.graph import Partition, all_software, from_mapping
 from repro.platform import cool_board, minimal_board
-from repro.schedule import (ScheduleEntry, ScheduleError, TransferEntry,
+from repro.schedule import (Schedule, ScheduleEntry, ScheduleError,
+                            TransferEntry,
                             alap_times, asap_times, check_schedule,
                             critical_path_length, gantt_chart, list_schedule,
                             slack, validate_schedule)
@@ -30,6 +31,22 @@ def equalizer_setup():
     partition = hw_sw_partition(graph, arch, {"band0", "band1", "gain0"})
     model = CostModel(graph, arch)
     return graph, arch, partition, model
+
+
+class TestFingerprint:
+    def test_memo_follows_add_and_add_transfer(self, equalizer_setup):
+        _, _, partition, model = equalizer_setup
+        built = list_schedule(partition, model)
+        grown = Schedule(partition)
+        before = grown.fingerprint()
+        for entry in built.entries.values():
+            grown.add(entry)
+        with_entries = grown.fingerprint()
+        assert with_entries != before
+        for transfer in built.transfers:
+            grown.add_transfer(transfer)
+        assert grown.fingerprint() != with_entries
+        assert grown.fingerprint() == built.fingerprint()
 
 
 class TestEntries:

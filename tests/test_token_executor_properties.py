@@ -1,25 +1,33 @@
-"""The token executor against a verbatim copy of the one it replaced.
+"""The token executor against verbatim copies of the ones it replaced.
 
 :class:`repro.automata.TokenExecutor` keeps its run state as one
-immutable triple ``(latched, active, fired)`` and decides activation
-and deactivation from the fired set.  ``ParentTokenExecutor`` below is
-a verbatim copy of the executor it replaced, which kept mutable sets,
-per-state firing counters and a firing log, and snapshotted all of
-them.  Their behaviour must be identical:
+immutable triple of ints ``(latched, active, fired)``, with one
+``active`` bit per state in name order, and steps it as a pure
+function (``fire``).  Two earlier executors are copied below verbatim:
 
-* ``test_executor_matches_the_parent_executor`` drives both over
+* ``ParentTokenExecutor`` kept mutable sets, per-state firing counters
+  and a firing log, and snapshotted all of them;
+* ``FrozensetTokenExecutor`` kept the same immutable triple but with
+  ``active`` as a frozenset of state indices, sorted by state name on
+  every step, and it emitted action IDs that ``frozenset_stg_stepper``
+  mapped back to names.
+
+Their behaviour must be identical:
+
+* ``test_executor_matches_the_parent_executor`` drives all three over
   generated automata (fork/join shapes, duplicate structural
   transitions that differ only in their conditions, self-loops, an
   initial state with in-edges, several final states) with random
   signal streams under ``max_rounds=None`` and ``max_rounds=1``,
   snapshots, restores and resets.  After every step the emitted
-  actions and ``done`` agree, and the parent's snapshots map onto the
-  new ones one to one.  The example budget follows the active
-  hypothesis profile (``tests/conftest.py``).
-* ``test_stg_step_systems_match_the_parent_executor`` builds the
-  verifier's STG step system of every ``workload_suite(20, seed=5)``
-  design and of ``random_200_200`` from both executors and compares
-  every row.
+  actions and ``done`` agree, the parent's snapshots map onto the new
+  ones one to one, and the frozenset executor's run state is the new
+  one with ``active`` decoded from name-order bits.  The example budget
+  follows the active hypothesis profile (``tests/conftest.py``).
+* the ``*_step_system*`` tests build the verifier's STG step system of
+  every ``workload_suite(20, seed=5)`` design and of ``random_200_200``
+  from the new executor and from each copy and compare every row
+  (letter, actions, successor index) and the letter order.
 """
 
 from dataclasses import dataclass
@@ -32,8 +40,9 @@ from test_composition_properties import build_design, random_200_200_stg
 from test_controller_stepper_properties import ParentAdmissibleEnvironment
 from repro.automata import (AutomataError, Automaton, AutomatonBuilder,
                             StepSystem, TokenExecutor)
-from repro.controllers.verify import _RESTART, _stg_stepper
-from repro.stg import StateKind, build_stg, minimize_stg
+from repro.controllers.verify import (_RESTART, _AdmissibleEnvironment,
+                                     _stg_stepper)
+from repro.stg import StateKind, Stg, build_stg, minimize_stg
 from repro.workloads import workload_suite
 
 PROPERTY = settings(max_examples=settings.default.max_examples,
@@ -226,6 +235,158 @@ def parent_stg_stepper(stg):
 
 
 # ----------------------------------------------------------------------
+# the frozenset executor, verbatim
+# ----------------------------------------------------------------------
+def _completion_mask(bits: list[int]) -> int | None:
+    """The fired bits that complete a state's in- or out-transitions.
+
+    Activation and deactivation count one firing per *transition*, but
+    a structural key fires once: a state with two transitions of one
+    key never completes (None).
+    """
+    distinct = set(bits)
+    return sum(distinct) if len(distinct) == len(bits) else None
+
+
+class FrozensetTokenExecutor:
+    """Marked-graph interpreter of one automaton activation.
+
+    ``final`` names the states whose activation completes the run (the
+    STG's global DONE state).  Conditions are latched: once a signal was
+    asserted during the activation it stays usable, modelling done-flag
+    registers.  Within a step, transitions fire to a fixed point -- an
+    unguarded chain collapses into one step, matching a controller that
+    walks action states faster than the units it observes.
+
+    The run state is the immutable triple ``(latched, active, fired)``:
+    an int with one bit per latched signal ID, a frozenset of active
+    state indices, and an int with one bit per structural transition
+    ``(src, dst, actions)`` that fired in this activation.  It is exactly what determines
+    future behaviour, so two configurations reached along different
+    paths are equal and the triple serves reachability explorers as a
+    state identity.
+    """
+
+    __slots__ = ("automaton", "final", "_state", "_initial", "_out",
+                 "_out_masks", "_in_masks")
+
+    def __init__(self, automaton: Automaton,
+                 final: Iterable[int] = ()) -> None:
+        if automaton.initial is None:
+            raise AutomataError(
+                f"automaton {automaton.name!r} has no initial state")
+        self.automaton = automaton
+        self.final = frozenset(final)
+        key_bits: dict[tuple, int] = {}
+        out_bits: list[list[int]] = [[] for _ in range(len(automaton))]
+        in_bits: list[list[int]] = [[] for _ in range(len(automaton))]
+        #: per state: ``(key bit, condition bits, actions, dst)`` in
+        #: priority order
+        self._out = []
+        for state in range(len(automaton)):
+            row = []
+            for t in automaton.out(state):
+                bit = key_bits.setdefault((t.src, t.dst, t.actions),
+                                          1 << len(key_bits))
+                out_bits[t.src].append(bit)
+                in_bits[t.dst].append(bit)
+                row.append((bit, sum(1 << c for c in set(t.conditions)),
+                            t.actions, t.dst))
+            self._out.append(tuple(row))
+        self._out_masks = [_completion_mask(bits) for bits in out_bits]
+        self._in_masks = [_completion_mask(bits) for bits in in_bits]
+        self._initial = (0, frozenset((automaton.initial,)), 0)
+        self.reset()
+
+    # ------------------------------------------------------------------
+    def reset(self) -> None:
+        """Start a fresh activation."""
+        self._state = self._initial
+
+    @property
+    def done(self) -> bool:
+        """True once a final state has activated."""
+        return self.done_in(self._state)
+
+    def done_in(self, state: tuple) -> bool:
+        """Would :attr:`done` hold in run state ``state``?"""
+        return not self.final.isdisjoint(state[1])
+
+    def snapshot(self) -> tuple:
+        """The run state ``(latched, active, fired)``; it is immutable."""
+        return self._state
+
+    def restore(self, state: tuple) -> None:
+        """Continue from a :meth:`snapshot`."""
+        self._state = state
+
+    # ------------------------------------------------------------------
+    def step(self, signals: Iterable[int] | None = None,
+             max_rounds: int | None = None) -> list[int]:
+        """Latch ``signals``, fire enabled transitions, return the
+        emitted action IDs in firing order.
+
+        By default transitions fire to a fixed point -- an unguarded
+        chain collapses into one step.  ``max_rounds`` bounds the
+        number of firing rounds instead: with ``max_rounds=1`` only the
+        states active at the start of the step fire, which exposes the
+        intermediate configurations a cycle-stepped controller walks
+        through (the granularity the composition verifier compares at).
+        """
+        latched, active, fired = self._state
+        for signal in signals or ():
+            latched |= 1 << signal
+        emitted: list[int] = []
+        name_of = self.automaton.name_of
+        out_masks, in_masks = self._out_masks, self._in_masks
+        rounds = 0
+        progress = True
+        while progress and (max_rounds is None or rounds < max_rounds):
+            progress = False
+            rounds += 1
+            for state in sorted(active, key=name_of):
+                for bit, conditions, actions, dst in self._out[state]:
+                    if fired & bit or latched & conditions != conditions:
+                        continue
+                    fired |= bit
+                    # the source deactivates when all its
+                    # out-transitions fired, the destination activates
+                    # when all its in-transitions fired
+                    mask = out_masks[state]
+                    if mask is not None and fired & mask == mask:
+                        active = active.difference((state,))
+                    mask = in_masks[dst]
+                    if mask is not None and fired & mask == mask:
+                        active = active.union((dst,))
+                    emitted.extend(actions)
+                    progress = True
+        self._state = (latched, active, fired)
+        return emitted
+
+
+def frozenset_stg_stepper(stg: Stg):
+    """The frozenset executor's ``_stg_stepper``, verbatim but for the
+    executor's name."""
+    automaton = stg.to_automaton()
+    final = frozenset(automaton.index_of(s.name)
+                      for s in stg.states_of_kind(StateKind.GLOBAL_DONE))
+    executor = FrozensetTokenExecutor(automaton, final=final)
+    symbols = automaton.symbols
+
+    def step(state: tuple, letter: frozenset):
+        if _RESTART in letter:
+            executor.reset()
+            return executor.snapshot(), ()
+        executor.restore(state)
+        emitted = executor.step(symbols.ids_of(letter), max_rounds=1)
+        return executor.snapshot(), symbols.names_of(emitted)
+
+    return (executor.snapshot(), step,
+            _AdmissibleEnvironment(executor.done_in,
+                                   automaton.output_names()))
+
+
+# ----------------------------------------------------------------------
 # generated automata and signal streams
 # ----------------------------------------------------------------------
 SIGNALS = ("a", "b", "c")
@@ -305,8 +466,11 @@ def test_executor_matches_the_parent_executor(shape, ops):
     automaton = build(shape)
     finals = [automaton.index_of(f"s{f}") for f in shape[2]]
     parent = ParentTokenExecutor(automaton, final=finals)
+    frozen = FrozensetTokenExecutor(automaton, final=finals)
     executor = TokenExecutor(automaton, final=finals)
     symbols = automaton.symbols
+    # state index of each ``active`` bit: bit order is name order
+    by_name = sorted(range(len(automaton)), key=automaton.name_of)
     snapshots: list[tuple] = []
     to_new: dict[tuple, tuple] = {}
     to_parent: dict[tuple, tuple] = {}
@@ -315,26 +479,34 @@ def test_executor_matches_the_parent_executor(shape, ops):
         old, new = parent.snapshot(), executor.snapshot()
         latched, active, _fired_in, _fired_out, fired_keys = old
         assert new[0] == sum(1 << signal for signal in latched)
-        assert new[1] == active
+        assert {by_name[bit] for bit in range(len(by_name))
+                if new[1] >> bit & 1} == active
         assert new[2].bit_count() == len(fired_keys)
         assert to_new.setdefault(old, new) == new
         assert to_parent.setdefault(new, old) == old
-        assert executor.done == parent.done
+        assert executor.done == parent.done == frozen.done
+        was = frozen.snapshot()
+        assert new == (was[0], sum(1 << by_name.index(state)
+                                   for state in was[1]), was[2])
 
     same_configuration()
     for op in ops:
         if op[0] == "step":
             signals = symbols.ids_of(op[1])
-            assert (executor.step(signals, max_rounds=op[2])
-                    == parent.step(signals, max_rounds=op[2]))
+            emitted = executor.step(signals, max_rounds=op[2])
+            assert emitted == parent.step(signals, max_rounds=op[2])
+            assert emitted == frozen.step(signals, max_rounds=op[2])
         elif op[0] == "snapshot":
-            snapshots.append((parent.snapshot(), executor.snapshot()))
+            snapshots.append((parent.snapshot(), frozen.snapshot(),
+                              executor.snapshot()))
         elif op[0] == "restore" and snapshots:
-            old, new = snapshots[op[1] % len(snapshots)]
+            old, was, new = snapshots[op[1] % len(snapshots)]
             parent.restore(old)
+            frozen.restore(was)
             executor.restore(new)
         elif op[0] == "reset":
             parent.reset()
+            frozen.reset()
             executor.reset()
         same_configuration()
 
@@ -347,22 +519,33 @@ def suite_stgs():
         yield minimize_stg(build_stg(build_design(spec)[3]))[0]
 
 
-def assert_same_rows(stg):
-    parent = StepSystem("parent", *parent_stg_stepper(stg))
+def assert_same_rows(stg, reference_stepper):
+    reference = StepSystem("reference", *reference_stepper(stg))
     system = StepSystem("new", *_stg_stepper(stg))
-    assert len(system) == len(parent)
-    assert system.n_letters == parent.n_letters
-    for letter in range(parent.n_letters):
-        assert system.letter_of(letter) == parent.letter_of(letter)
-    for state in range(len(parent)):
-        assert system.rows(state) == parent.rows(state), state
+    assert len(system) == len(reference)
+    assert system.n_letters == reference.n_letters
+    for letter in range(reference.n_letters):
+        assert system.letter_of(letter) == reference.letter_of(letter)
+    for state in range(len(reference)):
+        assert system.rows(state) == reference.rows(state), state
     return len(system)
 
 
 def test_stg_step_systems_match_the_parent_executor():
     # the STG half of the 2920 states test_suite_oracle_input_is_pinned counts
-    assert sum(assert_same_rows(stg) for stg in suite_stgs()) == 1450
+    assert sum(assert_same_rows(stg, parent_stg_stepper)
+               for stg in suite_stgs()) == 1450
 
 
 def test_random_200_200_stg_step_system_matches_the_parent_executor():
-    assert assert_same_rows(random_200_200_stg()) == 8998
+    assert assert_same_rows(random_200_200_stg(), parent_stg_stepper) == 8998
+
+
+def test_stg_step_systems_match_the_frozenset_executor():
+    assert sum(assert_same_rows(stg, frozenset_stg_stepper)
+               for stg in suite_stgs()) == 1450
+
+
+def test_random_200_200_stg_step_system_matches_the_frozenset_executor():
+    assert assert_same_rows(random_200_200_stg(),
+                            frozenset_stg_stepper) == 8998

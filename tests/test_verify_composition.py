@@ -307,10 +307,10 @@ class TestExplicitOracle:
 #: ``minimal_board()``), followed by ``explicit_oracle(...).summary()``.
 #: The state keys' text is part of the digest: on the controller side
 #: the composition key of ints ``(states, flags, internal, consumed)``,
-#: on the STG side the ``TokenExecutor`` run state ``(latched, active,
-#: fired)``, and on both the in-flight bitset of the environment.
+#: on the STG side the ``TokenExecutor`` run state of ints ``(latched,
+#: active, fired)``, and on both the in-flight bitset of the environment.
 SUITE_ORACLE_SHA256 = \
-    "0316a3e28f2b3d4ce04b0d2e0c040ca0e279c03ef966aba8e18805fc917f115f"
+    "bee7470d3722757d04987c734fb001e44a0e7ba0755182b5762ff22f1c9fbc2d"
 
 
 class TestVerifyFlowStage:
