@@ -179,6 +179,7 @@ def irredundant_cover(width: int, cubes: Iterable[Cube],
     return tuple(sorted(kept))
 
 
+@lru_cache(maxsize=4096)
 def minimal_cover(width: int, onset: int,
                   dont_care: int = 0) -> tuple[Cube, ...]:
     """A compact SOP of ``onset`` exploiting ``dont_care`` freedom.
@@ -187,6 +188,12 @@ def minimal_cover(width: int, onset: int,
     the irredundant pass against the onset.  Not guaranteed minimum
     (that is NP-hard) but small, deterministic, and always within
     ``[onset, onset or dont_care]``.
+
+    A pure function of three ints returning nested tuples, so it is
+    memoized (``functools.lru_cache``, at most 4096 entries, thread-safe
+    by the cache's own lock): controller states of one shape recur
+    across FSMs and designs, and a 52-design sweep asks for fewer than
+    fifty distinct covers in thousands of calls.
     """
     upper = onset | dont_care
     cubes = expand_cubes(width, isop(width, onset, upper), upper)

@@ -42,6 +42,8 @@ Batch fan-out and design-space exploration on top of this engine live in
 from __future__ import annotations
 
 import dataclasses
+import threading
+from collections import OrderedDict
 from dataclasses import dataclass, field
 from typing import Any, Mapping
 
@@ -56,6 +58,7 @@ from ..comm.refine import CommPlan, refine_communication
 from ..controllers.bus_arbiter import RoundRobinArbiter
 from ..controllers.datapath_controller import (DatapathController,
                                                synthesize_datapath_controller)
+from ..controllers.fsm import Fsm
 from ..controllers.io_controller import IoController, synthesize_io_controller
 from ..controllers.system_controller import (SystemController,
                                              synthesize_system_controller)
@@ -252,7 +255,78 @@ def _stage_verify(ctx: FlowContext) -> dict[str, Any]:
     return {"composition_check": check}
 
 
+#: ``(text, baseline guard literals, emitted guard literals,
+#: check_vhdl problems)`` of one FSM.
+_Emission = tuple[str, int, int, tuple[str, ...]]
+
+#: Emission memo of the codegen stage, :func:`_emission_key` ->
+#: :data:`_Emission`, least recently used first.  Controller FSMs recur
+#: across the designs of a sweep (the arbiter of one master list,
+#: datapath controllers with the same latencies, sequencers of the same
+#: shape), so each distinct one is emitted, counted and checked once
+#: while it stays among the ``_EMISSION_CACHE_MAX`` most recent.  The
+#: entries are plain strings, ints and tuples, safe to share across
+#: threads.
+_EMISSION_CACHE: OrderedDict[tuple, _Emission] = OrderedDict()
+_EMISSION_CACHE_MAX = 512
+_EMISSION_CACHE_LOCK = threading.Lock()
+
+
+def _emission_key(fsm: Fsm, care_of: Mapping | None) -> tuple:
+    """Everything ``fsm_to_vhdl(fsm, simplify=True, care_of=care_of)``
+    reads, as hashable plain data.
+
+    The FSM's name, initial state, state list, Moore outputs and every
+    transition's ``(src, dst, conditions, actions)`` in priority order;
+    the care set as state -> frozenset of frozen valuations.  An empty
+    care mapping keys like ``None``: the emitter treats both alike.
+    """
+    content = (fsm.name, fsm.initial, tuple(fsm.states),
+               tuple(sorted((state, tuple(outputs)) for state, outputs
+                            in fsm.state_outputs.items())),
+               tuple((t.src, t.dst, t.conditions, t.actions)
+                     for t in fsm.transitions))
+    care = frozenset(
+        (state, frozenset(map(frozenset, valuations)))
+        for state, valuations in care_of.items()) if care_of else None
+    return content, care
+
+
+def _emit_fsm(fsm: Fsm, care_of: Mapping | None) -> _Emission:
+    """``(text, fsm_guard_literals, guard_literal_count, problems)`` of
+    ``fsm``'s simplified VHDL, memoized in :data:`_EMISSION_CACHE`.
+
+    The four callees are looked up in this module, so a traced run
+    (which wraps these bindings) still sees every miss.
+    """
+    key = _emission_key(fsm, care_of)
+    with _EMISSION_CACHE_LOCK:
+        entry = _EMISSION_CACHE.get(key)
+        if entry is not None:
+            _EMISSION_CACHE.move_to_end(key)
+            return entry
+    text = fsm_to_vhdl(fsm, simplify=True, care_of=care_of)
+    entry = (text, fsm_guard_literals(fsm), guard_literal_count(text),
+             tuple(check_vhdl(text)))
+    with _EMISSION_CACHE_LOCK:
+        _EMISSION_CACHE[key] = entry
+        while len(_EMISSION_CACHE) > _EMISSION_CACHE_MAX:
+            _EMISSION_CACHE.popitem(last=False)
+    return entry
+
+
 def _stage_codegen(ctx: FlowContext) -> dict[str, Any]:
+    """VHDL for every controller FSM and datapath, C per processor and
+    the netlist.
+
+    Each FSM goes through :func:`_emit_fsm`: an LRU memo of at most
+    ``_EMISSION_CACHE_MAX`` entries under ``_EMISSION_CACHE_LOCK``,
+    keyed by the FSM's full content plus its care set
+    (:func:`_emission_key`) and holding the text, both guard-literal
+    counts and the ``check_vhdl`` problems.  A hit re-raises a stored
+    rejection exactly as a fresh check would.  Datapath texts are
+    checked on every run.
+    """
     graph, partition = ctx.get("graph"), ctx.get("partition")
     arch: TargetArchitecture = ctx.get("arch")
     hls_results = ctx.get("hls_results")
@@ -266,36 +340,38 @@ def _stage_codegen(ctx: FlowContext) -> dict[str, Any]:
         # reachability don't-cares are lost
         care_reason = str(exc)
     vhdl_files: dict[str, str] = {}
-    literals_before = 0
+    problems: dict[str, tuple[str, ...]] = {}
+    literals_before = literals_after = 0
 
-    def emit(fsm) -> str:
-        nonlocal literals_before
-        literals_before += fsm_guard_literals(fsm)
-        return fsm_to_vhdl(fsm, simplify=True,
-                           care_of=care_sets.get(fsm.name))
+    def emit(name: str, fsm: Fsm) -> None:
+        nonlocal literals_before, literals_after
+        text, before, after, problems[name] = _emit_fsm(
+            fsm, care_sets.get(fsm.name))
+        vhdl_files[name] = text
+        literals_before += before
+        literals_after += after
 
     for fsm in controller.fsms:
-        vhdl_files[f"{fsm.name}.vhd"] = emit(fsm)
-    vhdl_files["ioc.vhd"] = emit(ctx.get("io_controller").fsm)
-    vhdl_files["arbiter.vhd"] = emit(ctx.get("arbiter").to_fsm())
+        emit(f"{fsm.name}.vhd", fsm)
+    emit("ioc.vhd", ctx.get("io_controller").fsm)
+    emit("arbiter.vhd", ctx.get("arbiter").to_fsm())
     for resource, dpc in ctx.get("datapath_controllers").items():
-        vhdl_files[f"dpc_{resource}.vhd"] = emit(dpc.fsm)
+        emit(f"dpc_{resource}.vhd", dpc.fsm)
     guard_report = {
         "simplified": True,
         "care_sets": not care_reason,
         "care_fallback": care_reason,
         "guard_literals_before": literals_before,
-        "guard_literals_after": sum(guard_literal_count(text)
-                                    for text in vhdl_files.values()),
+        "guard_literals_after": literals_after,
     }
     for resource, hls in hls_results.items():
         if hls.shared_rtl is not None and hls.node_results:
             vhdl_files[f"dp_{resource}.vhd"] = datapath_to_vhdl(hls.shared_rtl)
     for name, text in vhdl_files.items():
-        problems = check_vhdl(text)
-        if problems:
+        found = problems[name] if name in problems else check_vhdl(text)
+        if found:
             raise ValueError(f"generated VHDL {name} rejected: "
-                             + "; ".join(problems))
+                             + "; ".join(found))
     c_files: dict[str, str] = {}
     for proc in arch.processors:
         if partition.nodes_on(proc.name):

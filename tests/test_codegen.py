@@ -1,5 +1,6 @@
 """Tests for VHDL/C/netlist code generation and the VHDL checker."""
 
+import hashlib
 import itertools
 import random
 import re
@@ -15,11 +16,14 @@ from repro.controllers import (Fsm, synthesize_datapath_controller,
                                synthesize_io_controller,
                                synthesize_system_controller)
 from repro.estimate import CostModel
+from repro.flow import CoolFlow
 from repro.graph import from_mapping
 from repro.hls import synthesize_node
+from repro.partition import GreedyPartitioner
 from repro.platform import cool_board, minimal_board, xc4005
 from repro.schedule import list_schedule
 from repro.stg import build_stg, minimize_stg
+from repro.workloads import workload_suite
 
 
 def implementation(graph, arch, hw_nodes=()):
@@ -339,6 +343,33 @@ class TestSimplifiedEmission:
         assert "(a = '1' and (b = '1' or c = '1')) or d = '1'" \
             in cascade, cascade
         assert check_vhdl(text) == []
+
+
+#: sha256 over ``name + text`` of every ``vhdl_files`` entry, in name
+#: order, of ``CoolFlow`` runs on the first six designs of
+#: ``workload_suite(20, seed=5)`` on the two-FPGA board: system
+#: controller FSMs, I/O controller, bus arbiter, datapath controllers
+#: and datapaths.  Computed before codegen memoized its emission.
+FLOW_VHDL_SHA256 = \
+    "853f30a0ac272d122586e07ef3d4d896fb868423bc46a8fe1b91a5206af52bb8"
+
+
+class TestFlowVhdlPin:
+    def test_every_emitted_vhdl_file_is_pinned(self):
+        digest = hashlib.sha256()
+        kinds: dict[str, int] = {}
+        for spec in workload_suite(20, seed=5)[:6]:
+            result = CoolFlow(cool_board(),
+                              partitioner=GreedyPartitioner()).run(
+                                  spec.build())
+            for name in sorted(result.vhdl_files):
+                digest.update(name.encode())
+                digest.update(result.vhdl_files[name].encode())
+                kind = name.split("_")[0].removesuffix(".vhd")
+                kinds[kind] = kinds.get(kind, 0) + 1
+        assert kinds == {"arbiter": 6, "dp": 12, "dpc": 12, "ioc": 6,
+                         "phase": 6, "seq": 23}
+        assert digest.hexdigest() == FLOW_VHDL_SHA256
 
 
 class TestCCodegen:
