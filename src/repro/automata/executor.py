@@ -68,13 +68,11 @@ class TokenExecutor:
     identity.
 
     :meth:`fire` is the step as a pure function of the run state; it
-    emits action *names*.  :meth:`step`, :meth:`snapshot`,
-    :meth:`restore` and :meth:`reset` are the symbol-ID view over one
-    live run state.
+    emits action *names*.  The executor keeps no run state of its own:
+    callers start from :attr:`initial` and carry the key.
     """
 
-    __slots__ = ("automaton", "initial", "_state", "_rows", "_final_mask",
-                 "_action_id")
+    __slots__ = ("automaton", "initial", "_rows", "_final_mask")
 
     def __init__(self, automaton: Automaton,
                  final: Iterable[int] = ()) -> None:
@@ -108,9 +106,7 @@ class TokenExecutor:
                             for t in automaton.out(state))
                       for state in by_name]
         self._final_mask = sum(bit_of[state] for state in set(final))
-        self._action_id = automaton.symbols.id_of
         self.initial = (0, bit_of[automaton.initial], 0)
-        self.reset()
 
     # ------------------------------------------------------------------
     def done_in(self, state: tuple) -> bool:
@@ -166,35 +162,6 @@ class TokenExecutor:
                         emitted += actions
                     progress = True
         return (latched, active, fired), emitted
-
-    # ------------------------------------------------------------------
-    def reset(self) -> None:
-        """Start a fresh activation."""
-        self._state = self.initial
-
-    @property
-    def done(self) -> bool:
-        """True once a final state has activated."""
-        return self.done_in(self._state)
-
-    def snapshot(self) -> tuple:
-        """The run state ``(latched, active, fired)``; it is immutable."""
-        return self._state
-
-    def restore(self, state: tuple) -> None:
-        """Continue from a :meth:`snapshot`."""
-        self._state = state
-
-    def step(self, signals: Iterable[int] | None = None,
-             max_rounds: int | None = None) -> list[int]:
-        """Latch the signal IDs ``signals``, fire enabled transitions
-        (:meth:`fire`), return the emitted action IDs in firing order."""
-        mask = 0
-        for signal in signals or ():
-            mask |= 1 << signal
-        self._state, emitted = self.fire(self._state, mask, max_rounds)
-        action_id = self._action_id
-        return [action_id(name) for name in emitted]
 
 
 class SequentialRunner:

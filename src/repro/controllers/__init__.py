@@ -5,8 +5,7 @@ from .system_controller import (ControllerHarness, SystemController,
                                 controller_composition,
                                 synthesize_system_controller)
 from .verify import CompositionCheck, verify_composition
-from .guards import (harvest_care_sets, simplify_controller_guards,
-                     simplify_fsm_conditions)
+from .guards import harvest_care_sets
 from .datapath_controller import (DatapathController,
                                   synthesize_datapath_controller)
 from .io_controller import IoController, synthesize_io_controller
@@ -17,8 +16,7 @@ __all__ = [
     "ControllerHarness", "SystemController", "controller_composition",
     "synthesize_system_controller",
     "CompositionCheck", "verify_composition",
-    "harvest_care_sets", "simplify_controller_guards",
-    "simplify_fsm_conditions",
+    "harvest_care_sets",
     "DatapathController", "synthesize_datapath_controller", "IoController",
     "synthesize_io_controller", "Arbiter", "FixedPriorityArbiter",
     "RoundRobinArbiter",

@@ -123,13 +123,18 @@ class Fsm:
         self.to_automaton()
         return self._kernel_cache[2]
 
+    def content(self) -> tuple:
+        """The machine as plain hashable data: name, initial state,
+        states, Moore outputs and every transition's ``(src, dst,
+        conditions, actions)`` in priority order."""
+        return (self.name, self.initial, tuple(self.states),
+                tuple(sorted(self.state_outputs.items())),
+                tuple((t.src, t.dst, t.conditions, t.actions)
+                      for t in self.transitions))
+
     def fingerprint(self) -> str:
-        """Content hash over states, outputs and transitions."""
-        return content_hash((
-            self.name, self.initial, tuple(self.states),
-            tuple(sorted(self.state_outputs.items())),
-            tuple((t.src, t.dst, t.conditions, t.actions)
-                  for t in self.transitions)))
+        """Content hash of :meth:`content`."""
+        return content_hash(self.content())
 
     # ------------------------------------------------------------------
     def out_transitions(self, state: str) -> list[FsmTransition]:

@@ -276,20 +276,15 @@ def _emission_key(fsm: Fsm, care_of: Mapping | None) -> tuple:
     """Everything ``fsm_to_vhdl(fsm, simplify=True, care_of=care_of)``
     reads, as hashable plain data.
 
-    The FSM's name, initial state, state list, Moore outputs and every
-    transition's ``(src, dst, conditions, actions)`` in priority order;
-    the care set as state -> frozenset of frozen valuations.  An empty
-    care mapping keys like ``None``: the emitter treats both alike.
+    The FSM's :meth:`~repro.controllers.Fsm.content` (what its
+    fingerprint hashes) and the care set as state -> frozenset of frozen
+    valuations.  An empty care mapping keys like ``None``: the emitter
+    treats both alike.
     """
-    content = (fsm.name, fsm.initial, tuple(fsm.states),
-               tuple(sorted((state, tuple(outputs)) for state, outputs
-                            in fsm.state_outputs.items())),
-               tuple((t.src, t.dst, t.conditions, t.actions)
-                     for t in fsm.transitions))
     care = frozenset(
         (state, frozenset(map(frozenset, valuations)))
         for state, valuations in care_of.items()) if care_of else None
-    return content, care
+    return fsm.content(), care
 
 
 def _emit_fsm(fsm: Fsm, care_of: Mapping | None) -> _Emission:

@@ -92,9 +92,6 @@ class TargetArchitecture:
     def is_hardware(self, name: str) -> bool:
         return name in self.fpga_names
 
-    def clock_of(self, name: str) -> float:
-        return self.resource(name).clock_hz
-
     # ------------------------------------------------------------------
     def fingerprint(self) -> str:
         """Content hash of the complete platform description.

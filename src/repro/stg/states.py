@@ -109,7 +109,6 @@ class Stg:
         self._states: dict[str, StgState] = {}
         self._transitions: list[StgTransition] = []
         self._out: dict[str, list[StgTransition]] = {}
-        self._in: dict[str, list[StgTransition]] = {}
         self.initial: str | None = None
         self._version = 0
         self._automaton_cache: tuple[tuple, Automaton] | None = None
@@ -120,7 +119,6 @@ class Stg:
             raise StgError(f"duplicate state {state.name!r}")
         self._states[state.name] = state
         self._out[state.name] = []
-        self._in[state.name] = []
         self._version += 1
         return state
 
@@ -131,7 +129,6 @@ class Stg:
                                f"{endpoint!r}")
         self._transitions.append(transition)
         self._out[transition.src].append(transition)
-        self._in[transition.dst].append(transition)
         self._version += 1
         return transition
 
@@ -159,10 +156,6 @@ class Stg:
     def out_transitions(self, name: str) -> list[StgTransition]:
         self.state(name)
         return list(self._out[name])
-
-    def in_transitions(self, name: str) -> list[StgTransition]:
-        self.state(name)
-        return list(self._in[name])
 
     def states_of_kind(self, kind: StateKind) -> list[StgState]:
         return [s for s in self._states.values() if s.kind == kind]
@@ -202,12 +195,6 @@ class Stg:
         automaton = builder.build(initial=self.initial)
         self._automaton_cache = (cache_key, automaton)
         return automaton
-
-    def states_of_node(self, node: str) -> list[StgState]:
-        return [s for s in self._states.values() if s.node == node]
-
-    def states_on_resource(self, resource: str) -> list[StgState]:
-        return [s for s in self._states.values() if s.resource == resource]
 
     # ------------------------------------------------------------------
     def input_signals(self) -> list[str]:

@@ -164,34 +164,36 @@ class TestTokenExecutor:
     def test_join_requires_all_inputs(self):
         a = self.fork_join()
         ex = TokenExecutor(a, final=[a.index_of("D")])
-        sym = a.symbols
-        first = ex.step()
-        assert sorted(sym.name_of(s) for s in first) == ["go_u", "go_v"]
-        ex.step(sym.ids_of({"done_u"}))
-        assert not ex.done
-        ex.step(sym.ids_of({"done_v"}))
-        assert ex.done
+        state, first = ex.fire(ex.initial, 0)
+        assert sorted(first) == ["go_u", "go_v"]
+        state, _ = ex.fire(state, ex.mask_of({"done_u"}))
+        assert not ex.done_in(state)
+        state, _ = ex.fire(state, ex.mask_of({"done_v"}))
+        assert ex.done_in(state)
 
     def test_conditions_latched(self):
         a = self.fork_join()
         ex = TokenExecutor(a, final=[a.index_of("D")])
-        sym = a.symbols
         # both dones latched before the fork even fires
-        ex.step(sym.ids_of({"done_u", "done_v"}))
-        assert ex.done
+        state, _ = ex.fire(ex.initial, ex.mask_of({"done_u", "done_v"}))
+        assert ex.done_in(state)
 
     def test_reset_replays_identically(self):
         a = self.fork_join()
         ex = TokenExecutor(a, final=[a.index_of("D")])
-        sym = a.symbols
-        signals = [set(), sym.ids_of({"done_u"}), sym.ids_of({"done_v"})]
-        first = [ex.step(s) for s in signals]
-        end = ex.snapshot()
-        assert ex.done
-        ex.reset()
-        assert not ex.done
-        assert [ex.step(s) for s in signals] == first
-        assert ex.snapshot() == end
+        signals = [set(), {"done_u"}, {"done_v"}]
+
+        def run():
+            state, emitted = ex.initial, []
+            for names in signals:
+                state, actions = ex.fire(state, ex.mask_of(names))
+                emitted.append(actions)
+            return state, emitted
+
+        end, first = run()
+        assert ex.done_in(end)
+        assert not ex.done_in(ex.initial)
+        assert run() == (end, first)
 
     def test_requires_initial_state(self):
         b = AutomatonBuilder("empty")
@@ -201,32 +203,22 @@ class TestTokenExecutor:
     def test_snapshot_restore_round_trip(self):
         a = self.fork_join()
         ex = TokenExecutor(a, final=[a.index_of("D")])
-        sym = a.symbols
-        ex.step()
-        mid = ex.snapshot()
-        ex.step(sym.ids_of({"done_u", "done_v"}))
-        assert ex.done
-        ex.restore(mid)
-        assert not ex.done
-        assert ex.snapshot() == mid
-        # restored runs continue exactly where the snapshot was taken
-        assert ex.step(sym.ids_of({"done_u", "done_v"})) == []
-        assert ex.done
-        done = ex.snapshot()
-        ex.restore(mid)
-        ex.step(sym.ids_of({"done_u", "done_v"}))
-        assert ex.snapshot() == done
+        both = ex.mask_of({"done_u", "done_v"})
+        mid, _ = ex.fire(ex.initial, 0)
+        done, emitted = ex.fire(mid, both)
+        assert ex.done_in(done)
+        assert not ex.done_in(mid)
+        # a run state is a value: runs continue exactly where it was taken
+        assert emitted == ()
+        assert ex.fire(mid, both) == (done, ())
 
     def test_snapshots_identify_configurations_not_histories(self):
         a = self.fork_join()
         ex = TokenExecutor(a, final=[a.index_of("D")])
-        sym = a.symbols
-        ex.step(sym.ids_of({"done_u"}))
-        ex.step(sym.ids_of({"done_v"}))
-        two_steps = ex.snapshot()
-        ex.reset()
-        ex.step(sym.ids_of({"done_u", "done_v"}))
-        assert ex.snapshot() == two_steps
+        state, _ = ex.fire(ex.initial, ex.mask_of({"done_u"}))
+        two_steps, _ = ex.fire(state, ex.mask_of({"done_v"}))
+        one_step, _ = ex.fire(ex.initial, ex.mask_of({"done_u", "done_v"}))
+        assert one_step == two_steps
 
     def test_round_limited_stepping_exposes_intermediates(self):
         b = AutomatonBuilder("cascade")
@@ -235,14 +227,14 @@ class TestTokenExecutor:
         b.add_transition("R", "m", actions=("first",))
         b.add_transition("m", "D", actions=("second",))
         a = b.build(initial="R")
-        sym = a.symbols
-        full = TokenExecutor(a, final=[a.index_of("D")])
-        assert sym.names_of(full.step()) == ("first", "second")
-        limited = TokenExecutor(a, final=[a.index_of("D")])
-        assert sym.names_of(limited.step(max_rounds=1)) == ("first",)
-        assert not limited.done
-        assert sym.names_of(limited.step(max_rounds=1)) == ("second",)
-        assert limited.done
+        ex = TokenExecutor(a, final=[a.index_of("D")])
+        assert ex.fire(ex.initial, 0)[1] == ("first", "second")
+        state, emitted = ex.fire(ex.initial, 0, max_rounds=1)
+        assert emitted == ("first",)
+        assert not ex.done_in(state)
+        state, emitted = ex.fire(state, 0, max_rounds=1)
+        assert emitted == ("second",)
+        assert ex.done_in(state)
 
 
 class TestSequentialRunner:

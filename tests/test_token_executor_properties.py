@@ -19,10 +19,12 @@ Their behaviour must be identical:
   transitions that differ only in their conditions, self-loops, an
   initial state with in-edges, several final states) with random
   signal streams under ``max_rounds=None`` and ``max_rounds=1``,
-  snapshots, restores and resets.  After every step the emitted
-  actions and ``done`` agree, the parent's snapshots map onto the new
-  ones one to one, and the frozenset executor's run state is the new
-  one with ``active`` decoded from name-order bits.  The example budget
+  snapshots, restores and resets.  The new executor is stepped through
+  ``fire`` on a run state the test carries (a snapshot is that key, a
+  reset is ``initial``).  After every step the emitted actions and
+  ``done`` agree, the parent's snapshots map onto the new ones one to
+  one, and the frozenset executor's run state is the new one with
+  ``active`` decoded from name-order bits.  The example budget
   follows the active hypothesis profile (``tests/conftest.py``).
 * the ``*_step_system*`` tests build the verifier's STG step system of
   every ``workload_suite(20, seed=5)`` design and of ``random_200_200``
@@ -474,9 +476,10 @@ def test_executor_matches_the_parent_executor(shape, ops):
     snapshots: list[tuple] = []
     to_new: dict[tuple, tuple] = {}
     to_parent: dict[tuple, tuple] = {}
+    state = executor.initial
 
     def same_configuration():
-        old, new = parent.snapshot(), executor.snapshot()
+        old, new = parent.snapshot(), state
         latched, active, _fired_in, _fired_out, fired_keys = old
         assert new[0] == sum(1 << signal for signal in latched)
         assert {by_name[bit] for bit in range(len(by_name))
@@ -484,7 +487,7 @@ def test_executor_matches_the_parent_executor(shape, ops):
         assert new[2].bit_count() == len(fired_keys)
         assert to_new.setdefault(old, new) == new
         assert to_parent.setdefault(new, old) == old
-        assert executor.done == parent.done == frozen.done
+        assert executor.done_in(state) == parent.done == frozen.done
         was = frozen.snapshot()
         assert new == (was[0], sum(1 << by_name.index(state)
                                    for state in was[1]), was[2])
@@ -493,21 +496,22 @@ def test_executor_matches_the_parent_executor(shape, ops):
     for op in ops:
         if op[0] == "step":
             signals = symbols.ids_of(op[1])
-            emitted = executor.step(signals, max_rounds=op[2])
-            assert emitted == parent.step(signals, max_rounds=op[2])
-            assert emitted == frozen.step(signals, max_rounds=op[2])
+            state, emitted = executor.fire(state, executor.mask_of(op[1]),
+                                           max_rounds=op[2])
+            assert emitted == symbols.names_of(
+                parent.step(signals, max_rounds=op[2]))
+            assert emitted == symbols.names_of(
+                frozen.step(signals, max_rounds=op[2]))
         elif op[0] == "snapshot":
-            snapshots.append((parent.snapshot(), frozen.snapshot(),
-                              executor.snapshot()))
+            snapshots.append((parent.snapshot(), frozen.snapshot(), state))
         elif op[0] == "restore" and snapshots:
-            old, was, new = snapshots[op[1] % len(snapshots)]
+            old, was, state = snapshots[op[1] % len(snapshots)]
             parent.restore(old)
             frozen.restore(was)
-            executor.restore(new)
         elif op[0] == "reset":
             parent.reset()
             frozen.reset()
-            executor.reset()
+            state = executor.initial
         same_configuration()
 
 
