@@ -13,7 +13,11 @@ module gives that composition a kernel-level home:
   (component states, flag and channel bitsets, consumed bits) and a
   cycle is a transition over that key.  This is the execution model of
   :class:`repro.controllers.ControllerHarness` and of the co-simulated
-  controller.
+  controller.  Its per-component step memo, keyed by what each
+  component's guards saw, is the one record of a run: whether the next
+  empty cycle is quiet is read off it, and after an exploration so are
+  the care sets of the guard rewrite
+  (:meth:`SynchronousComposition.observed_inputs`).
 * :class:`StepSystem` -- the one breadth-first explorer of a
   deterministic stepper under a :class:`ProductEnvironment` letter
   policy: dense state indices and interned step rows.  The composition
@@ -33,6 +37,7 @@ flags, per-component consume-once broadcast channels.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 from typing import Callable, Hashable, Iterable, Iterator, Sequence
 
 from .core import Automaton, AutomataError, AutomatonBuilder
@@ -128,8 +133,6 @@ class SynchronousComposition:
     def reset(self) -> None:
         self._key = self.initial
         self.actions_log: list[tuple[str, ...]] = []
-        #: ``(key, held mask, external actions)`` of the last quiet cycle
-        self._quiet: tuple[tuple, int, tuple[str, ...]] | None = None
 
     def configuration(self) -> tuple:
         """The live configuration key."""
@@ -170,25 +173,31 @@ class SynchronousComposition:
             mask ^= low
         return frozenset(names)
 
-    def guard_inputs(self, index: int, configuration: tuple,
-                     arriving: int) -> int:
-        """What component ``index`` sees in :meth:`step`, as a bitset:
-        latched flags and channels and the ``arriving`` signals, less
-        consumed channels, projected onto what its state's guards read."""
-        states, flags, internal, consumed = configuration
-        seen = (flags | internal | arriving) & \
-            self._reads[index][states[index]]
-        return seen if not consumed >> index & 1 else seen & self._keep
+    def observed_inputs(self) -> dict[str, dict[str, frozenset]]:
+        """Every input valuation a component's guards have seen in
+        :meth:`step`, decoded to names: ``component name -> state name
+        -> frozenset of name frozensets``, the keys of the step memo.
+        States never stepped from are left out.  After a
+        :class:`StepSystem` build over :func:`composition_stepper`,
+        which steps every reachable configuration under every
+        admissible letter, these are the reachable valuations."""
+        names_of = cache(self.names_of)
+        return {component.name: {component.name_of(state):
+                                 frozenset(map(names_of, memo))
+                                 for state, memo in enumerate(memos) if memo}
+                for component, memos in zip(self.components, self._steps)}
 
     # ------------------------------------------------------------------
     def step(self, configuration: tuple,
              held: int = 0) -> tuple[tuple, tuple[str, ...]]:
         """One clock edge from ``configuration`` (pulses already
         latched) with ``held`` visible this cycle only: the successor key
-        and the external actions in emission order.  Each component's
-        step is memoized on ``(state, seen)``, ``seen`` as in
-        :meth:`guard_inputs`, so a 200-flag register costs a step no
-        more than its one to three guard signals do."""
+        and the external actions in emission order.  A component sees
+        the latched flags and channels and ``held``, less its consumed
+        channels, projected onto what its state's guards read
+        (``seen``); its step is memoized on ``(state, seen)``, so a
+        200-flag register costs a step no more than its one to three
+        guard signals do."""
         states, flags, internal, consumed = configuration
         visible = flags | internal | held
         once = self._keep != -1
@@ -238,36 +247,27 @@ class SynchronousComposition:
 
         ``pulses`` are latched into the flag register before stepping;
         ``held`` signals are visible this cycle only (e.g. ``restart``).
-        Returns the externally visible actions in emission order.
-
-        Quiet cycles repeat without stepping.  A cycle is *quiet* when
-        it leaves the configuration as it found it after latching its
-        pulses; the next cycle from the same key with the same ``held``
-        set returns (and logs) the same actions again.
+        Returns the externally visible actions in emission order.  Every
+        cycle is one :meth:`step`; a repeated cycle costs one memo
+        lookup per component.
         """
         key = self._key
         if pulses:
             states, flags, internal, consumed = key
             key = (states, flags | self.mask_of(pulses), internal, consumed)
-        held = self.mask_of(held) if held else 0
-        quiet = self._quiet
-        if quiet is not None and quiet[0] == key and quiet[1] == held:
-            external = quiet[2]
-        else:
-            self._key, external = self.step(key, held)
-            self._quiet = (key, held, external) if self._key == key else None
+        self._key, external = self.step(key,
+                                        self.mask_of(held) if held else 0)
         if external:
             self.actions_log.append(external)
         return list(external)
 
     def quiet_ahead(self) -> bool:
         """Whether a cycle with no pulses and no held signals from the
-        live configuration repeats the last quiet cycle with no external
-        actions: it would change, return and log nothing.  (A quiet
-        record always starts from the live key: a cycle that changes the
-        key drops it.)"""
-        quiet = self._quiet
-        return quiet is not None and not quiet[1] and not quiet[2]
+        live configuration would change, return and log nothing: the
+        pure query ``step(key) == (key, ())``, served by the step memo
+        once the live state has been stepped with what it sees now."""
+        key = self._key
+        return self.step(key) == (key, ())
 
 
 class ProductEnvironment:
@@ -437,19 +437,23 @@ def reachable_automaton(name: str, initial_config: Hashable,
 def composition_stepper(components: Sequence[Automaton],
                         config: CompositionConfig | None = None,
                         held: Iterable[str] = ()
-                        ) -> tuple[tuple, Callable[[tuple, frozenset],
-                                                   tuple[tuple, tuple]]]:
-    """``(initial configuration, step function)`` of a composition.
+                        ) -> tuple[SynchronousComposition,
+                                   Callable[[tuple, frozenset],
+                                            tuple[tuple, tuple]]]:
+    """``(composition, step function)`` of a composition.
 
     The step contract of :class:`StepSystem`: given a configuration
     key and an input letter, run one composition cycle (``held``
     signals delivered level-style, the rest latched) and return the
     successor configuration plus the external actions.  It is
-    :meth:`SynchronousComposition.step` on the key itself.  The
-    materializing product below, the verifier's step systems and the
-    explicit oracle all step through this one function.  The step
-    fills its composition's memos, so it is not thread-safe; a
-    :class:`StepSystem` calls it only while it is being built.
+    :meth:`SynchronousComposition.step` on the key itself; exploration
+    starts at ``composition.initial``.  The materializing product
+    below, the verifier's step systems and the explicit oracle all step
+    through this one function.  The step fills its composition's
+    memos, so it is not thread-safe; a :class:`StepSystem` calls it
+    only while it is being built, after which
+    :meth:`SynchronousComposition.observed_inputs` reads what every
+    explored step saw.
     """
     composition = SynchronousComposition(components, config)
     held = frozenset(held)
@@ -468,7 +472,7 @@ def composition_stepper(components: Sequence[Automaton],
             config_key = (states, flags | pulses, internal, consumed)
         return composition.step(config_key, level)
 
-    return composition.initial, step
+    return composition, step
 
 
 def synchronous_product(components: Sequence[Automaton],
@@ -494,7 +498,7 @@ def synchronous_product(components: Sequence[Automaton],
     Raises :class:`AutomataError` when the reachable set exceeds
     ``max_states``.
     """
-    initial, step = composition_stepper(components, config, held)
+    composition, step = composition_stepper(components, config, held)
     if letters is None and environment is None:
         hidden = frozenset(config.internal) if config is not None \
             else frozenset(internal_signals(components))
@@ -508,6 +512,6 @@ def synchronous_product(components: Sequence[Automaton],
         return f"p{index}[{names}]"
 
     return reachable_automaton(
-        "x".join(c.name for c in components), initial, step,
+        "x".join(c.name for c in components), composition.initial, step,
         letters=letters or (), environment=environment, label_of=label_of,
         max_states=max_states)

@@ -259,7 +259,9 @@ class ControllerHarness:
 
     def quiet_ahead(self) -> bool:
         """Whether a clock edge with no done pulses and no external input
-        would issue nothing and leave the controller as it is
+        would issue nothing and leave the controller as it is.  Exact
+        and pure: one step of the live configuration, served by the
+        composition's step memo
         (:meth:`repro.automata.SynchronousComposition.quiet_ahead`)."""
         return self._composition.quiet_ahead()
 

@@ -187,11 +187,12 @@ class _AdmissibleEnvironment(ProductEnvironment):
 
 
 def _controller_stepper(controller: SystemController):
-    """``(initial, step, environment)`` of the harness composition.
+    """``(composition, step, environment)`` of the harness composition.
 
     The composition's key stepper under the admissible closure, with
     ``restart`` delivered level-style; both the step system and the
-    explicit oracle's automaton are explored from it.
+    explicit oracle's automaton are explored from
+    ``composition.initial``.
     """
     components, config = controller_composition(controller)
     done = components[0].index_of(PHASE_DONE_STATE)  # phase FSM first
@@ -199,9 +200,9 @@ def _controller_stepper(controller: SystemController):
     def completed(config_key: tuple) -> bool:
         return SynchronousComposition.component_states(config_key)[0] == done
 
-    initial, step = composition_stepper(components, config,
-                                        held=(_RESTART,))
-    return initial, step, _AdmissibleEnvironment(
+    composition, step = composition_stepper(components, config,
+                                            held=(_RESTART,))
+    return composition, step, _AdmissibleEnvironment(
         completed, (name for c in components for name in c.output_names()))
 
 
@@ -241,21 +242,23 @@ def _stg_stepper(stg: Stg):
                                    automaton.output_names()))
 
 
-#: Fingerprint-keyed memo of controller step systems: the verifier and
-#: the guard don't-care harvester need the same exploration in one flow
-#: run.  A built step system is read-only and therefore safe to share
-#: across threads.
-_STEP_SYSTEM_CACHE: "OrderedDict[str, StepSystem]" = OrderedDict()
+#: Fingerprint-keyed memo of controller explorations, ``(step system,
+#: care sets)``: the verifier and the codegen stage's care-set harvest
+#: read the same exploration in one flow run.  Both halves are
+#: read-only and therefore safe to share across threads.
+_STEP_SYSTEM_CACHE: "OrderedDict[str, tuple[StepSystem, dict]]" = \
+    OrderedDict()
 _STEP_SYSTEM_CACHE_MAX = 8
 _STEP_SYSTEM_CACHE_LOCK = threading.Lock()
 
 
-def controller_step_system(controller: SystemController) -> StepSystem:
-    """The harness composition as a step system.
-
-    States are dense indices in distance-then-discovery order and step
-    rows plain tuples, with no state bound and no automaton
-    materialization.  Memoized by controller fingerprint.
+def controller_exploration(controller: SystemController
+                           ) -> tuple[StepSystem, dict]:
+    """The harness composition's step system and the care sets of
+    :func:`repro.controllers.harvest_care_sets`: what the stepping
+    composition's memo recorded during the build
+    (:meth:`SynchronousComposition.observed_inputs`), decoded once.
+    Memoized by controller fingerprint; the composition is not kept.
     """
     key = controller.fingerprint()
     with _STEP_SYSTEM_CACHE_LOCK:
@@ -263,13 +266,26 @@ def controller_step_system(controller: SystemController) -> StepSystem:
         if cached is not None:
             _STEP_SYSTEM_CACHE.move_to_end(key)
             return cached
-    system = StepSystem("controller_composition",
-                        *_controller_stepper(controller))
+    composition, step, environment = _controller_stepper(controller)
+    entry = (StepSystem("controller_composition", composition.initial,
+                        step, environment),
+             composition.observed_inputs())
     with _STEP_SYSTEM_CACHE_LOCK:
-        _STEP_SYSTEM_CACHE[key] = system
+        _STEP_SYSTEM_CACHE[key] = entry
         while len(_STEP_SYSTEM_CACHE) > _STEP_SYSTEM_CACHE_MAX:
             _STEP_SYSTEM_CACHE.popitem(last=False)
-    return system
+    return entry
+
+
+def controller_step_system(controller: SystemController) -> StepSystem:
+    """The harness composition as a step system.
+
+    States are dense indices in distance-then-discovery order and step
+    rows plain tuples, with no state bound and no automaton
+    materialization.  Memoized by controller fingerprint
+    (:func:`controller_exploration`).
+    """
+    return controller_exploration(controller)[0]
 
 
 def stg_step_system(stg: Stg) -> StepSystem:
@@ -624,8 +640,9 @@ def explicit_oracle(stg: Stg, controller: SystemController,
     ``reachable_automaton``'s state bound: the oracle is meant for the
     small designs of tests and benchmarks.
     """
-    initial, step, environment = _controller_stepper(controller)
-    product = reachable_automaton("controller_composition", initial, step,
+    composition, step, environment = _controller_stepper(controller)
+    product = reachable_automaton("controller_composition",
+                                  composition.initial, step,
                                   environment=environment)
     initial, step, environment = _stg_stepper(stg)
     reference = reachable_automaton(f"{stg.name}_steps", initial, step,

@@ -17,13 +17,15 @@ Most ticks only count down: a burst on the bus, a unit computing, a
 direct transfer in flight.  :meth:`CoSimulation.run` crosses such a
 quiet stretch in one jump.  A tick is quiet when no done pulse is
 pending, the bus grants nothing (it is busy, or no pending request is
-grantable), and the controller's next empty cycle repeats its last
-quiet cycle with no actions (:meth:`ControllerHarness.quiet_ahead`).
-The jump covers ``min(counters) - 1`` ticks over the bus burst, every
-unit computing (not waiting on an operand) and every direct transfer,
-so the tick on which the first counter runs out still goes through
-:meth:`CoSimulation.step`; it never crosses ``max_cycles`` or the
-deadlock bound.  It applies what the skipped ticks would have: the
+grantable), and the controller's next cycle, with no done pulses and
+no external input, would leave its configuration as it is and issue
+nothing (:meth:`ControllerHarness.quiet_ahead`, an exact query on the
+composition's step memo, asked only once a counter shows a tick to
+cross).  The jump covers ``min(counters) - 1`` ticks over the bus
+burst, every unit computing (not waiting on an operand) and every
+direct transfer, so the tick on which the first counter runs out still
+goes through :meth:`CoSimulation.step`; it never crosses
+``max_cycles`` or the deadlock bound.  It applies what the skipped ticks would have: the
 cycle count, the busy ticks and the counters.  With no counter running
 nothing is jumped, so a stall is stepped to the deadlock bound as
 before.
@@ -234,8 +236,7 @@ class CoSimulation:
         """Cross the quiet ticks before the next event, stopping at cycle
         ``until`` at the latest; whether any tick was crossed."""
         bus = self.bus
-        if self._pending_done or bus.grantable() \
-                or not self.harness.quiet_ahead():
+        if self._pending_done or bus.grantable():
             return False
         computing = [unit for unit in self.units.values()
                      if unit.active is not None
@@ -247,7 +248,8 @@ class CoSimulation:
         if not counters:
             return False
         ticks = min(min(counters) - 1, until - self.cycles)
-        if ticks <= 0:
+        # the controller query last: it steps the live key (memoized)
+        if ticks <= 0 or not self.harness.quiet_ahead():
             return False
         self.cycles += ticks
         if bus.active is not None:

@@ -1,10 +1,9 @@
 """The live controller composition against a stepping reference.
 
-:class:`repro.automata.SynchronousComposition` repeats a quiet cycle
-(one that left its configuration unchanged) without stepping its
-components.  The reference here is
-:func:`repro.automata.product.composition_stepper`, which steps the
-configuration key on every call.  Hypothesis drives both with the same
+:class:`repro.automata.SynchronousComposition` runs every cycle as
+one memoized step of its live configuration key.  The reference here
+is :func:`repro.automata.product.composition_stepper`, which steps a
+configuration key it is handed.  Hypothesis drives both with the same
 random pulse and ``held`` streams over the controller compositions of
 generated designs, with ``reset()`` mid-stream and runs of repeated
 cycles, and checks that after every cycle the decoded configuration,
@@ -21,7 +20,11 @@ input set; ``decoded`` turns a key back into its set form.  And
 ``test_memoized_cycle_matches_the_unmemoized_cycle`` drives both over
 generated controllers (random guards, actions, Moore outputs, a
 consume-once ``go`` and a flush state) with random pulse and ``held``
-streams and mid-stream resets.
+streams and mid-stream resets.  After every cycle it also checks
+``quiet_ahead()`` both ways: it equals the pure query ``step(key) ==
+(key, ())`` and what an empty cycle of ``ParentComposition`` does
+(change nothing and return nothing).  ``TestQuietCycles`` pins that
+exact rule on one-state machines: it needs no earlier cycle.
 
 ``test_suite_cosim_is_pinned`` pins the sha256 of what the
 co-simulator computes on ``workload_suite(20, seed=5)``, including a
@@ -133,7 +136,8 @@ def test_live_composition_matches_restoring_reference(case):
     components, config, _ = compositions()[index]
     live = SynchronousComposition(components, config)
     parent = ParentComposition(components, config)
-    initial, step = composition_stepper(components, config, held_names)
+    composition, step = composition_stepper(components, config, held_names)
+    initial = composition.initial
     reference, reference_log = initial, []
     for entry in stream:
         if entry is None:
@@ -376,9 +380,23 @@ def test_memoized_cycle_matches_the_unmemoized_cycle(components, flush_state,
             assert decoded(live, live.configuration()) == \
                 parent.configuration()
             assert live.actions_log == parent.actions_log
-            if live.quiet_ahead():
-                key = live.configuration()
-                assert live.step(key) == (key, ())
+            key = live.configuration()
+            assert live.quiet_ahead() == (live.step(key) == (key, ()))
+            assert live.quiet_ahead() == parent_quiet_ahead(parent)
+            assert live.configuration() == key
+
+
+def parent_quiet_ahead(parent: ParentComposition) -> bool:
+    """Whether an empty cycle of ``parent`` changes and returns nothing;
+    ``parent`` is left as it was."""
+    saved = (list(parent.states), set(parent.flags), set(parent.internal),
+             [set(consumed) for consumed in parent.consumed],
+             list(parent.actions_log), parent._quiet)
+    before = parent.configuration()
+    quiet = parent.cycle() == [] and parent.configuration() == before
+    (parent.states, parent.flags, parent.internal, parent.consumed,
+     parent.actions_log, parent._quiet) = saved
+    return quiet
 
 
 def looping(name, conditions, actions):
@@ -395,19 +413,29 @@ class TestQuietCycles:
 
     def test_quiet_ahead_needs_a_silent_empty_repeat(self):
         silent = SynchronousComposition([looping("m", ("y",), ("beat",))])
-        assert not silent.quiet_ahead()  # nothing recorded yet
-        assert silent.cycle() == []
-        assert silent.quiet_ahead()
+        assert silent.quiet_ahead()  # a silent self-loop, before any cycle
         assert silent.cycle(pulses={"y"}) == ["beat"]
-        assert not silent.quiet_ahead()  # the flag stays latched
+        assert not silent.quiet_ahead()  # the latched flag fires again
+        assert silent.actions_log == [("beat",)]  # the query logs nothing
         beating = SynchronousComposition([looping("m", (), ("beat",))])
+        assert not beating.quiet_ahead()  # the key repeats, but it beats
         assert beating.cycle() == ["beat"]
-        assert not beating.quiet_ahead()  # quiet, but not silent
-        held = SynchronousComposition([looping("m", ("r",), ())])
-        assert held.cycle(held={"r"}) == []
-        assert not held.quiet_ahead()  # recorded only under ``r``
-        assert held.cycle() == []
+        assert not beating.quiet_ahead()
+        held = SynchronousComposition([looping("m", ("r",), ("hop",))])
+        assert held.quiet_ahead()  # ``r`` is held, never latched
+        assert held.cycle(held={"r"}) == ["hop"]
         assert held.quiet_ahead()
+
+    def test_a_state_change_is_not_quiet(self):
+        builder = AutomatonBuilder("m")
+        builder.add_state("a")
+        builder.add_state("b")
+        builder.add_transition("a", "b")
+        builder.add_transition("b", "b")
+        moving = SynchronousComposition([builder.build(initial="a")])
+        assert not moving.quiet_ahead()
+        assert moving.cycle() == []
+        assert moving.quiet_ahead()
 
     def test_repeated_quiet_cycles_log_their_actions(self):
         composition = SynchronousComposition([looping("m", ("y",),

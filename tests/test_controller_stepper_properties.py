@@ -25,9 +25,13 @@ identical:
   pulses under the admissible environment), with one committed
   example per edge shape.  The example budget follows the active
   hypothesis profile (``tests/conftest.py``).
-* ``test_care_sets_match_the_parent_harvester`` compares
-  :func:`repro.controllers.harvest_care_sets` with the parent
-  harvester on the 20-design suite.
+* ``test_care_sets_match_the_parent_harvester`` and its
+  ``random_200_200`` twin compare
+  :func:`repro.controllers.harvest_care_sets`, which reads the care
+  sets off the step memo of the composition that built the step
+  system, with the parent harvester's second walk on the 20-design
+  suite and on ``random_200_200``; the generated-composition property
+  compares ``observed_inputs()`` with the same walk.
 """
 
 from typing import Iterable, Sequence
@@ -235,6 +239,12 @@ def parent_harvest_care_sets(controller) -> dict:
     components, _config = controller_composition(controller)
     system = StepSystem("controller_composition",
                         *parent_controller_stepper(controller))
+    return parent_care_sets(components, system)
+
+
+def parent_care_sets(components, system) -> dict:
+    """The parent harvester's walk over a parent step system (its body,
+    split off so generated compositions can use it too)."""
     care = {component.name: {} for component in components}
     by_component = [care[component.name] for component in components]
     for state in range(len(system)):
@@ -297,9 +307,10 @@ def assert_same_rows(parent: StepSystem, system: StepSystem, components,
 
 def assert_same_controller_rows(controller) -> int:
     components, config = controller_composition(controller)
+    composition, step, environment = _controller_stepper(controller)
     return assert_same_rows(
         StepSystem("parent", *parent_controller_stepper(controller)),
-        StepSystem("new", *_controller_stepper(controller)),
+        StepSystem("new", composition.initial, step, environment),
         components, config, (_RESTART,))
 
 
@@ -324,6 +335,12 @@ def test_care_sets_match_the_parent_harvester():
     for controller in suite_controllers():
         assert harvest_care_sets(controller) == \
             parent_harvest_care_sets(controller)
+
+
+def test_random_200_200_care_sets_match_the_parent_harvester():
+    controller = synthesize_system_controller(random_200_200_stg())
+    assert harvest_care_sets(controller) == \
+        parent_harvest_care_sets(controller)
 
 
 # ----------------------------------------------------------------------
@@ -393,7 +410,9 @@ def test_stepper_matches_the_parent_stepper(components, flush_state,
                             max_states=MAX_STATES)
     except AutomataError:
         parent = None
-    initial, step = composition_stepper(automata, config, held=(_RESTART,))
+    composition, step = composition_stepper(automata, config,
+                                            held=(_RESTART,))
+    initial = composition.initial
     environment = _AdmissibleEnvironment(completed, actions)
     if parent is None:
         with pytest.raises(AutomataError):
@@ -403,3 +422,5 @@ def test_stepper_matches_the_parent_stepper(components, flush_state,
     system = StepSystem("new", initial, step, environment,
                         max_states=MAX_STATES)
     assert_same_rows(parent, system, automata, config, (_RESTART,))
+    assert composition.observed_inputs() == \
+        parent_care_sets(automata, parent)

@@ -287,9 +287,10 @@ class TestExplicitOracle:
             graph, _board, _partition, schedule, _plan, controller = \
                 build_design(spec)
             stg, _ = minimize_stg(build_stg(schedule))
+            composition, *stepper = _controller_stepper(controller)
             for name, (initial, step, environment) in (
                     ("controller_composition",
-                     _controller_stepper(controller)),
+                     (composition.initial, *stepper)),
                     (f"{stg.name}_steps", _stg_stepper(stg))):
                 automaton = reachable_automaton(name, initial, step,
                                                 environment=environment)
