@@ -106,7 +106,8 @@ def measure(n_designs: int = DEFAULT_DESIGNS, seed: int = SUITE_SEED,
         gate_reason = f"multi-core host ({cpus} cpus), full suite"
     elif cpus < GATE_MIN_CPUS:
         gate_reason = (f"host has {cpus} cpu(s) < {GATE_MIN_CPUS}: worker "
-                       f"processes time-slice one core, no speedup possible")
+                       f"processes share too few cores for a "
+                       f"{GATE_SPEEDUP}x speedup")
     else:
         gate_reason = (f"smoke suite ({n_designs} < {DEFAULT_DESIGNS} "
                        f"designs): pool startup dominates")

@@ -64,8 +64,8 @@ ORDER_INSENSITIVE_CONSUMERS = frozenset({
 #: definition-time complement of the runtime ``payload_check``.
 #: Subclasses (the WorkloadSpec families) inherit the obligation.
 PAYLOAD_CLASSES = frozenset({
-    "JobPayload", "JobSummary", "Shard", "ShardOutcome", "DesignPoint",
-    "WorkloadSpec",
+    "FlowJob", "JobPayload", "JobSummary", "Shard", "ShardOutcome",
+    "DesignPoint", "WorkloadSpec",
 })
 
 #: Domain classes allowed as payload field types: each is pickle-clean
@@ -75,7 +75,7 @@ PAYLOAD_CLASSES = frozenset({
 #: holding a lambda).
 PAYLOAD_SAFE_TYPES = frozenset({
     "TaskGraph", "TargetArchitecture", "Partitioner", "WorkloadSpec",
-    "DesignPoint", "JobPayload", "JobSummary",
+    "DesignPoint", "FlowJob", "JobPayload", "JobSummary",
 })
 
 #: Builtin/typing atoms allowed in payload annotations.

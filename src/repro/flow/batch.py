@@ -31,14 +31,15 @@ active (:func:`repro.obs.activate`).
     each other's stage results.  Per-job spans nest fully: each job span
     contains its flow, stage and store spans.
 ``"shard"``
-    True parallelism for *sweeps*: jobs are reduced to compact payloads
-    (ideally a :class:`~repro.workloads.WorkloadSpec` built in-worker),
+    True parallelism for *sweeps*: jobs cross to the workers as
+    submitted (compact when the design is a
+    :class:`~repro.workloads.WorkloadSpec` built in-worker), are
     partitioned into deterministic shards by content fingerprint, run
     against a per-worker-process stage cache initialized once, and
     returned as compact :class:`DesignPoint` summaries.  Results are
     bit-identical to ``"serial"`` (see :mod:`repro.flow.shard`);
     wall-clock speedup scales with cores (``BENCH_shard_sweep.json``).
-    Payloads that cannot be pickled are rejected at submission time by
+    Jobs that cannot be pickled are rejected at submission time by
     :func:`payload_check`, with the offending job field named.  The
     trade: outcomes carry summaries, not ``FlowResult`` artifacts --
     rank and reduce, don't introspect.  Per-job (and nested
@@ -52,7 +53,7 @@ import copy
 import os
 import pickle
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from itertools import product
 from typing import Callable, Iterable, Mapping, Sequence
 
@@ -178,11 +179,6 @@ class JobOutcome:
         return self.error is None
 
 
-#: Job fields shipped across a process boundary, in validation order.
-_PAYLOAD_FIELDS = ("graph", "workload", "arch", "partitioner", "deadline",
-                   "stimuli")
-
-
 def payload_check(job: FlowJob) -> str | None:
     """Submission-time pickling validation for the shard backend.
 
@@ -193,7 +189,7 @@ def payload_check(job: FlowJob) -> str | None:
     pool -- and the message says which field to fix rather than where
     the pool happened to choke.
     """
-    for name in _PAYLOAD_FIELDS:
+    for name in (item.name for item in fields(job)):
         value = getattr(job, name)
         try:
             pickle.dumps(value)

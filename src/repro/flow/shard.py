@@ -14,18 +14,20 @@ stages, with exactly one map path and one reduce path:
 
 **map**
     Each shard runs in a worker process of a
-    :class:`~concurrent.futures.ProcessPoolExecutor`.  Job payloads are
-    compact and picklable -- ideally a
-    :class:`~repro.workloads.WorkloadSpec` whose graph is built
-    in-worker -- and each worker process owns one
+    :class:`~concurrent.futures.ProcessPoolExecutor`.  A job crosses
+    the boundary as submitted: a :class:`JobPayload` is the
+    :class:`~repro.flow.batch.FlowJob` itself plus its suite index,
+    compact when the design is a :class:`~repro.workloads.WorkloadSpec`
+    whose graph is built in-worker.  Each worker process owns one
     :class:`~repro.flow.pipeline.StageCache`, initialized once and
     reused across every shard it executes.  With ``store_path=`` that
     cache becomes the L1 tier over a shared persistent store
     (:mod:`repro.store`), so workers warm-start from previous runs and
     share stage results with each other through the disk.  Jobs run
     through the same code path as the serial backend; workers return
-    :class:`JobSummary` values (a :class:`~repro.flow.batch.DesignPoint`
-    plus error/timing/cache evidence), never fat flow artifacts.
+    one :class:`JobSummary` per job (a
+    :class:`~repro.flow.batch.DesignPoint` or an error, plus the job's
+    seconds) and the shard's cache window, never fat flow artifacts.
 
 **reduce**
     Per-shard outcomes are verified against the plan (tampered, stale
@@ -51,13 +53,9 @@ from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Sequence
 
 from ..fingerprint import content_hash
-from ..graph.taskgraph import TaskGraph
 from ..obs import Tracer, activate, current_tracer
 from ..obs import span as obs_span
-from ..partition.base import Partitioner
-from ..platform.architecture import TargetArchitecture
 from ..store import ArtifactStore, PersistentCache, TieredCache
-from ..workloads.generators import WorkloadSpec
 from .batch import (DesignPoint, ExplorationResult, FlowJob, JobOutcome,
                     ProgressCallback, _check_sweep_args, _guarded,
                     _run_outcome, design_point_of, payload_check)
@@ -83,26 +81,19 @@ class ShardError(RuntimeError):
 # ----------------------------------------------------------------------
 @dataclass(frozen=True)
 class JobPayload:
-    """Compact, picklable description of one sweep job.
+    """One sweep job as it crosses the process boundary.
 
-    This is the *whole* submission: spec-based designs are built inside
-    the worker, the partitioner is reconstructed per job by deep copy
-    (identical RNG start to the serial backend), and everything here
-    must already have passed :func:`~repro.flow.batch.payload_check`.
-    ``index`` pins the job's position in the suite so the reduce stage
-    can restore input order; it does not participate in the fingerprint.
+    ``job`` is the submitted :class:`FlowJob` itself, which must already
+    have passed :func:`~repro.flow.batch.payload_check`: spec-based
+    designs are built inside the worker, and the worker runs the job
+    through the serial backend's code path (bit-identical by
+    construction).  ``index`` pins the job's position in the suite so
+    the reduce stage can restore input order; neither it nor the job's
+    label participates in the fingerprint.
     """
 
     index: int
-    label: str
-    workload: WorkloadSpec | None
-    graph: TaskGraph | None
-    arch: TargetArchitecture
-    partitioner: Partitioner | None
-    deadline: int | None
-    stimuli: Mapping[str, list[int]] | None
-    reuse_memory: bool
-    allow_direct_comm: bool
+    job: FlowJob
 
     def fingerprint(self) -> str:
         """Content hash of what the job *computes* (not where it sits).
@@ -111,35 +102,22 @@ class JobPayload:
         the suite is reordered or extended -- and so the reduce stage
         can detect a shard outcome that answers a different plan.
         """
-        design = self.workload.fingerprint() if self.workload is not None \
-            else self.graph.fingerprint()
-        engine = self.partitioner.fingerprint() \
-            if self.partitioner is not None else None
+        job = self.job
+        design = job.workload.fingerprint() if job.workload is not None \
+            else job.graph.fingerprint()
+        engine = job.partitioner.fingerprint() \
+            if job.partitioner is not None else None
         stimuli = tuple(sorted((name, tuple(values))
-                               for name, values in self.stimuli.items())) \
-            if self.stimuli is not None else None
-        return content_hash(("job", design, self.arch.fingerprint(), engine,
-                             self.deadline, stimuli, self.reuse_memory,
-                             self.allow_direct_comm))
-
-    def to_job(self) -> FlowJob:
-        """The equivalent :class:`FlowJob`, run through the exact same
-        code path as the serial backend (bit-identical by construction)."""
-        return FlowJob(graph=self.graph, workload=self.workload,
-                       arch=self.arch, partitioner=self.partitioner,
-                       deadline=self.deadline, stimuli=self.stimuli,
-                       reuse_memory=self.reuse_memory,
-                       allow_direct_comm=self.allow_direct_comm,
-                       label=self.label)
+                               for name, values in job.stimuli.items())) \
+            if job.stimuli is not None else None
+        return content_hash(("job", design, job.arch.fingerprint(), engine,
+                             job.deadline, stimuli, job.reuse_memory,
+                             job.allow_direct_comm))
 
 
 def payload_of(job: FlowJob, index: int) -> JobPayload:
-    """Reduce a :class:`FlowJob` to its compact shard payload."""
-    return JobPayload(index=index, label=job.name, workload=job.workload,
-                      graph=job.graph, arch=job.arch,
-                      partitioner=job.partitioner, deadline=job.deadline,
-                      stimuli=job.stimuli, reuse_memory=job.reuse_memory,
-                      allow_direct_comm=job.allow_direct_comm)
+    """The shard payload of the suite's ``index``-th job."""
+    return JobPayload(index=index, job=job)
 
 
 # ----------------------------------------------------------------------
@@ -198,18 +176,15 @@ class ShardPlanner:
 class JobSummary:
     """Compact result of one job, as shipped back by a shard worker.
 
-    ``point`` is the ranked projection (None for failed jobs);
-    ``stage_runs`` counts pipeline stages that actually executed (0 =
-    fully served by the worker's cache).  Nothing here references flow
-    artifacts, so a summary pickles in a few hundred bytes.
+    ``point`` is the ranked projection (None for failed jobs).  Nothing
+    here references flow artifacts, so a summary pickles in a few
+    hundred bytes.
     """
 
     index: int
-    label: str
     point: DesignPoint | None
     error: str | None
     seconds: float
-    stage_runs: int
 
     @property
     def ok(self) -> bool:
@@ -223,7 +198,10 @@ class ShardOutcome:
     Echoes the shard's planned fingerprint and job coverage so the
     reduce stage can verify integrity, and carries the shard-window
     view of the worker's cache (a :meth:`StageCache.stats` delta) plus
-    the in-worker wall clock.
+    the in-worker wall clock.  ``cache_stats["cold_fallbacks"]`` is 1
+    when the worker's cache was fabricated on first use because the
+    pool initializer never ran: the shard executed against a cold
+    default-size L1 with no persistent tier.
     """
 
     shard_index: int
@@ -232,11 +210,6 @@ class ShardOutcome:
     seconds: float
     cache_stats: dict
     pid: int
-    #: True when the worker's cache was fabricated on first use because
-    #: the pool initializer never ran: the shard executed against a cold
-    #: default-size L1 with no persistent tier.  Reduce surfaces the
-    #: count as ``cold_fallbacks`` in the merged cache stats.
-    cache_fallback: bool = False
     #: Compact in-worker trace rows (:meth:`repro.obs.Tracer.compact`):
     #: the job/flow/stage/store spans this shard recorded inside its
     #: worker process.  Empty unless the coordinator requested tracing
@@ -251,7 +224,8 @@ class ShardOutcome:
 #: on-disk L2, so workers warm-start from every previous run.
 _WORKER_CACHE: CacheTier | None = None
 #: True when :func:`_worker_cache` had to fabricate the cache itself
-#: (the initializer never ran); echoed in every outcome of the worker.
+#: (the initializer never ran); every outcome of the worker counts it
+#: as ``cold_fallbacks`` in its cache stats.
 _WORKER_CACHE_FALLBACK = False
 
 
@@ -275,7 +249,7 @@ def _worker_cache() -> CacheTier:
         # the initializer never ran (direct in-process call, or a pool
         # that skipped it): run against a cold default-size cache, but
         # record the fallback -- every ShardOutcome of this process
-        # carries ``cache_fallback=True`` so the reduce stage can
+        # counts it in ``cold_fallbacks`` so the reduce stage can
         # surface that its shards saw neither warm state nor the store.
         _WORKER_CACHE = StageCache(max_entries=DEFAULT_WORKER_CACHE_ENTRIES)
         _WORKER_CACHE_FALLBACK = True
@@ -304,18 +278,13 @@ def run_shard(shard: Shard,
     summaries: list[JobSummary] = []
     with activate(tracer) if trace else nullcontext():
         for payload in shard.payloads:
-            outcome = _run_outcome(payload.to_job(), cache, job_timeout)
-            point = None
-            stage_runs = 0
-            if outcome.ok:
-                point = design_point_of(outcome.result, payload.label,
-                                        payload.deadline)
-                stage_runs = sum(outcome.result.stage_runs.values())
-            summaries.append(JobSummary(index=payload.index,
-                                        label=payload.label,
-                                        point=point, error=outcome.error,
-                                        seconds=outcome.seconds,
-                                        stage_runs=stage_runs))
+            job = payload.job
+            outcome = _run_outcome(job, cache, job_timeout)
+            point = design_point_of(outcome.result, job.name, job.deadline) \
+                if outcome.ok else None
+            summaries.append(JobSummary(index=payload.index, point=point,
+                                        error=outcome.error,
+                                        seconds=outcome.seconds))
     cache_stats = cache.stats(since=window)
     # rides through the numeric merge of StageCache.merge_stats, so the
     # sweep-wide view counts how many shards ran on a fallback cache
@@ -326,7 +295,6 @@ def run_shard(shard: Shard,
                         seconds=time.perf_counter() - started,
                         cache_stats=cache_stats,
                         pid=os.getpid(),
-                        cache_fallback=_WORKER_CACHE_FALLBACK,
                         spans=tracer.compact() if tracer is not None else ())
 
 
@@ -389,10 +357,10 @@ def reduce_shards(plan: Sequence[Shard],
                              f"outcome and no recorded failure")
         for payload in shard.payloads:
             summaries[payload.index] = JobSummary(
-                index=payload.index, label=payload.label, point=None,
+                index=payload.index, point=None,
                 error=f"ShardError: shard {shard.index} worker failed: "
                       f"{error}",
-                seconds=0.0, stage_runs=0)
+                seconds=0.0)
     return summaries, StageCache.merge_stats(cache_views)
 
 
@@ -441,108 +409,101 @@ def sharded_sweep(jobs: Sequence[FlowJob], shards: int | None = None,
     ``job_timeout`` positive when given (:class:`ValueError`).
     """
     _check_sweep_args(shards, max_workers, job_timeout)
+    progress = _guarded(progress)
     jobs = list(jobs)
     total = len(jobs)
     with obs_span("sharded_sweep", kind="flow", backend="shard",
                   jobs=total) as sweep_span:
-        outcomes, stats = _sharded_sweep(jobs, shards, max_workers,
-                                         job_timeout, _guarded(progress),
-                                         store_path)
+        outcomes: list[JobOutcome | None] = [None] * total
+        done_count = 0
+
+        def emit(index: int, outcome: JobOutcome) -> None:
+            nonlocal done_count
+            outcomes[index] = outcome
+            done_count += 1
+            if progress is not None:
+                progress(outcome, done_count, total)
+
+        # submission-time validation: un-shippable jobs fail fast, named
+        payloads: list[JobPayload] = []
+        for index, job in enumerate(jobs):
+            error = payload_check(job)
+            if error is not None:
+                emit(index, JobOutcome(job, error=error))
+            else:
+                payloads.append(payload_of(job, index))
+
+        n_shards = shards or max_workers or os.cpu_count() or 1
+        plan = ShardPlanner(n_shards).plan(payloads)
+        workers = max_workers or os.cpu_count() or 1
+        workers = max(1, min(workers, len(plan) or 1))
+        stats = ShardSweepStats(workers=workers, planned_shards=len(plan))
         sweep_span.set("shards", stats.planned_shards)
         sweep_span.set("workers", stats.workers)
-        return outcomes, stats
 
+        shard_outcomes: list[ShardOutcome] = []
+        failures: dict[int, str] = {}
+        map_started = time.perf_counter()
+        if plan:
+            store_arg = None if store_path is None else os.fspath(store_path)
+            # when the coordinator is tracing, workers trace too: each
+            # shard records its spans locally and ships them back
+            tracer = current_tracer()
+            # run_shard is looked up in the module globals here, at
+            # submission, so a wrapper installed before the sweep is what
+            # the forked workers run
+            with ProcessPoolExecutor(
+                    max_workers=workers, initializer=_init_worker,
+                    initargs=(DEFAULT_WORKER_CACHE_ENTRIES,
+                              store_arg)) as pool:
+                shard_of = {pool.submit(run_shard, shard, job_timeout,
+                                        tracer is not None): shard
+                            for shard in plan}
+                for future in as_completed(shard_of):
+                    shard = shard_of[future]
+                    try:
+                        outcome = future.result()
+                    except Exception as exc:  # worker/pool death
+                        failures[shard.index] = \
+                            f"{type(exc).__name__}: {exc}"
+                        continue
+                    shard_outcomes.append(outcome)
+                    if tracer is not None:
+                        shard_span = tracer.record(
+                            f"shard[{outcome.shard_index}]", kind="shard",
+                            duration=outcome.seconds,
+                            shard=outcome.shard_index,
+                            jobs=len(outcome.summaries), pid=outcome.pid)
+                        tracer.adopt(outcome.spans,
+                                     parent_id=shard_span.span_id,
+                                     start_at=shard_span.start)
+                    # stream per-job progress as each shard completes;
+                    # the reduce below re-verifies the full plan coverage
+                    _check_shard_outcome(shard, outcome)
+                    for summary in outcome.summaries:
+                        emit(summary.index, JobOutcome(
+                            jobs[summary.index], error=summary.error,
+                            seconds=summary.seconds, point=summary.point))
+        stats.map_seconds = time.perf_counter() - map_started
 
-def _sharded_sweep(jobs: list[FlowJob], shards: int | None,
-                   max_workers: int | None, job_timeout: float | None,
-                   progress: ProgressCallback | None,
-                   store_path: str | os.PathLike | None,
-                   ) -> tuple[list[JobOutcome], ShardSweepStats]:
-    total = len(jobs)
-    outcomes: list[JobOutcome | None] = [None] * total
-    done_count = 0
-
-    def emit(index: int, outcome: JobOutcome) -> None:
-        nonlocal done_count
-        outcomes[index] = outcome
-        done_count += 1
-        if progress is not None:
-            progress(outcome, done_count, total)
-
-    # submission-time validation: un-shippable jobs fail fast, named
-    payloads: list[JobPayload] = []
-    for index, job in enumerate(jobs):
-        error = payload_check(job)
-        if error is not None:
-            emit(index, JobOutcome(job, error=error))
-        else:
-            payloads.append(payload_of(job, index))
-
-    n_shards = shards or max_workers or os.cpu_count() or 1
-    plan = ShardPlanner(n_shards).plan(payloads)
-    workers = max_workers or os.cpu_count() or 1
-    workers = max(1, min(workers, len(plan) or 1))
-    stats = ShardSweepStats(workers=workers, planned_shards=len(plan))
-
-    shard_outcomes: list[ShardOutcome] = []
-    failures: dict[int, str] = {}
-    map_started = time.perf_counter()
-    if plan:
-        store_arg = os.fspath(store_path) if store_path is not None else None
-        # when the coordinator is tracing, workers trace too: each shard
-        # records its spans locally and ships them back in the outcome
-        tracer = current_tracer()
-        # run_shard is looked up in the module globals here, at
-        # submission, so a wrapper installed before the sweep is what
-        # the forked workers run
-        with ProcessPoolExecutor(
-                max_workers=workers, initializer=_init_worker,
-                initargs=(DEFAULT_WORKER_CACHE_ENTRIES, store_arg)) as pool:
-            shard_of = {pool.submit(run_shard, shard, job_timeout,
-                                    tracer is not None): shard
-                        for shard in plan}
-            for future in as_completed(shard_of):
-                shard = shard_of[future]
-                try:
-                    outcome = future.result()
-                except Exception as exc:  # worker/pool death: fail the shard
-                    failures[shard.index] = f"{type(exc).__name__}: {exc}"
-                    continue
-                shard_outcomes.append(outcome)
-                if tracer is not None:
-                    shard_span = tracer.record(
-                        f"shard[{outcome.shard_index}]", kind="shard",
-                        duration=outcome.seconds, shard=outcome.shard_index,
-                        jobs=len(outcome.summaries), pid=outcome.pid)
-                    tracer.adopt(outcome.spans,
-                                 parent_id=shard_span.span_id,
-                                 start_at=shard_span.start)
-                # stream per-job progress as each shard completes; the
-                # reduce below re-verifies the full plan coverage
-                _check_shard_outcome(shard, outcome)
-                for summary in outcome.summaries:
-                    emit(summary.index, JobOutcome(
-                        jobs[summary.index], error=summary.error,
-                        seconds=summary.seconds, point=summary.point))
-    stats.map_seconds = time.perf_counter() - map_started
-
-    reduce_started = time.perf_counter()
-    summaries, stats.cache = reduce_shards(plan, shard_outcomes, failures)
-    for index, summary in summaries.items():
-        if outcomes[index] is None:  # jobs of failed shards
-            emit(index, JobOutcome(jobs[index], error=summary.error,
-                                   seconds=summary.seconds,
-                                   point=summary.point))
-    stats.shards = [{"shard": o.shard_index, "jobs": len(o.summaries),
-                     "seconds": round(o.seconds, 6), "pid": o.pid,
-                     "cache": o.cache_stats,
-                     "cache_fallback": o.cache_fallback}
-                    for o in sorted(shard_outcomes,
-                                    key=lambda o: o.shard_index)]
-    stats.reduce_seconds = time.perf_counter() - reduce_started
-    completed = [o for o in outcomes if o is not None]
-    assert len(completed) == len(outcomes), "every job must have an outcome"
-    return completed, stats
+        reduce_started = time.perf_counter()
+        summaries, stats.cache = reduce_shards(plan, shard_outcomes,
+                                               failures)
+        for index, summary in summaries.items():
+            if outcomes[index] is None:  # jobs of failed shards
+                emit(index, JobOutcome(jobs[index], error=summary.error,
+                                       seconds=summary.seconds,
+                                       point=summary.point))
+        stats.shards = [{"shard": o.shard_index, "jobs": len(o.summaries),
+                         "seconds": round(o.seconds, 6), "pid": o.pid,
+                         "cache": o.cache_stats}
+                        for o in sorted(shard_outcomes,
+                                        key=lambda o: o.shard_index)]
+        stats.reduce_seconds = time.perf_counter() - reduce_started
+        completed = [o for o in outcomes if o is not None]
+        assert len(completed) == len(outcomes), \
+            "every job must have an outcome"
+        return completed, stats
 
 
 @dataclass

@@ -14,6 +14,8 @@ import sys
 import textwrap
 from pathlib import Path
 
+import pytest
+
 from repro.analysis import all_rules, lint_sources, render_json, rules_for
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
@@ -141,12 +143,13 @@ class TestDetRules:
 
 # ----------------------------------------------------------------- PKL
 class TestPklRules:
-    def test_pkl201_flags_unsafe_field(self):
-        result, _ = run("""
+    @pytest.mark.parametrize("name", ["JobPayload", "FlowJob"])
+    def test_pkl201_flags_unsafe_field(self, name):
+        result, _ = run(f"""
             from dataclasses import dataclass
 
             @dataclass(frozen=True)
-            class JobPayload:
+            class {name}:
                 handle: object
             """)
         assert rule_ids(result) == ["PKL201"]
@@ -172,6 +175,7 @@ class TestPklRules:
                 sizes: tuple
                 graph: TaskGraph
                 spec: "WorkloadSpec | None"
+                job: FlowJob
             """)
         assert result.clean
 

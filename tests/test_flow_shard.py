@@ -1,6 +1,7 @@
 """Tests for the sharded map-reduce sweep engine (repro.flow.shard)."""
 
 import dataclasses
+import hashlib
 import pickle
 import threading
 
@@ -13,7 +14,7 @@ from repro.flow.shard import (JobSummary, ShardPlanner, payload_of,
                               reduce_shards, run_shard)
 from repro.partition import GreedyPartitioner, MilpPartitioner
 from repro.platform import cool_board, minimal_board
-from repro.workloads import workload_suite
+from repro.workloads import stimuli_for, workload_suite
 import repro.flow.shard as shard_mod
 
 
@@ -60,8 +61,10 @@ class TestShardPlanner:
         payloads = [payload_of(j, i) for i, j in enumerate(jobs)]
         # index and label never enter the fingerprint: renumbering and
         # relabelling a suite must not move any job to another shard
-        moved = [dataclasses.replace(p, index=p.index + 100,
-                                     label=f"renamed-{p.index}")
+        moved = [dataclasses.replace(
+                     p, index=p.index + 100,
+                     job=dataclasses.replace(p.job,
+                                             label=f"renamed-{p.index}"))
                  for p in payloads]
         assert [planner.assign(p) for p in payloads] == \
             [planner.assign(p) for p in moved]
@@ -84,6 +87,33 @@ class TestShardPlanner:
         assert sorted(covered) == list(range(len(jobs)))
         assert len(plan) <= shards
         assert all(shard.payloads for shard in plan)
+
+    def test_plan_is_pinned(self):
+        # shard assignment is part of the sweep's contract: perfbench's
+        # store_sweep wall-clock is its longest shard, so a payload
+        # fingerprint that hashes anything else moves designs between
+        # shards.  The suite varies every fingerprinted job field.
+        arch = minimal_board()
+        jobs = [FlowJob(workload=spec, arch=arch,
+                        partitioner=GreedyPartitioner(),
+                        stimuli=stimuli_for(spec.build(), seed=11))
+                for spec in workload_suite(8, seed=11)]
+        first = jobs[0]
+        jobs += [dataclasses.replace(first, deadline=40),
+                 dataclasses.replace(first, partitioner=None, stimuli=None),
+                 dataclasses.replace(first, reuse_memory=False),
+                 dataclasses.replace(first, allow_direct_comm=False),
+                 dataclasses.replace(first, workload=None,
+                                     graph=first.workload.build())]
+        payloads = [payload_of(j, i) for i, j in enumerate(jobs)]
+        digest = hashlib.sha256("".join(
+            p.fingerprint() for p in payloads).encode()).hexdigest()
+        assert digest == ("c84ae2ebf96f751d4bcf1812e90312454d807605b442d9df"
+                          "9048b33aaf01eeef")
+        assert [s.job_indices for s in ShardPlanner(2).plan(payloads)] == \
+            [(0, 1, 5, 8, 11, 12), (2, 3, 4, 6, 7, 9, 10)]
+        assert [s.job_indices for s in ShardPlanner(5).plan(payloads)] == \
+            [(1, 7, 10), (2, 3, 5, 9), (12,), (4, 6, 11), (0, 8)]
 
     def test_bad_shard_count_rejected(self):
         with pytest.raises(ShardError, match="shards"):
@@ -296,7 +326,6 @@ class TestWorkerCache:
         assert cold.cache_stats["hit_rate"] == 0.0
         assert warm.cache_stats["misses"] == 0
         assert warm.cache_stats["hit_rate"] == 1.0
-        assert all(s.stage_runs == 0 for s in warm.summaries)
         assert [s.point for s in cold.summaries] == \
             [s.point for s in warm.summaries]
 
@@ -315,14 +344,12 @@ class TestWorkerCacheFallback:
     def test_direct_run_shard_records_the_fallback(self, jobs):
         payloads = [payload_of(j, i) for i, j in enumerate(jobs[:2])]
         outcome = run_shard(ShardPlanner(1).plan(payloads)[0])
-        assert outcome.cache_fallback
         assert outcome.cache_stats["cold_fallbacks"] == 1
 
     def test_initialized_worker_reports_no_fallback(self, jobs):
         shard_mod._init_worker(shard_mod.DEFAULT_WORKER_CACHE_ENTRIES)
         payloads = [payload_of(j, i) for i, j in enumerate(jobs[:2])]
         outcome = run_shard(ShardPlanner(1).plan(payloads)[0])
-        assert not outcome.cache_fallback
         assert outcome.cache_stats["cold_fallbacks"] == 0
 
     def test_fallbacks_ride_the_numeric_merge(self, jobs):
@@ -336,7 +363,8 @@ class TestWorkerCacheFallback:
         _, stats = sharded_sweep(jobs[:3], shards=2, max_workers=2)
         assert stats.cache["cold_fallbacks"] == 0
         assert stats.shards, "sweep must have produced shard rows"
-        assert all(not row["cache_fallback"] for row in stats.shards)
+        assert all(row["cache"]["cold_fallbacks"] == 0
+                   for row in stats.shards)
 
 
 class TestStoreBackedShards:
@@ -354,7 +382,6 @@ class TestStoreBackedShards:
         assert warm.cache_stats["misses"] == 0
         assert warm.cache_stats["l2"]["hits"] > 0
         assert warm.cache_stats["hit_rate"] == 1.0
-        assert all(s.stage_runs == 0 for s in warm.summaries)
         assert [s.point for s in warm.summaries] == \
             [s.point for s in cold.summaries]
 
@@ -416,8 +443,6 @@ class TestSweepResult:
 
 
 def test_job_summary_ok_property():
-    good = JobSummary(index=0, label="a", point=None, error=None,
-                      seconds=0.1, stage_runs=3)
-    bad = JobSummary(index=1, label="b", point=None, error="boom",
-                     seconds=0.1, stage_runs=0)
+    good = JobSummary(index=0, point=None, error=None, seconds=0.1)
+    bad = JobSummary(index=1, point=None, error="boom", seconds=0.1)
     assert good.ok and not bad.ok
