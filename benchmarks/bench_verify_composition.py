@@ -77,7 +77,7 @@ SLOWEST_KEPT = 5
 #: The opt-in stretch point (``--stretch``) and its bounds.
 STRETCH_SIZE = 1000
 STRETCH_MAX_S = 60.0
-STRETCH_MAX_RSS_MB = 2048.0
+STRETCH_MAX_RSS_MB = 1400.0
 
 
 def _scale_designs(sizes):

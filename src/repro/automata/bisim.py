@@ -56,12 +56,10 @@ from typing import Iterable
 
 from .core import Automaton, Transition
 from .minimize import refine_partition
+from .symbolic import INPUT_PREFIX, OUTPUT_PREFIX
 
 __all__ = ["BisimResult", "weak_bisimilar", "distinguishing_trace"]
 
-#: Label prefixes of the normalized observation LTS.
-INPUT_PREFIX = "?"
-OUTPUT_PREFIX = "!"
 #: Reserved internal-move label of the saturated union (no signal may
 #: carry this name).
 TAU_LABEL = "τ"

@@ -42,11 +42,11 @@ indices, interned ``(letter, actions, successor)`` step rows, no
   interval ``i < n`` by construction, so the summary proves nothing the
   explorer does not already guarantee.
 
-The *frontier sets* inside the pair fixpoint are sorted element-index
-tuples -- over a dense index space a reduced BDD of a small set
-degenerates to a chain of index cubes, and the tuple is the same
-canonical object at a fraction of the constant factor.
-``docs/SYMBOLIC_VERIFY.md`` carries the full rationale.
+Elements are ints (states, then pending-action points numbered by state
+and row), and every edge is read off ``system.rows``: the walk expands
+each state about once, so nothing per element is memoized.  A closed
+*frontier set* is its one element's int or its sorted element tuple.
+``docs/SYMBOLIC_VERIFY.md`` carries the numbering and the rationale.
 """
 
 from __future__ import annotations
@@ -57,13 +57,17 @@ from typing import Iterable, Sequence
 
 from ..symbolic import FALSE, TRUE, BddEngine, VariablePairing, \
     reachable_states
-from .bisim import INPUT_PREFIX, OUTPUT_PREFIX
 from .core import AutomataError
 from .product import StepSystem
 
 __all__ = ["ClassVerdict", "SymbolicEquivalence",
            "symbolic_trace_equivalence", "reachable_set_summary",
            "MAX_PAIR_FIXPOINT"]
+
+#: Label prefixes of the observation alphabet: ``?letter`` for a
+#: consumed input letter, ``!action`` for an emitted action.
+INPUT_PREFIX = "?"
+OUTPUT_PREFIX = "!"
 
 #: Safety valve for the determinized pair fixpoint: the subset
 #: construction is linear-ish on the determinate systems this tier
@@ -177,38 +181,6 @@ class SymbolicEquivalence:
     fallback: bool = False
 
 
-class _Side:
-    """Per-system element space shared by every fixpoint pass.
-
-    Elements are either plain states (element id == state index) or
-    *pending-action intermediates* ``(state, row)`` -- the point inside
-    a two-label step where the input letter was consumed but the
-    observable action not yet emitted.  Intermediate ids are interned
-    globally (class-independent keys), so every pass over the side
-    numbers them alike.
-    """
-
-    __slots__ = ("system", "letter_labels", "_mid_index", "_next_eid")
-
-    def __init__(self, system: StepSystem) -> None:
-        self.system = system
-        letters = (sorted(system.letter_of(letter_id))
-                   for letter_id in range(system.n_letters))
-        #: ``?letter`` label per letter id; None for the silent letter
-        self.letter_labels = [INPUT_PREFIX + "+".join(names) if names
-                              else None for names in letters]
-        self._mid_index: dict[tuple[int, int], int] = {}
-        self._next_eid = len(system)
-
-    def mid(self, state: int, row: int) -> int:
-        eid = self._mid_index.get((state, row))
-        if eid is None:
-            eid = self._next_eid
-            self._next_eid += 1
-            self._mid_index[(state, row)] = eid
-        return eid
-
-
 class _ClassView:
     """One side's observation edges with ``classes`` visible.
 
@@ -221,35 +193,41 @@ class _ClassView:
     all-visible view onto each class's view only while every class
     sees at most one action per step.
 
-    Per element the view keeps the (unique -- the environment offers
-    silence exactly once per state, so silent rows are deterministic)
-    τ-successor in ``_tau`` and the observable edges in ``_obs``.
-    The ``!action`` label is memoized per *interned* action tuple
-    rather than per state: distinct states overwhelmingly share the
-    same few action tuples, so the per-element expansion reduces to
-    dictionary lookups and every edge shares one label string.  Closed
-    sets themselves are NOT memoized -- the pair fixpoint visits each
-    reachable set pair once and distinct pairs carry distinct sets, so
-    such a cache costs memory at the 60k-state scale designs without
-    ever hitting.
+    Element ``e < n`` is state ``e``; element ``n + s * stride + r``
+    is the *pending-action intermediate* of row ``r`` of state ``s``
+    (the input letter consumed, the observable action not yet
+    emitted), ``stride`` being the longest row list.  Every edge is
+    read off ``system.rows`` when it is needed: each state is expanded
+    about once per pass (17 996 of the 17 997 states of both sides of
+    ``random_200_200`` once, one twice), so a per-element edge memo
+    would hold what is read once.  Only the ``!action`` label is memoized, per *interned*
+    action tuple -- distinct states share the same few tuples, and
+    every edge shares one label string.
     """
 
-    __slots__ = ("side", "_class_of", "_tau", "_obs", "_visible")
+    __slots__ = ("system", "_n", "_stride", "_letters", "_class_of",
+                 "_visible")
 
-    #: ``_tau`` sentinel: the element has no silent successor.
-    _NO_TAU = -1
-
-    def __init__(self, side: _Side,
+    def __init__(self, system: StepSystem,
                  classes: Sequence[tuple[str, frozenset[str]]]) -> None:
-        self.side = side
+        self.system = system
+        self._n = len(system)
+        self._stride = max(len(system.rows(state))
+                           for state in range(self._n))
+        letters = (sorted(system.letter_of(letter_id))
+                   for letter_id in range(system.n_letters))
+        #: ``?letter`` label per letter id; None for the silent letter
+        self._letters = [INPUT_PREFIX + "+".join(names) if names
+                         else None for names in letters]
         self._class_of = {action: index for index, (_label, members)
                           in enumerate(classes) for action in members}
-        self._tau: dict[int, int] = {}
-        self._obs: dict[int, tuple] = {}
         self._visible: dict[tuple, str | None] = {}
 
-    def _visible_of(self, actions: tuple) -> str | None:
+    def _label(self, actions: tuple) -> str | None:
         """The ``!action`` label of an interned action tuple, or None."""
+        label = self._visible.get(actions, self)
+        if label is not self:
+            return label
         class_of = self._class_of
         visible = sorted(a for a in actions if a in class_of)
         if len({class_of[a] for a in visible}) < len(visible):
@@ -259,82 +237,63 @@ class _ClassView:
             # caller bug, not a verdict
             raise AutomataError(
                 f"projection class admits two same-step observables "
-                f"{visible!r} in {self.side.system.name!r}")
-        return OUTPUT_PREFIX + "+".join(visible) if visible else None
+                f"{visible!r} in {self.system.name!r}")
+        label = OUTPUT_PREFIX + "+".join(visible) if visible else None
+        self._visible[actions] = label
+        return label
 
-    def _expand(self, eid: int) -> None:
-        """Derive ``eid``'s τ-successor and observable edges.
+    def closure(self, eids: Iterable[int]) -> int | tuple[int, ...]:
+        """τ-closure: the transitive-closure fixpoint over silent rows.
 
-        Only plain states reach here: pending-action intermediates are
-        populated eagerly when their parent state creates them (they
-        have no step rows of their own).
+        A closed set of one element is that element, a larger one its
+        sorted tuple.  Only a state's silent-letter row can be silent
+        (an intermediate has none), and the environment offers silence
+        once per state, so the walk is a chain.
         """
-        side = self.side
-        visible_of = self._visible
-        out = []
-        tau = self._NO_TAU
-        for row_index, (letter_id, actions, succ) in \
-                enumerate(side.system.rows(eid)):
-            letter = side.letter_labels[letter_id]
-            if actions in visible_of:
-                action = visible_of[actions]
-            else:
-                action = visible_of[actions] = self._visible_of(actions)
-            if letter is None and action is None:
-                tau = succ
-            elif letter is not None and action is not None:
-                mid = side.mid(eid, row_index)
-                self._tau[mid] = self._NO_TAU
-                self._obs[mid] = ((action, succ),)
-                out.append((letter, mid))
-            elif letter is not None:
-                out.append((letter, succ))
-            else:
-                out.append((action, succ))
-        self._tau[eid] = tau
-        self._obs[eid] = tuple(out)
-
-    def closure(self, eids: Iterable[int]) -> tuple[int, ...]:
-        """τ-closure: the transitive-closure fixpoint over silent rows."""
-        tau = self._tau
+        n, letters, rows = self._n, self._letters, self.system.rows
         seen = set(eids)
         stack = list(seen)
         while stack:
             eid = stack.pop()
-            succ = tau.get(eid)
-            if succ is None:
-                self._expand(eid)
-                succ = tau[eid]
-            if succ >= 0 and succ not in seen:
-                seen.add(succ)
-                stack.append(succ)
-        return tuple(sorted(seen))
+            if eid >= n:
+                continue
+            for letter_id, actions, succ in rows(eid):
+                if letters[letter_id] is None and \
+                        self._label(actions) is None and succ not in seen:
+                    seen.add(succ)
+                    stack.append(succ)
+        return seen.pop() if len(seen) == 1 else tuple(sorted(seen))
 
-    def successors(self, members: tuple[int, ...]) -> dict[str, tuple]:
+    def successors(self, members: int | tuple[int, ...]
+                   ) -> dict[str, int | tuple[int, ...]]:
         """Closed successor sets of a τ-closed set, per observable label."""
-        obs = self._obs
+        n, stride, letters = self._n, self._stride, self._letters
+        rows, label_of = self.system.rows, self._label
         grouped: dict[str, set[int]] = {}
-        for eid in members:
-            edges = obs.get(eid)
-            if edges is None:
-                self._expand(eid)
-                edges = obs[eid]
-            for label, succ in edges:
-                if label in grouped:
-                    grouped[label].add(succ)
-                else:
-                    grouped[label] = {succ}
+        for eid in (members,) if type(members) is int else members:
+            if eid < n:
+                for row, (letter_id, actions, succ) in enumerate(rows(eid)):
+                    letter, action = letters[letter_id], label_of(actions)
+                    if letter and action:  # the letter now, the action next
+                        succ = n + eid * stride + row
+                    if letter or action:
+                        grouped.setdefault(letter or action, set()).add(succ)
+            else:  # the pending action of row ``row`` of ``state``
+                state, row = divmod(eid - n, stride)
+                _letter_id, actions, succ = rows(state)[row]
+                grouped.setdefault(label_of(actions), set()).add(succ)
         return {label: self.closure(targets)
                 for label, targets in grouped.items()}
 
 
-def _check_class(label: str, left_side: _Side, right_side: _Side,
+def _check_class(label: str, left_system: StepSystem,
+                 right_system: StepSystem,
                  classes: Sequence[tuple[str, frozenset[str]]]
                  ) -> ClassVerdict:
     """Joint breadth-first fixpoint over pairs of τ-closed sets, with
     ``classes`` visible on both sides."""
-    left = _ClassView(left_side, classes)
-    right = _ClassView(right_side, classes)
+    left = _ClassView(left_system, classes)
+    right = _ClassView(right_system, classes)
     start = (left.closure((0,)), right.closure((0,)))
     seen: dict[tuple, int] = {start: 0}
     parents: list[tuple[int, str | None]] = [(-1, None)]
@@ -382,12 +341,11 @@ def symbolic_trace_equivalence(
     so that each failing class carries its shortest distinguishing
     trace.
     """
-    sides = (_Side(left), _Side(right))
-    joint = _check_class("all-visible", *sides, classes)
+    joint = _check_class("all-visible", left, right, classes)
     if joint.equivalent:
         return SymbolicEquivalence(True, (joint,), len(left), len(right),
                                    joint.pairs)
-    verdicts = tuple(_check_class(label, *sides, [(label, observable)])
+    verdicts = tuple(_check_class(label, left, right, [(label, observable)])
                      for label, observable in classes)
     return SymbolicEquivalence(
         equivalent=all(v.equivalent for v in verdicts),

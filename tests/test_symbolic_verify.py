@@ -398,10 +398,10 @@ class TestAllVisiblePass:
         assert result.verdicts[0].counterexample == ("?go", "!ack")
 
     def test_two_same_step_members_of_a_class_still_raise(self):
-        from repro.automata.symbolic import _ClassView, _Side
+        from repro.automata.symbolic import _ClassView
         system = _burst(("a", "b"))
         classes = [("AB", frozenset({"a", "b"})), ("C", frozenset({"c"}))]
-        view = _ClassView(_Side(system), classes)
+        view = _ClassView(system, classes)
         with pytest.raises(AutomataError, match="two same-step observables"):
             view.successors(view.closure((0,)))
         with pytest.raises(AutomataError, match="two same-step observables"):
