@@ -16,7 +16,10 @@ to ``BENCH_artifact_store.json`` at the repo root:
   rate (in practice ~1.0: every stage lookup served from the store,
   zero stages re-run) with zero cold-cache fallbacks;
 * ``store`` -- post-sweep store integrity: every record on disk decodes
-  and verifies, nothing sits in quarantine.
+  and verifies, nothing sits in quarantine; ``payload_bytes_by_stage``
+  splits the records' payload bytes by the stage named in each record
+  header (``meta["stage"]``), so a change in what one stage stores
+  shows by name.
 
 Runs under pytest-benchmark (``pytest benchmarks/bench_artifact_store
 .py``) or standalone for CI smoke checks::
@@ -134,13 +137,17 @@ def _store_integrity(store_root: str | os.PathLike) -> dict:
     """Decode-verify every record left on disk after the sweeps."""
     store = ArtifactStore(store_root)
     verified = 0
+    by_stage: dict[str, int] = {}
     for key in store.keys():
         record = store.get(key)
         if record is not None and record.key == key:
             verified += 1
+            stage = str(record.meta.get("stage"))
+            by_stage[stage] = by_stage.get(stage, 0) + len(record.payload)
     stats = store.stats()
     return {"entries": stats["entries"],
             "bytes": stats["bytes"],
+            "payload_bytes_by_stage": dict(sorted(by_stage.items())),
             "records_verified": verified,
             "quarantined": len(store.quarantined_files())}
 
@@ -241,6 +248,8 @@ def report(payload: dict) -> str:
                  f"{store['bytes'] / 1024:.1f} KiB, "
                  f"{store['records_verified']} verified, "
                  f"{store['quarantined']} quarantined")
+    for stage, size in store["payload_bytes_by_stage"].items():
+        lines.append(f"    {stage:<17} : {size / 1024:8.1f} KiB payload")
     return "\n".join(lines)
 
 

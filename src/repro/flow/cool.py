@@ -106,6 +106,10 @@ class FlowResult:
     controller: SystemController
     io_controller: IoController
     datapath_controllers: dict[str, DatapathController]
+    #: Per FPGA, its shared datapath with each node's latency and area;
+    #: the per-node DFGs, schedules and bindings are not kept, because
+    #: nothing downstream reads them and every cached or stored run
+    #: would carry them (``repro.hls.driver``).
     hls_results: dict[str, SharedDatapathResult]
     vhdl_files: dict[str, str]
     c_files: dict[str, str]
@@ -360,7 +364,7 @@ def _stage_codegen(ctx: FlowContext) -> dict[str, Any]:
         "guard_literals_after": literals_after,
     }
     for resource, hls in hls_results.items():
-        if hls.shared_rtl is not None and hls.node_results:
+        if hls.shared_rtl is not None and hls.latencies:
             vhdl_files[f"dp_{resource}.vhd"] = datapath_to_vhdl(hls.shared_rtl)
     for name, text in vhdl_files.items():
         found = problems[name] if name in problems else check_vhdl(text)
@@ -472,11 +476,8 @@ def _area_repair(ctx: FlowContext, problem: PartitioningProblem,
                  hls: SharedDatapathResult, device: str, processor: str,
                  repairs: int) -> dict[str, Any]:
     """Partitioning outputs with one node evicted from ``device``."""
-    partition: Partition = ctx.get("partition")
-    node_areas = {name: hls.node_results[name].area_clbs
-                  for name in partition.nodes_on(device)}
     _, partition, schedule, feasibility = select_eviction_victim(
-        problem, partition, device, node_areas, processor)
+        problem, ctx.get("partition"), device, hls.node_areas, processor)
     previous: PartitionResult = ctx.get("partition_result")
     partition_result = PartitionResult(
         partition, schedule, feasibility, previous.algorithm,

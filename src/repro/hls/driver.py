@@ -10,7 +10,12 @@ share a single datapath.  The shared functional-unit set is the
 per-category maximum over the nodes (they execute mutually exclusively
 under the data-path controller), registers are likewise shared, and the
 multiplexing cost of sharing is accounted by summing the per-node mux
-sources on each shared unit.
+sources on each shared unit.  The per-node results are folded into the
+shared datapath and then dropped: a :class:`SharedDatapathResult` keeps
+per node only its latency (for the data-path controller) and its area
+(for the flow's area repair).  Their DFGs, schedules, bindings and
+micro-schedules appear in no shipped VHDL, so the flow never stores or
+pickles them; :func:`synthesize_node` still returns them in full.
 """
 
 from __future__ import annotations
@@ -78,7 +83,10 @@ class SharedDatapathResult:
     """HLS output for all nodes sharing one hardware resource."""
 
     resource: str
-    node_results: dict[str, HlsResult] = field(default_factory=dict)
+    #: Per-node execution latency in FPGA cycles (for the DPC).
+    latencies: dict[str, int] = field(default_factory=dict)
+    #: Per-node datapath area in CLBs (for the area repair).
+    node_areas: dict[str, int] = field(default_factory=dict)
     shared_rtl: RtlDatapath | None = None
     datapath_area_clbs: int = 0
     controller_area_clbs: int = 0
@@ -87,16 +95,10 @@ class SharedDatapathResult:
     def total_area_clbs(self) -> int:
         return self.datapath_area_clbs + self.controller_area_clbs
 
-    @property
-    def latencies(self) -> dict[str, int]:
-        """Per-node execution latency in FPGA cycles (for the DPC)."""
-        return {name: r.latency_cycles
-                for name, r in self.node_results.items()}
-
     def stats(self) -> dict:
         return {
             "resource": self.resource,
-            "nodes": len(self.node_results),
+            "nodes": len(self.latencies),
             "datapath_clbs": self.datapath_area_clbs,
             "controller_clbs": self.controller_area_clbs,
             "total_clbs": self.total_area_clbs,
@@ -108,45 +110,37 @@ class SharedDatapathResult:
 def synthesize_resource(graph: TaskGraph, partition: Partition,
                         resource: str, fpga: Fpga) -> SharedDatapathResult:
     """Synthesize the shared datapath of one hardware resource."""
-    result = SharedDatapathResult(resource)
     node_names = partition.nodes_on(resource)
     if not node_names:
-        return result
-
-    width = 0
-    for name in node_names:
-        node = graph.node(name)
-        width = max(width, node.width)
-        result.node_results[name] = synthesize_node(node, fpga)
+        return SharedDatapathResult(resource)
+    results = [synthesize_node(graph.node(name), fpga) for name in node_names]
+    width = max(r.rtl.width for r in results)
 
     # shared FU set: per-category maximum over the nodes; the mux in
     # front of a shared unit must accept every node's sources
     shared_counts: dict[str, int] = {}
-    for r in result.node_results.values():
+    sources: dict[tuple[str, str], int] = {}
+    for r in results:
         for category, count in r.rtl.fu_counts.items():
             shared_counts[category] = max(shared_counts.get(category, 0),
                                           count)
-    fus: list[RtlFu] = []
-    for category, count in sorted(shared_counts.items()):
-        for index in range(count):
-            sources = 0
-            for r in result.node_results.values():
-                for fu in r.rtl.fus:
-                    if fu.category == category \
-                            and fu.name == f"{category}{index}":
-                        sources += fu.input_sources
-            fus.append(RtlFu(f"{category}{index}", category, width,
-                             max(sources, 1)))
-
-    registers = max((r.rtl.register_count
-                     for r in result.node_results.values()), default=0)
-    latency = max((r.latency_cycles
-                   for r in result.node_results.values()), default=1)
-    result.shared_rtl = RtlDatapath(
+        for fu in r.rtl.fus:
+            key = (fu.category, fu.name)
+            sources[key] = sources.get(key, 0) + fu.input_sources
+    fus = [RtlFu(f"{category}{index}", category, width,
+                 max(sources.get((category, f"{category}{index}"), 0), 1))
+           for category, count in sorted(shared_counts.items())
+           for index in range(count)]
+    shared_rtl = RtlDatapath(
         name=f"dp_{resource}", width=width, fus=fus,
-        register_count=registers, latency_cycles=latency, micro_schedule={})
-    result.datapath_area_clbs = datapath_area_clbs(result.shared_rtl, fpga)
-    # data-path controller: idle + one busy state per node
-    result.controller_area_clbs = controller_area_clbs(
-        len(node_names) + 1, fpga)
-    return result
+        register_count=max(r.rtl.register_count for r in results),
+        latency_cycles=max(r.latency_cycles for r in results),
+        micro_schedule={})
+    return SharedDatapathResult(
+        resource,
+        latencies={r.node: r.latency_cycles for r in results},
+        node_areas={r.node: r.area_clbs for r in results},
+        shared_rtl=shared_rtl,
+        datapath_area_clbs=datapath_area_clbs(shared_rtl, fpga),
+        # data-path controller: idle + one busy state per node
+        controller_area_clbs=controller_area_clbs(len(node_names) + 1, fpga))

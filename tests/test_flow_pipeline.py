@@ -451,9 +451,8 @@ class TestAreaRepair:
         arch = _tiny_fpga_board(2)
 
         def always_overflowing(graph_, partition, resource, fpga):
-            node_results = {name: SimpleNamespace(area_clbs=100)
-                            for name in partition.nodes_on(resource)}
-            return SimpleNamespace(node_results=node_results,
+            node_areas = {name: 100 for name in partition.nodes_on(resource)}
+            return SimpleNamespace(node_areas=node_areas,
                                    total_area_clbs=fpga.clb_capacity + 1,
                                    latencies={})
 

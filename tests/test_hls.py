@@ -1,6 +1,5 @@
 """Unit + property tests for the high-level synthesis substrate."""
 
-import dataclasses
 import hashlib
 
 import pytest
@@ -227,7 +226,7 @@ class TestSynthesizeResource:
                                  arch.processor_names)
         shared = synthesize_resource(graph, partition, "fpga0",
                                      arch.fpga("fpga0"))
-        individual = sum(r.area_clbs for r in shared.node_results.values())
+        individual = sum(shared.node_areas.values())
         assert shared.datapath_area_clbs < individual
 
     def test_latencies_for_all_nodes(self):
@@ -273,34 +272,33 @@ def suite_hls_results(count=6):
             PartitioningProblem(graph, board)).partition
         results.extend(synthesize_resource(graph, partition, f.name, f)
                        for f in board.fpgas)
-    return [r for r in results if r.node_results]
+    return [r for r in results if r.latencies]
 
 
 class TestResultFingerprint:
     """An HLS result put into a flow context by hand (``FlowContext.put``)
-    is named by its content: every schedule and price must reach it."""
+    is named by its content: every node latency and price must reach it."""
 
     def test_one_node_area_changes_it(self):
         result = suite_hls_results(1)[0]
         before = fingerprint_of(result)
-        name = sorted(result.node_results)[0]
-        node = result.node_results[name]
-        result.node_results[name] = dataclasses.replace(
-            node, area_clbs=node.area_clbs + 1)
+        result.node_areas[sorted(result.node_areas)[0]] += 1
         assert fingerprint_of(result) != before
 
-    def test_one_schedule_start_changes_it(self):
+    def test_one_node_latency_changes_it(self):
         result = suite_hls_results(1)[0]
         before = fingerprint_of(result)
-        schedule = next(r.schedule for r in result.node_results.values()
-                        if r.schedule.start)
-        uid = max(schedule.start)
-        schedule.start[uid] += 1
+        result.latencies[sorted(result.latencies)[0]] += 1
         assert fingerprint_of(result) != before
 
 
 def test_suite_hls_output_is_pinned():
-    """Schedules, bindings, RTL and CLB prices stay byte-identical."""
+    """Schedules, bindings, RTL and CLB prices stay byte-identical.
+
+    A shared result keeps only each node's latency and area, so the
+    schedule, binding and RTL of a node come from ``synthesize_node``,
+    and the shared result must agree with it on latency and area.
+    """
     digest = hashlib.sha256()
     nodes = 0
     for spec in workload_suite(20, seed=5):
@@ -312,8 +310,11 @@ def test_suite_hls_output_is_pinned():
             shared = synthesize_resource(graph, partition, fpga.name, fpga)
             entry = [shared.resource, shared.datapath_area_clbs,
                      shared.controller_area_clbs, repr(shared.shared_rtl)]
-            for name in sorted(shared.node_results):
-                result = shared.node_results[name]
+            assert sorted(shared.node_areas) == sorted(shared.latencies)
+            for name in sorted(shared.latencies):
+                result = synthesize_node(graph.node(name), fpga)
+                assert shared.latencies[name] == result.latency_cycles
+                assert shared.node_areas[name] == result.area_clbs
                 entry.append((name, result.area_clbs,
                               sorted(result.schedule.start.items()),
                               sorted(result.binding.fu_of.items()),

@@ -30,16 +30,38 @@ round-robin), under XC4005 latencies or a drawn table of latencies 0-4.
 A latency-0 category pins the rule that an operation readied during a
 step starts one step later at the soonest.
 
+Another differential property runs :func:`repro.hls.synthesize_resource`
+against ``parent_synthesize_resource``, a verbatim copy of the version
+that kept every node's full :class:`repro.hls.HlsResult`, on generated
+suite designs with every internal node mapped to a drawn resource of
+``minimal_board`` or ``cool_board``.  The shared RTL (by ``repr``), both
+CLB prices, the latencies, the per-node areas and ``stats()`` must
+agree, dict order included.  A containment test checks that the pickle
+of a flow's ``hls_results`` names none of the per-op classes.
+
 The example budget follows the active hypothesis profile
 (``tests/conftest.py``): 100 examples under ``dev``, 600 under ``ci``.
 """
 
+import pickle
+import pickletools
+from dataclasses import dataclass, field
+
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from repro.hls import (Binding, Dfg, HlsError, HlsSchedule, alap_schedule,
-                       asap_schedule, bind, list_schedule_ops)
-from repro.platform import xc4005
+from repro.flow import CoolFlow
+from repro.graph import from_mapping
+from repro.graph.partition import Partition
+from repro.graph.taskgraph import TaskGraph
+from repro.hls import (Binding, Dfg, HlsError, HlsResult, HlsSchedule,
+                       RtlDatapath, RtlFu, alap_schedule, asap_schedule,
+                       bind, controller_area_clbs, datapath_area_clbs,
+                       list_schedule_ops, synthesize_node,
+                       synthesize_resource)
+from repro.partition import GreedyPartitioner
+from repro.platform import Fpga, cool_board, minimal_board, xc4005
+from repro.workloads import DEFAULT_FAMILIES, workload_suite
 
 PROPERTY = settings(max_examples=settings.default.max_examples,
                     deadline=None)
@@ -360,3 +382,147 @@ def test_scheduler_and_binder_match_the_parent_loops(case, table):
     assert list(binding.fu_of.items()) == list(parent.fu_of.items())
     assert list(binding.register_of.items()) \
         == list(parent.register_of.items())
+
+
+# -- the shared datapath against the version that kept every HlsResult --
+
+@dataclass
+class ParentSharedDatapathResult:
+    """HLS output for all nodes sharing one hardware resource."""
+
+    resource: str
+    node_results: dict[str, HlsResult] = field(default_factory=dict)
+    shared_rtl: RtlDatapath | None = None
+    datapath_area_clbs: int = 0
+    controller_area_clbs: int = 0
+
+    @property
+    def total_area_clbs(self) -> int:
+        return self.datapath_area_clbs + self.controller_area_clbs
+
+    @property
+    def latencies(self) -> dict[str, int]:
+        """Per-node execution latency in FPGA cycles (for the DPC)."""
+        return {name: r.latency_cycles
+                for name, r in self.node_results.items()}
+
+    def stats(self) -> dict:
+        return {
+            "resource": self.resource,
+            "nodes": len(self.node_results),
+            "datapath_clbs": self.datapath_area_clbs,
+            "controller_clbs": self.controller_area_clbs,
+            "total_clbs": self.total_area_clbs,
+            "shared_fus": self.shared_rtl.fu_counts
+            if self.shared_rtl else {},
+        }
+
+
+def parent_synthesize_resource(graph: TaskGraph, partition: Partition,
+                               resource: str, fpga: Fpga
+                               ) -> ParentSharedDatapathResult:
+    """Synthesize the shared datapath of one hardware resource."""
+    result = ParentSharedDatapathResult(resource)
+    node_names = partition.nodes_on(resource)
+    if not node_names:
+        return result
+
+    width = 0
+    for name in node_names:
+        node = graph.node(name)
+        width = max(width, node.width)
+        result.node_results[name] = synthesize_node(node, fpga)
+
+    # shared FU set: per-category maximum over the nodes; the mux in
+    # front of a shared unit must accept every node's sources
+    shared_counts: dict[str, int] = {}
+    for r in result.node_results.values():
+        for category, count in r.rtl.fu_counts.items():
+            shared_counts[category] = max(shared_counts.get(category, 0),
+                                          count)
+    fus: list[RtlFu] = []
+    for category, count in sorted(shared_counts.items()):
+        for index in range(count):
+            sources = 0
+            for r in result.node_results.values():
+                for fu in r.rtl.fus:
+                    if fu.category == category \
+                            and fu.name == f"{category}{index}":
+                        sources += fu.input_sources
+            fus.append(RtlFu(f"{category}{index}", category, width,
+                             max(sources, 1)))
+
+    registers = max((r.rtl.register_count
+                     for r in result.node_results.values()), default=0)
+    latency = max((r.latency_cycles
+                   for r in result.node_results.values()), default=1)
+    result.shared_rtl = RtlDatapath(
+        name=f"dp_{resource}", width=width, fus=fus,
+        register_count=registers, latency_cycles=latency, micro_schedule={})
+    result.datapath_area_clbs = datapath_area_clbs(result.shared_rtl, fpga)
+    # data-path controller: idle + one busy state per node
+    result.controller_area_clbs = controller_area_clbs(
+        len(node_names) + 1, fpga)
+    return result
+
+
+BOARDS = {"minimal": minimal_board(), "cool": cool_board()}
+
+
+@st.composite
+def mapped_designs(draw):
+    """``(graph, partition, board)``: one suite design of a drawn family
+    and seed, each internal node on a drawn resource of the board."""
+    family = draw(st.sampled_from(DEFAULT_FAMILIES))
+    seed = draw(st.integers(0, 10_000))
+    graph = workload_suite(1, seed=seed, families=(family,))[0].build()
+    board = BOARDS[draw(st.sampled_from(sorted(BOARDS)))]
+    mapping = {node.name: draw(st.sampled_from(board.resource_names))
+               for node in graph.internal_nodes()}
+    partition = from_mapping(graph, mapping, board.fpga_names,
+                             board.processor_names)
+    return graph, partition, board
+
+
+@PROPERTY
+@given(mapped_designs())
+def test_shared_datapath_matches_the_parent(design):
+    graph, partition, board = design
+    for fpga in board.fpgas:
+        got = synthesize_resource(graph, partition, fpga.name, fpga)
+        want = parent_synthesize_resource(graph, partition, fpga.name, fpga)
+        assert repr(got.shared_rtl) == repr(want.shared_rtl)
+        assert got.datapath_area_clbs == want.datapath_area_clbs
+        assert got.controller_area_clbs == want.controller_area_clbs
+        assert list(got.latencies.items()) == list(want.latencies.items())
+        assert list(got.node_areas.items()) == [
+            (name, r.area_clbs) for name, r in want.node_results.items()]
+        assert got.stats() == want.stats()
+
+
+#: the per-op artifacts a stored or cached shared result must not carry
+PER_OP_CLASSES = {"Dfg", "DfgOp", "HlsSchedule", "Binding", "HlsResult"}
+
+
+def pickled_names(value) -> set[str]:
+    """Every string a protocol-4 pickle of ``value`` pushes (module and
+    class names included), as the artifact store pickles outputs."""
+    return {arg for opcode, arg, _ in
+            pickletools.genops(pickle.dumps(value, protocol=4))
+            if isinstance(arg, str)}
+
+
+def test_flow_hls_results_pickle_no_per_op_artifacts():
+    spec = workload_suite(1, seed=3, families=("equalizer",))[0]
+    result = CoolFlow(minimal_board(),
+                      partitioner=GreedyPartitioner()).run(spec.build())
+    hls_results = result.hls_results
+    assert any(hls.latencies for hls in hls_results.values())
+    names = pickled_names(hls_results)
+    assert "SharedDatapathResult" in names
+    assert not names & PER_OP_CLASSES
+    # the check sees them when they are there
+    graph, partition = result.graph, result.partition_result.partition
+    parent = {f.name: parent_synthesize_resource(graph, partition, f.name, f)
+              for f in minimal_board().fpgas}
+    assert PER_OP_CLASSES <= pickled_names(parent)
